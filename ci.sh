@@ -14,6 +14,9 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo build --release (tier-1)"
 cargo build --release --offline
 
+echo "==> cargo build perfbench (its own workspace; catches API breaks the benchmark depends on)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q (tier-1)"
 cargo test -q --offline
 

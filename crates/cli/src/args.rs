@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use xring_core::{DegradationPolicy, SynthesisOptions};
 use xring_obs::TraceFormat;
 
 /// A fully parsed command line: the global flags plus the subcommand.
@@ -62,31 +63,9 @@ pub struct SynthArgs {
     pub pitch_um: i64,
     /// Irregular placement: `(node count, seed, die µm)`.
     pub irregular: Option<(usize, u64, i64)>,
-    /// `#wl` cap.
-    pub wavelengths: usize,
-    /// `--spares K`: reserve K spare wavelength channels and K spare
-    /// MRRs per route; synthesis then proves every single device fault
-    /// survivable before releasing the design.
-    pub spares: usize,
-    /// Ring algorithm: "milp" | "heuristic" | "perimeter".
-    pub ring: String,
-    /// Degradation policy: "forbid" | "allow" | "force-heuristic".
-    pub degradation: String,
-    /// LP backend for the ring MILP: "dense" | "revised".
-    pub lp_backend: String,
-    /// `--solver-threads N`: branch-and-bound worker threads. The
-    /// search is deterministic, so any count yields the same design.
-    pub solver_threads: usize,
-    /// Simplex pricing rule: "dantzig" | "devex" | "partial".
-    pub pricing: String,
-    /// Basis factorization: "sparse-lu" | "dense-eta".
-    pub factorization: String,
-    /// Disable Step 2.
-    pub no_shortcuts: bool,
-    /// Disable openings.
-    pub no_openings: bool,
-    /// Disable Step 4.
-    pub no_pdn: bool,
+    /// The synthesis options, set through the option table's flags
+    /// ([`SynthesisOptions::apply_flag`]).
+    pub options: SynthesisOptions,
     /// Write an SVG rendering here.
     pub svg: Option<String>,
     /// Print the full design document.
@@ -110,17 +89,7 @@ impl Default for SynthArgs {
             cols: 4,
             pitch_um: 2_000,
             irregular: None,
-            wavelengths: 16,
-            spares: 0,
-            ring: "milp".into(),
-            degradation: "forbid".into(),
-            lp_backend: "revised".into(),
-            solver_threads: 1,
-            pricing: "dantzig".into(),
-            factorization: "sparse-lu".into(),
-            no_shortcuts: false,
-            no_openings: false,
-            no_pdn: false,
+            options: SynthesisOptions::default(),
             svg: None,
             describe: false,
             trace: None,
@@ -148,7 +117,7 @@ pub struct ServeArgs {
     /// `--cache-bytes N`: design-cache byte budget (0 = unbounded).
     pub cache_bytes: u64,
     /// `--degradation`: default degradation policy for requests.
-    pub degradation: String,
+    pub degradation: DegradationPolicy,
     /// `--trace FILE`: write the daemon's trace here after shutdown.
     pub trace: Option<String>,
     /// `--trace-format jsonl|folded`.
@@ -176,7 +145,7 @@ impl Default for ServeArgs {
             queue_depth: 16,
             deadline_ms: None,
             cache_bytes: 256 << 20,
-            degradation: "forbid".into(),
+            degradation: DegradationPolicy::Forbid,
             trace: None,
             trace_format: TraceFormat::default(),
             metrics_out: None,
@@ -228,19 +197,21 @@ impl fmt::Display for ParseArgsError {
 
 impl std::error::Error for ParseArgsError {}
 
-/// The usage text.
-pub const USAGE: &str = "\
+/// The usage text; its synthesis-option section is generated from the
+/// option table ([`SynthesisOptions::flag_help`]).
+pub fn usage() -> String {
+    format!("{USAGE_HEAD}{}{USAGE_TAIL}", SynthesisOptions::flag_help())
+}
+
+const USAGE_HEAD: &str = "\
 xring — crosstalk-aware synthesis of optical ring routers (DATE 2023 reproduction)
 
 USAGE:
   xring [--jobs N] [--log-level L] [--log-out FILE] <command>
 
   xring synth [--grid RxC] [--pitch UM] [--irregular N,SEED,DIE_UM]
-              [--wl N] [--spares K] [--ring milp|heuristic|perimeter]
-              [--degradation forbid|allow|force-heuristic]
-              [--lp-backend dense|revised]
-              [--no-shortcuts] [--no-openings] [--no-pdn] [--svg FILE]
-              [--describe] [--trace FILE] [--trace-format jsonl|folded]
+              [synthesis options] [--svg FILE] [--describe]
+              [--trace FILE] [--trace-format jsonl|folded]
               [--solver-log FILE] [--metrics-out FILE]
   xring sweep [synth flags] [--objective il|power|snr]
   xring batch [synth flags] [--wl-list A,B,C] [--deadline-ms N]
@@ -249,8 +220,7 @@ USAGE:
   xring edit [synth flags] [--drop-pair I]
   xring serve [--port N] [--workers N] [--max-inflight N]
               [--queue-depth N] [--deadline-ms N] [--cache-bytes N]
-              [--degradation forbid|allow|force-heuristic]
-              [--trace FILE] [--trace-format jsonl|folded]
+              [--degradation P] [--trace FILE] [--trace-format jsonl|folded]
               [--metrics-out FILE] [--slo-target-ppm N]
               [--slo-latency-ms N] [--postmortem FILE]
   xring table <1|2|3>
@@ -266,26 +236,17 @@ GLOBAL FLAGS:
                   stderr; each event carries a timestamp, level, target
                   and — inside the daemon — the request id
 
-DEGRADATION (synth, sweep, batch):
-  --degradation forbid           any failure is fatal (default)
-  --degradation allow            on a recoverable MILP/deadline/audit
-                                 failure, retry with a perturbed
-                                 objective, then fall back to the
-                                 heuristic ring; the result's provenance
-                                 records the degradation level
-  --degradation force-heuristic  skip the MILP entirely
+SYNTHESIS OPTIONS (synth, sweep, batch, fault-sweep, edit; a value flag
+also takes the --flag=V form):
+";
 
-SURVIVABILITY (synth, sweep, batch, fault-sweep):
-  --spares K      reserve K spare wavelength channels and K spare MRRs
-                  per route; synthesis proves every single device fault
-                  (MRR drop, waveguide-segment break, wavelength-channel
-                  loss) survivable before releasing the design, and
-                  fails otherwise (default 0 = no spares, no proof)
-  --levels A,B,C  (fault-sweep only) spare levels to sweep; per level
-                  the engine synthesizes once, audits every enumerated
-                  single-fault scenario across the worker pool and
-                  prints power, channel count, fault margin and the
-                  Pareto frontier over the three (default 0,1)
+const USAGE_TAIL: &str = "
+FAULT SWEEP (fault-sweep):
+  --levels A,B,C  spare levels to sweep; per level the engine
+                  synthesizes once, audits every enumerated single-fault
+                  scenario across the worker pool and prints power,
+                  channel count, fault margin and the Pareto frontier
+                  over the three (default 0,1)
 
 INCREMENTAL EDITING (edit):
   xring edit synthesizes the spec cold, drops one traffic demand and
@@ -296,22 +257,6 @@ INCREMENTAL EDITING (edit):
   replayed, and whether the incremental design is byte-identical to a
   cold synthesis of the edited spec.
   --drop-pair I   index of the demand pair to drop (default 0)
-
-SOLVER BACKEND (synth, sweep, batch):
-  --lp-backend revised  revised bounded-variable simplex with native
-                        bounds and warm-started branch-and-bound nodes
-                        (default)
-  --lp-backend dense    dense two-phase tableau — the slower reference
-                        kernel, also used automatically by the
-                        degradation chain's perturbed retry
-  --solver-threads N    branch-and-bound worker threads (default 1);
-                        the parallel search is deterministic, so any
-                        thread count produces byte-identical designs
-  --pricing R           simplex pricing rule: dantzig (default), devex
-                        or partial
-  --factorization F     simplex basis factorization: sparse-lu
-                        (default, bounded eta updates with periodic
-                        refactorization) or dense-eta (reference)
 
 TRACING (synth, sweep, batch):
   --trace FILE           record per-phase spans (ring MILP, shortcuts,
@@ -338,7 +283,8 @@ SERVING:
                     deadline degrades instead of failing
   --cache-bytes N   shared design-cache byte budget with LRU eviction
                     (default 268435456; 0 = unbounded)
-  --degradation P   default degradation policy for requests
+  --degradation P   default degradation policy for requests (see the
+                    synthesis options)
   --trace/--trace-format/--metrics-out as above, flushed on shutdown
 
   Observability (see docs/OBSERVABILITY.md): every response carries an
@@ -362,62 +308,6 @@ SOLVER TELEMETRY (synth, sweep, batch):
                          of all counters, gauges and latency histograms
                          recorded during the run
 ";
-
-/// Validates and stores a `--degradation` policy value.
-fn set_degradation(v: &str, out: &mut SynthArgs) -> Result<(), ParseArgsError> {
-    if !["forbid", "allow", "force-heuristic"].contains(&v) {
-        return Err(ParseArgsError(format!(
-            "unknown degradation policy {v} (expected forbid, allow or force-heuristic)"
-        )));
-    }
-    out.degradation = v.to_owned();
-    Ok(())
-}
-
-/// Validates and stores a `--lp-backend` value.
-fn set_lp_backend(v: &str, out: &mut SynthArgs) -> Result<(), ParseArgsError> {
-    if !["dense", "revised"].contains(&v) {
-        return Err(ParseArgsError(format!(
-            "unknown lp backend {v} (expected dense or revised)"
-        )));
-    }
-    out.lp_backend = v.to_owned();
-    Ok(())
-}
-
-/// Validates and stores a `--solver-threads` value.
-fn set_solver_threads(v: &str, out: &mut SynthArgs) -> Result<(), ParseArgsError> {
-    let n: usize = v
-        .parse()
-        .map_err(|_| ParseArgsError(format!("bad thread count {v}")))?;
-    if n == 0 {
-        return Err(ParseArgsError("--solver-threads must be at least 1".into()));
-    }
-    out.solver_threads = n;
-    Ok(())
-}
-
-/// Validates and stores a `--pricing` value.
-fn set_pricing(v: &str, out: &mut SynthArgs) -> Result<(), ParseArgsError> {
-    if !["dantzig", "devex", "partial"].contains(&v) {
-        return Err(ParseArgsError(format!(
-            "unknown pricing rule {v} (expected dantzig, devex or partial)"
-        )));
-    }
-    out.pricing = v.to_owned();
-    Ok(())
-}
-
-/// Validates and stores a `--factorization` value.
-fn set_factorization(v: &str, out: &mut SynthArgs) -> Result<(), ParseArgsError> {
-    if !["sparse-lu", "dense-eta"].contains(&v) {
-        return Err(ParseArgsError(format!(
-            "unknown factorization {v} (expected sparse-lu or dense-eta)"
-        )));
-    }
-    out.factorization = v.to_owned();
-    Ok(())
-}
 
 /// Applies one shared synth/network flag. Returns `Ok(false)` when the
 /// flag is not a synth flag (so the caller can try its own flags).
@@ -475,88 +365,7 @@ where
                 .map_err(|_| ParseArgsError(format!("bad die {}", parts[2])))?;
             out.irregular = Some((n, seed, die));
         }
-        "--wl" => {
-            let v = it
-                .next()
-                .ok_or_else(|| ParseArgsError("--wl needs a count".into()))?;
-            out.wavelengths = v
-                .parse()
-                .map_err(|_| ParseArgsError(format!("bad #wl {v}")))?;
-            if out.wavelengths == 0 {
-                return Err(ParseArgsError("#wl must be at least 1".into()));
-            }
-        }
-        "--spares" => {
-            let v = it
-                .next()
-                .ok_or_else(|| ParseArgsError("--spares needs a count".into()))?;
-            out.spares = v
-                .parse()
-                .map_err(|_| ParseArgsError(format!("bad spare count {v}")))?;
-        }
-        "--ring" => {
-            let v = it
-                .next()
-                .ok_or_else(|| ParseArgsError("--ring needs an algorithm".into()))?;
-            if !["milp", "heuristic", "perimeter"].contains(&v.as_str()) {
-                return Err(ParseArgsError(format!("unknown ring algorithm {v}")));
-            }
-            out.ring = v.clone();
-        }
-        "--degradation" => {
-            let v = it
-                .next()
-                .ok_or_else(|| ParseArgsError("--degradation needs a policy".into()))?;
-            set_degradation(v, out)?;
-        }
-        _ if flag.starts_with("--degradation=") => {
-            let v = &flag["--degradation=".len()..];
-            set_degradation(v, out)?;
-        }
-        "--lp-backend" => {
-            let v = it
-                .next()
-                .ok_or_else(|| ParseArgsError("--lp-backend needs a backend".into()))?;
-            set_lp_backend(v, out)?;
-        }
-        _ if flag.starts_with("--lp-backend=") => {
-            let v = &flag["--lp-backend=".len()..];
-            set_lp_backend(v, out)?;
-        }
-        "--solver-threads" => {
-            let v = it
-                .next()
-                .ok_or_else(|| ParseArgsError("--solver-threads needs a count".into()))?;
-            set_solver_threads(v, out)?;
-        }
-        _ if flag.starts_with("--solver-threads=") => {
-            let v = &flag["--solver-threads=".len()..];
-            set_solver_threads(v, out)?;
-        }
-        "--pricing" => {
-            let v = it
-                .next()
-                .ok_or_else(|| ParseArgsError("--pricing needs a rule".into()))?;
-            set_pricing(v, out)?;
-        }
-        _ if flag.starts_with("--pricing=") => {
-            let v = &flag["--pricing=".len()..];
-            set_pricing(v, out)?;
-        }
-        "--factorization" => {
-            let v = it
-                .next()
-                .ok_or_else(|| ParseArgsError("--factorization needs a kind".into()))?;
-            set_factorization(v, out)?;
-        }
-        _ if flag.starts_with("--factorization=") => {
-            let v = &flag["--factorization=".len()..];
-            set_factorization(v, out)?;
-        }
         "--describe" => out.describe = true,
-        "--no-shortcuts" => out.no_shortcuts = true,
-        "--no-openings" => out.no_openings = true,
-        "--no-pdn" => out.no_pdn = true,
         "--svg" => {
             let v = it
                 .next()
@@ -587,7 +396,15 @@ where
                 .ok_or_else(|| ParseArgsError("--metrics-out needs a path".into()))?;
             out.metrics_out = Some(v.clone());
         }
-        _ => return Ok(false),
+        _ => {
+            return match out
+                .options
+                .apply_flag(flag, || it.next().map(String::as_str))
+            {
+                None => Ok(false),
+                Some(applied) => applied.map(|()| true).map_err(ParseArgsError),
+            }
+        }
     }
     Ok(true)
 }
@@ -788,9 +605,7 @@ fn parse_command(args: &[String]) -> Result<Command, ParseArgsError> {
                         let v = it
                             .next()
                             .ok_or_else(|| ParseArgsError("--degradation needs a policy".into()))?;
-                        let mut scratch = SynthArgs::default();
-                        set_degradation(v, &mut scratch)?;
-                        out.degradation = scratch.degradation;
+                        out.degradation = v.parse().map_err(ParseArgsError)?;
                     }
                     "--trace" => {
                         let v = it
@@ -918,6 +733,7 @@ fn parse_command(args: &[String]) -> Result<Command, ParseArgsError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xring_core::{FactorizationKind, LpBackendKind, PricingKind, RingAlgorithm, SpareConfig};
 
     fn v(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -925,6 +741,17 @@ mod tests {
 
     fn cmd(args: &[&str]) -> Command {
         parse(&v(args)).expect("parses").command
+    }
+
+    #[test]
+    fn help_lists_every_option_flag() {
+        let text = usage();
+        for flag in SynthesisOptions::FIELDS
+            .iter()
+            .filter_map(|f| f.flag.name())
+        {
+            assert!(text.contains(flag), "{flag} missing from xring help");
+        }
     }
 
     #[test]
@@ -957,7 +784,7 @@ mod tests {
         let Command::Sweep(a, _) = cli.command else {
             panic!("not sweep")
         };
-        assert_eq!(a.wavelengths, 8);
+        assert_eq!(a.options.max_wavelengths, 8);
         assert_eq!(parse(&v(&["table", "1"])).expect("parses").jobs, None);
     }
 
@@ -1050,7 +877,7 @@ mod tests {
         );
         assert_eq!(a.deadline_ms, Some(250));
         assert_eq!(a.cache_bytes, 1_048_576);
-        assert_eq!(a.degradation, "allow");
+        assert_eq!(a.degradation, DegradationPolicy::Allow);
         assert_eq!(a.trace.as_deref(), Some("t.jsonl"));
         assert_eq!(a.metrics_out.as_deref(), Some("m.prom"));
     }
@@ -1086,9 +913,9 @@ mod tests {
             panic!("not synth")
         };
         assert_eq!((a.rows, a.cols, a.pitch_um), (4, 8, 2_500));
-        assert_eq!(a.wavelengths, 20);
-        assert_eq!(a.ring, "heuristic");
-        assert!(a.no_pdn && !a.no_shortcuts && !a.no_openings);
+        assert_eq!(a.options.max_wavelengths, 20);
+        assert_eq!(a.options.ring_algorithm, RingAlgorithm::Heuristic);
+        assert!(!a.options.pdn && a.options.shortcuts && a.options.openings);
         assert_eq!(a.svg.as_deref(), Some("out.svg"));
     }
 
@@ -1160,20 +987,20 @@ mod tests {
         let Command::Synth(a) = cmd(&["synth", "--degradation", "allow"]) else {
             panic!("not synth")
         };
-        assert_eq!(a.degradation, "allow");
+        assert_eq!(a.options.degradation, DegradationPolicy::Allow);
         let Command::Synth(a) = cmd(&["synth", "--degradation=force-heuristic"]) else {
             panic!("not synth")
         };
-        assert_eq!(a.degradation, "force-heuristic");
+        assert_eq!(a.options.degradation, DegradationPolicy::ForceHeuristic);
         let Command::Batch(b) = cmd(&["batch", "--degradation=allow"]) else {
             panic!("not batch")
         };
-        assert_eq!(b.synth.degradation, "allow");
+        assert_eq!(b.synth.options.degradation, DegradationPolicy::Allow);
         // Default and rejects.
         let Command::Synth(a) = cmd(&["synth"]) else {
             panic!("not synth")
         };
-        assert_eq!(a.degradation, "forbid");
+        assert_eq!(a.options.degradation, DegradationPolicy::Forbid);
         assert!(parse(&v(&["synth", "--degradation", "sometimes"])).is_err());
         assert!(parse(&v(&["synth", "--degradation=bogus"])).is_err());
         assert!(parse(&v(&["synth", "--degradation"])).is_err());
@@ -1184,20 +1011,20 @@ mod tests {
         let Command::Synth(a) = cmd(&["synth", "--lp-backend", "dense"]) else {
             panic!("not synth")
         };
-        assert_eq!(a.lp_backend, "dense");
+        assert_eq!(a.options.lp_backend, LpBackendKind::Dense);
         let Command::Synth(a) = cmd(&["synth", "--lp-backend=revised"]) else {
             panic!("not synth")
         };
-        assert_eq!(a.lp_backend, "revised");
+        assert_eq!(a.options.lp_backend, LpBackendKind::Revised);
         let Command::Batch(b) = cmd(&["batch", "--lp-backend=dense"]) else {
             panic!("not batch")
         };
-        assert_eq!(b.synth.lp_backend, "dense");
+        assert_eq!(b.synth.options.lp_backend, LpBackendKind::Dense);
         // Default and rejects.
         let Command::Synth(a) = cmd(&["synth"]) else {
             panic!("not synth")
         };
-        assert_eq!(a.lp_backend, "revised");
+        assert_eq!(a.options.lp_backend, LpBackendKind::Revised);
         assert!(parse(&v(&["synth", "--lp-backend", "tableau"])).is_err());
         assert!(parse(&v(&["synth", "--lp-backend=bogus"])).is_err());
         assert!(parse(&v(&["synth", "--lp-backend"])).is_err());
@@ -1208,16 +1035,16 @@ mod tests {
         let Command::Synth(a) = cmd(&["synth", "--solver-threads", "4"]) else {
             panic!("not synth")
         };
-        assert_eq!(a.solver_threads, 4);
+        assert_eq!(a.options.solver_threads, 4);
         let Command::Synth(a) = cmd(&["synth", "--solver-threads=8"]) else {
             panic!("not synth")
         };
-        assert_eq!(a.solver_threads, 8);
+        assert_eq!(a.options.solver_threads, 8);
         // Default and rejects.
         let Command::Synth(a) = cmd(&["synth"]) else {
             panic!("not synth")
         };
-        assert_eq!(a.solver_threads, 1);
+        assert_eq!(a.options.solver_threads, 1);
         assert!(parse(&v(&["synth", "--solver-threads", "0"])).is_err());
         assert!(parse(&v(&["synth", "--solver-threads=nope"])).is_err());
         assert!(parse(&v(&["synth", "--solver-threads"])).is_err());
@@ -1228,15 +1055,15 @@ mod tests {
         let Command::Synth(a) = cmd(&["synth", "--pricing", "devex"]) else {
             panic!("not synth")
         };
-        assert_eq!(a.pricing, "devex");
+        assert_eq!(a.options.pricing, PricingKind::Devex);
         let Command::Synth(a) = cmd(&["synth", "--pricing=partial"]) else {
             panic!("not synth")
         };
-        assert_eq!(a.pricing, "partial");
+        assert_eq!(a.options.pricing, PricingKind::Partial);
         let Command::Synth(a) = cmd(&["synth"]) else {
             panic!("not synth")
         };
-        assert_eq!(a.pricing, "dantzig");
+        assert_eq!(a.options.pricing, PricingKind::Dantzig);
         assert!(parse(&v(&["synth", "--pricing", "steepest"])).is_err());
         assert!(parse(&v(&["synth", "--pricing"])).is_err());
     }
@@ -1246,15 +1073,15 @@ mod tests {
         let Command::Synth(a) = cmd(&["synth", "--factorization", "dense-eta"]) else {
             panic!("not synth")
         };
-        assert_eq!(a.factorization, "dense-eta");
+        assert_eq!(a.options.factorization, FactorizationKind::DenseEta);
         let Command::Synth(a) = cmd(&["synth", "--factorization=sparse-lu"]) else {
             panic!("not synth")
         };
-        assert_eq!(a.factorization, "sparse-lu");
+        assert_eq!(a.options.factorization, FactorizationKind::SparseLu);
         let Command::Synth(a) = cmd(&["synth"]) else {
             panic!("not synth")
         };
-        assert_eq!(a.factorization, "sparse-lu");
+        assert_eq!(a.options.factorization, FactorizationKind::SparseLu);
         assert!(parse(&v(&["synth", "--factorization", "qr"])).is_err());
         assert!(parse(&v(&["synth", "--factorization"])).is_err());
     }
@@ -1336,20 +1163,20 @@ mod tests {
         let Command::Synth(a) = cmd(&["synth", "--spares", "1"]) else {
             panic!("not synth")
         };
-        assert_eq!(a.spares, 1);
+        assert_eq!(a.options.spares, SpareConfig::uniform(1));
         let Command::Sweep(a, _) = cmd(&["sweep", "--spares", "2"]) else {
             panic!("not sweep")
         };
-        assert_eq!(a.spares, 2);
+        assert_eq!(a.options.spares, SpareConfig::uniform(2));
         let Command::Batch(b) = cmd(&["batch", "--spares", "1"]) else {
             panic!("not batch")
         };
-        assert_eq!(b.synth.spares, 1);
+        assert_eq!(b.synth.options.spares, SpareConfig::uniform(1));
         // Default and rejects.
         let Command::Synth(a) = cmd(&["synth"]) else {
             panic!("not synth")
         };
-        assert_eq!(a.spares, 0);
+        assert_eq!(a.options.spares, SpareConfig::uniform(0));
         assert!(parse(&v(&["synth", "--spares"])).is_err());
         assert!(parse(&v(&["synth", "--spares", "many"])).is_err());
     }
@@ -1373,7 +1200,7 @@ mod tests {
             panic!("not edit")
         };
         assert_eq!(a.irregular, Some((16, 5, 8_000)));
-        assert_eq!(a.wavelengths, 8);
+        assert_eq!(a.options.max_wavelengths, 8);
         assert_eq!(drop_pair, 3);
         assert!(parse(&v(&["edit", "--drop-pair"])).is_err());
         assert!(parse(&v(&["edit", "--drop-pair", "first"])).is_err());
@@ -1398,7 +1225,7 @@ mod tests {
         ]) else {
             panic!("not fault-sweep")
         };
-        assert_eq!((a.rows, a.cols, a.wavelengths), (2, 4, 8));
+        assert_eq!((a.rows, a.cols, a.options.max_wavelengths), (2, 4, 8));
         assert_eq!(levels, vec![0, 1, 2]);
         assert!(parse(&v(&["fault-sweep", "--levels"])).is_err());
         assert!(parse(&v(&["fault-sweep", "--levels", "one"])).is_err());

@@ -8,7 +8,7 @@
 
 mod args;
 
-use args::{parse, BatchArgs, Command, ServeArgs, SynthArgs, USAGE};
+use args::{parse, usage, BatchArgs, Command, ServeArgs, SynthArgs};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -16,19 +16,32 @@ use xring_bench::tables::{
     ablation_pdn, ablation_ring, ablation_shortcuts, print_sections, table1, table2, table3,
 };
 use xring_core::{
-    DegradationLevel, DegradationPolicy, NetworkSpec, RingAlgorithm, SpareConfig, SynthesisOptions,
-    Synthesizer, Traffic,
+    DegradationLevel, NetworkSpec, SpareConfig, SynthesisOptions, Synthesizer, Traffic,
 };
 use xring_engine::{Engine, JsonlSink, SynthesisJob};
 use xring_phot::{CrosstalkParams, LossParams, PowerParams, RouterReport};
 use xring_viz::{render_design, RenderOptions};
+
+/// The `Ok` value of `$result`; on `Err(e)` prints `error: [context: ]e`
+/// and fails the command.
+macro_rules! or_fail {
+    ($result:expr $(, $context:literal)?) => {
+        match $result {
+            Ok(value) => value,
+            Err(e) => {
+                eprintln!(concat!("error: ", $($context, ": ",)? "{}"), e);
+                return ExitCode::FAILURE;
+            }
+        }
+    };
+}
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let cli = match parse(&argv) {
         Ok(cli) => cli,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprintln!("error: {e}\n\n{}", usage());
             return ExitCode::FAILURE;
         }
     };
@@ -101,7 +114,7 @@ fn main() -> ExitCode {
     };
     let code = match cli.command {
         Command::Help => {
-            print!("{USAGE}");
+            print!("{}", usage());
             ExitCode::SUCCESS
         }
         Command::Table(which) => run_table(which, &engine),
@@ -218,44 +231,6 @@ fn network_of(args: &SynthArgs) -> Result<NetworkSpec, xring_core::SynthesisErro
     }
 }
 
-fn options_of(args: &SynthArgs) -> SynthesisOptions {
-    let ring_algorithm = match args.ring.as_str() {
-        "heuristic" => RingAlgorithm::Heuristic,
-        "perimeter" => RingAlgorithm::Perimeter,
-        _ => RingAlgorithm::Milp,
-    };
-    // The parser validated the policy and backend strings already.
-    let degradation = args
-        .degradation
-        .parse::<DegradationPolicy>()
-        .unwrap_or_default();
-    let lp_backend = args
-        .lp_backend
-        .parse::<xring_core::LpBackendKind>()
-        .unwrap_or_default();
-    let pricing = args
-        .pricing
-        .parse::<xring_core::PricingKind>()
-        .unwrap_or_default();
-    let factorization = args
-        .factorization
-        .parse::<xring_core::FactorizationKind>()
-        .unwrap_or_default();
-    SynthesisOptions {
-        ring_algorithm,
-        degradation,
-        lp_backend,
-        solver_threads: args.solver_threads,
-        pricing,
-        factorization,
-        shortcuts: !args.no_shortcuts,
-        openings: !args.no_openings,
-        pdn: !args.no_pdn,
-        spares: SpareConfig::uniform(args.spares),
-        ..SynthesisOptions::with_wavelengths(args.wavelengths)
-    }
-}
-
 /// The sweep's default candidate ladder: the powers of two up to `--wl`,
 /// plus `--wl` itself.
 fn wl_ladder(max: usize) -> Vec<usize> {
@@ -266,34 +241,22 @@ fn wl_ladder(max: usize) -> Vec<usize> {
 
 fn run_sweep(args: &SynthArgs, objective: &str, engine: &Engine) -> ExitCode {
     use xring_core::SweepObjective;
-    let net = match network_of(args) {
-        Ok(net) => net,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let net = or_fail!(network_of(args));
     let obj = match objective {
         "il" => SweepObjective::MinInsertionLoss,
         "snr" => SweepObjective::MaxSnr,
         _ => SweepObjective::MinPower,
     };
-    let candidates = wl_ladder(args.wavelengths);
-    let result = match engine.sweep_wavelengths(
+    let candidates = wl_ladder(args.options.max_wavelengths);
+    let result = or_fail!(engine.sweep_wavelengths(
         &net,
-        options_of(args),
+        args.options.clone(),
         &candidates,
         obj,
         &LossParams::default(),
         Some(&CrosstalkParams::default()),
         &PowerParams::default(),
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    ));
     println!("{}", RouterReport::table_header());
     for (i, p) in result.points.iter().enumerate() {
         let marker = if i == result.best { "  <= best" } else { "" };
@@ -303,13 +266,7 @@ fn run_sweep(args: &SynthArgs, objective: &str, engine: &Engine) -> ExitCode {
 }
 
 fn run_batch_cmd(args: &BatchArgs, mut engine: Engine) -> ExitCode {
-    let net = match network_of(&args.synth) {
-        Ok(net) => net,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let net = or_fail!(network_of(&args.synth));
     if let Some(path) = &args.metrics_jsonl {
         match std::fs::File::create(path) {
             Ok(file) => engine = engine.with_sink(Arc::new(JsonlSink::new(file))),
@@ -320,11 +277,11 @@ fn run_batch_cmd(args: &BatchArgs, mut engine: Engine) -> ExitCode {
         }
     }
     let candidates = if args.wl_list.is_empty() {
-        wl_ladder(args.synth.wavelengths)
+        wl_ladder(args.synth.options.max_wavelengths)
     } else {
         args.wl_list.clone()
     };
-    let base = options_of(&args.synth);
+    let base = &args.synth.options;
     let mut jobs = Vec::with_capacity(candidates.len() * args.repeat);
     for round in 0..args.repeat {
         for &wl in &candidates {
@@ -372,26 +329,14 @@ fn run_batch_cmd(args: &BatchArgs, mut engine: Engine) -> ExitCode {
 }
 
 fn run_fault_sweep(args: &SynthArgs, levels: &[usize], engine: &Engine) -> ExitCode {
-    let net = match network_of(args) {
-        Ok(net) => net,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let net = or_fail!(network_of(args));
     let spare_levels: Vec<SpareConfig> = levels.iter().map(|&k| SpareConfig::uniform(k)).collect();
-    let result = match engine.fault_sweep(
+    let result = or_fail!(engine.fault_sweep(
         &net,
-        &options_of(args),
+        &args.options,
         &spare_levels,
         Some(&CrosstalkParams::default()),
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    ));
     println!(
         "{:<22} {:>4} {:>3} {:>9} {:>9} {:>7} {:>11} {:>13} {:>8}",
         "level",
@@ -436,14 +381,8 @@ fn run_fault_sweep(args: &SynthArgs, levels: &[usize], engine: &Engine) -> ExitC
 /// incrementally, and compares it against a cold synthesis of the same
 /// edited spec on a fresh engine.
 fn run_edit(args: &SynthArgs, drop_pair: usize, engine: &Engine) -> ExitCode {
-    let net = match network_of(args) {
-        Ok(net) => net,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let options = options_of(args);
+    let net = or_fail!(network_of(args));
+    let options = args.options.clone();
     let pairs = options.traffic.pairs(&net);
     if drop_pair >= pairs.len() {
         eprintln!(
@@ -461,30 +400,18 @@ fn run_edit(args: &SynthArgs, drop_pair: usize, engine: &Engine) -> ExitCode {
     let edited = SynthesisJob::new("edited", net.clone(), edited_options);
 
     // Cold run of the base spec: populates the phase-artifact store.
-    let cold_base = match engine.resynthesize(&base, &base) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("error: base synthesis failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let cold_base = or_fail!(engine.resynthesize(&base, &base), "base synthesis failed");
     // Cold reference for the *edited* spec, on a fresh engine whose
     // cache holds nothing — what a non-incremental tool would pay.
-    let cold_edit = match Engine::new().with_workers(1).resynthesize(&edited, &edited) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("error: cold reference synthesis failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let cold_edit = or_fail!(
+        Engine::new().with_workers(1).resynthesize(&edited, &edited),
+        "cold reference synthesis failed"
+    );
     // The edit: diffed against the base, replaying clean phases.
-    let incremental = match engine.resynthesize(&base, &edited) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("error: incremental re-synthesis failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let incremental = or_fail!(
+        engine.resynthesize(&base, &edited),
+        "incremental re-synthesis failed"
+    );
 
     let cold_ms = cold_edit.wall.as_secs_f64() * 1e3;
     let inc_ms = incremental.wall.as_secs_f64() * 1e3;
@@ -520,11 +447,6 @@ fn run_serve(args: &ServeArgs) -> ExitCode {
     use std::io::{Read, Write};
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    // The parser validated the policy string already.
-    let degradation = args
-        .degradation
-        .parse::<DegradationPolicy>()
-        .unwrap_or_default();
     let mut slo = xring_serve::SloConfig::default();
     if let Some(ppm) = args.slo_target_ppm {
         slo.target_ppm = ppm;
@@ -538,7 +460,7 @@ fn run_serve(args: &ServeArgs) -> ExitCode {
         max_inflight: args.max_inflight,
         queue_depth: args.queue_depth,
         deadline: args.deadline_ms.map(Duration::from_millis),
-        degradation,
+        degradation: args.degradation,
         cache_bytes: match args.cache_bytes {
             0 => None,
             n => Some(n as usize),
@@ -601,21 +523,9 @@ fn run_serve(args: &ServeArgs) -> ExitCode {
 }
 
 fn run_synth(args: &SynthArgs) -> ExitCode {
-    let net = match network_of(args) {
-        Ok(net) => net,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let options = options_of(args);
-    let design = match Synthesizer::new(options).synthesize(&net) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let net = or_fail!(network_of(args));
+    let options = args.options.clone();
+    let design = or_fail!(Synthesizer::new(options).synthesize(&net));
 
     println!(
         "synthesized {} nodes: ring {:.1} mm, {} shortcuts, {} ring waveguides, {} openings",

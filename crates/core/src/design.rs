@@ -2,6 +2,7 @@
 //! the final [`XRingDesign`].
 
 use crate::audit::AuditReport;
+use crate::error::SynthesisError;
 use crate::layout::{Hop, LayoutModel, NoiseSource, Station, StationIdx, Waveguide};
 use crate::mapping::{MappingPlan, RouteKind};
 use crate::netspec::NetworkSpec;
@@ -82,6 +83,16 @@ pub struct Provenance {
     /// audited and clean for designs returned by
     /// [`Synthesizer::synthesize`](crate::Synthesizer::synthesize).
     pub audit: AuditReport,
+}
+
+impl Provenance {
+    /// True when the design was degraded because the deadline expired.
+    /// Such a design depends on timing, not only on the synthesis inputs.
+    pub fn degraded_by_deadline(&self) -> bool {
+        self.degradation != DegradationLevel::Exact
+            && self.fallback_reason.as_deref()
+                == Some(SynthesisError::DeadlineExceeded.to_string().as_str())
+    }
 }
 
 /// A fully synthesized XRing router.

@@ -14,11 +14,14 @@
 //! When the ring phase itself is dirty (a node moved, the LP backend
 //! changed), the MILP can still be seeded with the previous solution's
 //! exported [`Basis`] via the `warm_hint` argument of
-//! [`Synthesizer::synthesize_incremental`] — the solver adopts it when
-//! compatible and silently solves cold otherwise, so a stale hint is
-//! always safe. A warm-started MILP may tie-break between equal-length
-//! tours differently from a cold solve; reused artifacts, by contrast,
-//! are replayed verbatim and keep the output bit-identical.
+//! [`Synthesizer::synthesize_incremental`]. The solver adopts a hint of
+//! compatible shape, but a hint exported for a different floorplan can
+//! still mislead it into an invalid solution; ring decoding rejects
+//! such a solution and the ring is then re-solved cold, so a stale hint
+//! costs time, never correctness. A warm-started MILP may tie-break
+//! between equal-length tours differently from a cold solve; reused
+//! artifacts, by contrast, are replayed verbatim and keep the output
+//! bit-identical.
 //!
 //! Every assembled design still passes the full post-synthesis audit. If
 //! the audit rejects a design assembled from cached artifacts (e.g. a
@@ -30,11 +33,11 @@ use crate::error::SynthesisError;
 use crate::mapping::MappingPlan;
 use crate::netspec::NetworkSpec;
 use crate::opening::{open_rings, OpeningStats};
+use crate::options::{KeyRole, OptionValue};
 use crate::pdn::{design_pdn, PdnDesign};
 use crate::ring::{RingBuilder, RingCycle, RingStats};
 use crate::shortcut::{plan_shortcuts, Shortcut, ShortcutPlan};
 use crate::synth::{DegradationPolicy, SynthesisOptions, Synthesizer};
-use crate::traffic::Traffic;
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -77,17 +80,6 @@ impl PhaseId {
         }
     }
 
-    /// Domain-separation tag mixed into this phase's key.
-    fn tag(self) -> u64 {
-        match self {
-            PhaseId::Ring => 1,
-            PhaseId::Shortcut => 2,
-            PhaseId::Mapping => 3,
-            PhaseId::Opening => 4,
-            PhaseId::Pdn => 5,
-        }
-    }
-
     /// Obs counter bumped when this phase is replayed from the store.
     pub fn hit_counter(self) -> &'static str {
         match self {
@@ -111,165 +103,53 @@ impl PhaseId {
     }
 }
 
-/// A streaming FNV-1a (64-bit) content hasher for phase keys.
-///
-/// Phase keys must be *stable content hashes*: the same inputs always
-/// produce the same key within a process and across processes (no
-/// `DefaultHasher` seeding), and every write is length- or
-/// domain-separated so concatenation ambiguities cannot collide.
-///
-/// # Example
-///
-/// ```
-/// use xring_core::incremental::PhaseKeyer;
-///
-/// let a = PhaseKeyer::new(7).str("mapping").u64(16).finish();
-/// let b = PhaseKeyer::new(7).str("mapping").u64(16).finish();
-/// let c = PhaseKeyer::new(7).str("mapping").u64(17).finish();
-/// assert_eq!(a, b, "identical inputs hash identically");
-/// assert_ne!(a, c, "any changed input produces a different key");
-/// ```
-#[derive(Debug, Clone)]
-pub struct PhaseKeyer {
-    state: u64,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-impl PhaseKeyer {
-    /// Starts a keyer seeded with a domain-separation `tag` (use one tag
-    /// per phase so equal payloads in different phases never collide).
-    pub fn new(tag: u64) -> Self {
-        PhaseKeyer { state: FNV_OFFSET }.u64(tag)
-    }
-
-    /// Mixes raw bytes (length-prefixed).
-    pub fn bytes(mut self, b: &[u8]) -> Self {
-        self = self.raw(&(b.len() as u64).to_le_bytes());
-        self.raw(b)
-    }
-
-    /// Mixes a `u64`.
-    pub fn u64(self, v: u64) -> Self {
-        self.raw(&v.to_le_bytes())
-    }
-
-    /// Mixes an `i64`.
-    pub fn i64(self, v: i64) -> Self {
-        self.raw(&v.to_le_bytes())
-    }
-
-    /// Mixes an `f64` by bit pattern.
-    pub fn f64(self, v: f64) -> Self {
-        self.u64(v.to_bits())
-    }
-
-    /// Mixes a boolean.
-    pub fn bool(self, v: bool) -> Self {
-        self.raw(&[v as u8])
-    }
-
-    /// Mixes a string (length-prefixed UTF-8 bytes).
-    pub fn str(self, s: &str) -> Self {
-        self.bytes(s.as_bytes())
-    }
-
-    /// Chains an upstream phase key into this one.
-    pub fn key(self, upstream: u64) -> Self {
-        self.u64(upstream)
-    }
-
-    /// The final 64-bit key.
-    pub fn finish(self) -> u64 {
-        self.state
-    }
-
-    fn raw(mut self, bytes: &[u8]) -> Self {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
-        self
-    }
+/// FNV-1a (64-bit): a stable content hash, identical across processes
+/// (no `DefaultHasher` seeding).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// The resolved phase keys of a `(spec, options)` pair.
 ///
-/// Each key covers exactly the inputs its phase reads — the spec subset,
-/// the option subset, and the keys of its upstream phases (key chaining:
-/// a dirty upstream key transitively dirties every phase after it).
-/// Wall-clock controls ([`SynthesisOptions::deadline`]) are deliberately
-/// excluded: they bound the solve, they do not change its result.
+/// Each key hashes exactly the inputs its phase reads — the option rows
+/// whose [`KeyRole`] names the phase (see [`crate::options`]), plus the
+/// floorplan for the ring — chained to the key of the phase before it, so
+/// a dirty upstream key transitively dirties every phase after it.
+/// Design-only and non-semantic rows (the deadline, the thread count)
+/// key no phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseKeys {
-    /// Step 1 key: node positions + ring algorithm + LP backend +
-    /// pricing rule + factorization kind.
+    /// Step 1 key: node positions + the ring rows.
     pub ring: u64,
-    /// Step 2 key: ring key + the `shortcuts` toggle.
+    /// Step 2 key: ring key + the shortcut rows.
     pub shortcut: u64,
-    /// Step 3a key: upstream keys + traffic + wavelength/waveguide caps.
+    /// Step 3a key: shortcut key + the mapping rows.
     pub mapping: u64,
-    /// Step 3b key: mapping key + the `openings` toggle.
+    /// Step 3b key: mapping key + the opening rows.
     pub opening: u64,
-    /// Step 4 key: upstream keys + the `pdn` toggle + loss params + laser.
+    /// Step 4 key: opening key + the PDN rows.
     pub pdn: u64,
 }
 
 impl PhaseKeys {
     /// Computes all five keys for `(net, options)`.
     pub fn compute(net: &NetworkSpec, o: &SynthesisOptions) -> PhaseKeys {
-        let mut ring = PhaseKeyer::new(PhaseId::Ring.tag())
-            .u64(net.len() as u64)
-            .str(ring_algorithm_name(o));
-        for p in net.positions() {
-            ring = ring.i64(p.x).i64(p.y);
+        let mut keys = [0u64; 5];
+        let mut upstream = 0u64;
+        for (key, phase) in keys.iter_mut().zip(PhaseId::ALL) {
+            // Phase tag, upstream key, then the phase's own inputs.
+            let mut bytes = vec![phase as u8];
+            upstream.key_bytes(&mut bytes);
+            if phase == PhaseId::Ring {
+                net.key_bytes(&mut bytes);
+            }
+            o.encode_key(|role| role == KeyRole::Phase(phase), &mut bytes);
+            *key = fnv1a(&bytes);
+            upstream = *key;
         }
-        // Pricing and factorization change pivot sequences, which can
-        // tie-break alternate optima differently, so they key the ring
-        // phase. `solver_threads` does not: the parallel search is
-        // deterministic across thread counts.
-        let ring = ring
-            .str(o.lp_backend.as_str())
-            .str(o.pricing.as_str())
-            .str(o.factorization.as_str())
-            .finish();
-
-        let shortcut = PhaseKeyer::new(PhaseId::Shortcut.tag())
-            .key(ring)
-            .bool(o.shortcuts)
-            .finish();
-
-        let effective_wavelengths = o.max_wavelengths.saturating_sub(o.spares.k_wavelengths);
-        let mut mapping = PhaseKeyer::new(PhaseId::Mapping.tag())
-            .key(ring)
-            .key(shortcut)
-            .u64(effective_wavelengths as u64)
-            .u64(o.max_waveguides as u64);
-        mapping = hash_traffic(mapping, &o.traffic);
-        let mapping = mapping.finish();
-
-        let opening = PhaseKeyer::new(PhaseId::Opening.tag())
-            .key(mapping)
-            .bool(o.openings)
-            .finish();
-
-        let pdn = PhaseKeyer::new(PhaseId::Pdn.tag())
-            .key(ring)
-            .key(shortcut)
-            .key(opening)
-            .bool(o.pdn)
-            .f64(o.loss.propagation_db_per_cm)
-            .f64(o.loss.crossing_db)
-            .f64(o.loss.drop_db)
-            .f64(o.loss.through_db)
-            .f64(o.loss.bend_db)
-            .f64(o.loss.photodetector_db)
-            .f64(o.loss.splitter_excess_db)
-            .i64(o.laser.x)
-            .i64(o.laser.y)
-            .finish();
-
+        let [ring, shortcut, mapping, opening, pdn] = keys;
         PhaseKeys {
             ring,
             shortcut,
@@ -291,40 +171,13 @@ impl PhaseKeys {
     }
 
     /// Phases whose keys differ between `self` and `other` — the dirty
-    /// set a re-synthesis must recompute (always a suffix of the DAG,
-    /// by key chaining, except for the independent PDN inputs).
+    /// set a re-synthesis must recompute (always a suffix of the DAG, by
+    /// key chaining).
     pub fn dirty_against(&self, other: &PhaseKeys) -> Vec<PhaseId> {
         PhaseId::ALL
             .into_iter()
             .filter(|p| self.of(*p) != other.of(*p))
             .collect()
-    }
-}
-
-/// The incremental path only runs exact, unperturbed attempts, so the
-/// ring key covers the requested algorithm (degraded attempts never
-/// produce artifacts).
-fn ring_algorithm_name(o: &SynthesisOptions) -> &'static str {
-    match o.ring_algorithm {
-        crate::ring::RingAlgorithm::Milp => "milp",
-        crate::ring::RingAlgorithm::Heuristic => "heuristic",
-        crate::ring::RingAlgorithm::Perimeter => "perimeter",
-    }
-}
-
-fn hash_traffic(k: PhaseKeyer, traffic: &Traffic) -> PhaseKeyer {
-    match traffic {
-        Traffic::AllToAll => k.str("all-to-all"),
-        Traffic::Custom(pairs) => {
-            let mut k = k.str("custom").u64(pairs.len() as u64);
-            for (a, b) in pairs {
-                k = k.u64(u64::from(a.0)).u64(u64::from(b.0));
-            }
-            k
-        }
-        Traffic::NearestNeighbors(n) => k.str("nearest").u64(*n as u64),
-        Traffic::Hotspot { hotspots, seed } => k.str("hotspot").u64(*hotspots as u64).u64(*seed),
-        Traffic::Permutation { seed } => k.str("permutation").u64(*seed),
     }
 }
 
@@ -529,8 +382,9 @@ impl Synthesizer {
     /// recomputed here persist their artifacts back into `store`. When
     /// the ring phase is dirty, `warm_hint` (a [`Basis`] exported by a
     /// previous solve, see [`crate::ring::RingOutcome::basis`]) seeds the
-    /// MILP's root relaxation; an incompatible hint is ignored by the
-    /// backend, so passing a stale basis is always safe.
+    /// MILP's root relaxation; when the warm-started solve fails or
+    /// decodes to an invalid ring, the ring is re-solved cold, so a
+    /// stale basis costs time, never correctness.
     ///
     /// Every assembled design passes the same audit (and, with spares
     /// provisioned, the same survivability verification) as a cold run.
@@ -622,30 +476,45 @@ impl Synthesizer {
             Some(d) if Instant::now() >= d => Err(SynthesisError::DeadlineExceeded),
             _ => Ok(()),
         };
-        let record = |phase: PhaseId, hit: bool, report: &mut IncrementalReport| {
-            if hit {
+        // Replays `phase` from the store when its artifact is there;
+        // otherwise computes it and persists it for the next edit.
+        fn replay<T: Clone>(
+            store: &dyn ArtifactStore,
+            (phase, key): (PhaseId, u64),
+            report: &mut IncrementalReport,
+            unwrap: fn(PhaseArtifact) -> Option<T>,
+            wrap: fn(T) -> PhaseArtifact,
+            compute: impl FnOnce(&mut IncrementalReport) -> Result<T, SynthesisError>,
+        ) -> Result<T, SynthesisError> {
+            if let Some(value) = store.get_artifact(phase, key).and_then(unwrap) {
                 xring_obs::counter("incremental.phase_hits", 1);
                 xring_obs::counter(phase.hit_counter(), 1);
                 report.hits.push(phase);
-            } else {
-                xring_obs::counter("incremental.phase_misses", 1);
-                xring_obs::counter(phase.miss_counter(), 1);
-                report.misses.push(phase);
+                return Ok(value);
             }
-        };
+            xring_obs::counter("incremental.phase_misses", 1);
+            xring_obs::counter(phase.miss_counter(), 1);
+            report.misses.push(phase);
+            let value = compute(report)?;
+            store.put_artifact(phase, key, wrap(value.clone()));
+            Ok(value)
+        }
 
         // Step 1: ring construction.
         check_deadline()?;
-        let ring = match store.get_artifact(PhaseId::Ring, keys.ring) {
-            Some(PhaseArtifact::Ring(a)) => {
-                record(PhaseId::Ring, true, report);
-                a
-            }
-            _ => {
-                record(PhaseId::Ring, false, report);
+        let ring = replay(
+            store,
+            (PhaseId::Ring, keys.ring),
+            report,
+            |a| match a {
+                PhaseArtifact::Ring(a) => Some(a),
+                _ => None,
+            },
+            PhaseArtifact::Ring,
+            |report| {
                 report.ring_warm_offered = warm_hint.is_some();
-                let outcome = {
-                    let _s = xring_obs::span("ring-milp");
+                let _s = xring_obs::span("ring-milp");
+                let build = |warm: Option<&Basis>| {
                     RingBuilder::new()
                         .with_algorithm(o.ring_algorithm)
                         .with_deadline(deadline)
@@ -653,46 +522,47 @@ impl Synthesizer {
                         .with_solver_threads(o.solver_threads)
                         .with_pricing(o.pricing)
                         .with_factorization(o.factorization)
-                        .with_warm_basis(warm_hint.cloned())
-                        .build(net)?
+                        .with_warm_basis(warm.cloned())
+                        .build(net)
                 };
-                let artifact = RingArtifact {
+                let outcome = match build(warm_hint) {
+                    // A hint from another floorplan can steer the solver
+                    // to an invalid result; the hint only buys speed, so
+                    // any failure but the deadline re-solves cold.
+                    Err(e) if warm_hint.is_some() && e != SynthesisError::DeadlineExceeded => {
+                        xring_obs::counter("incremental.warm_cold_retries", 1);
+                        build(None)?
+                    }
+                    outcome => outcome?,
+                };
+                Ok(RingArtifact {
                     cycle: outcome.cycle,
                     stats: outcome.stats,
                     basis: outcome.basis,
-                };
-                store.put_artifact(
-                    PhaseId::Ring,
-                    keys.ring,
-                    PhaseArtifact::Ring(artifact.clone()),
-                );
-                artifact
-            }
-        };
+                })
+            },
+        )?;
 
         // Step 2: shortcuts.
         check_deadline()?;
-        let shortcuts = match store.get_artifact(PhaseId::Shortcut, keys.shortcut) {
-            Some(PhaseArtifact::Shortcut(a)) => {
-                record(PhaseId::Shortcut, true, report);
-                a.plan
-            }
-            _ => {
-                record(PhaseId::Shortcut, false, report);
-                let plan = if o.shortcuts {
+        let shortcuts = replay(
+            store,
+            (PhaseId::Shortcut, keys.shortcut),
+            report,
+            |a| match a {
+                PhaseArtifact::Shortcut(a) => Some(a.plan),
+                _ => None,
+            },
+            |plan| PhaseArtifact::Shortcut(ShortcutArtifact { plan }),
+            |_| {
+                Ok(if o.shortcuts {
                     let _s = xring_obs::span("shortcut");
                     plan_shortcuts(net, &ring.cycle)
                 } else {
                     ShortcutPlan::empty()
-                };
-                store.put_artifact(
-                    PhaseId::Shortcut,
-                    keys.shortcut,
-                    PhaseArtifact::Shortcut(ShortcutArtifact { plan: plan.clone() }),
-                );
-                plan
-            }
-        };
+                })
+            },
+        )?;
 
         // Step 3a: mapping. The budget check precedes the cache: a spec
         // whose spares exhaust the wavelength budget fails identically
@@ -705,42 +575,40 @@ impl Synthesizer {
                 max_waveguides: o.max_waveguides,
             });
         }
-        let mapped = match store.get_artifact(PhaseId::Mapping, keys.mapping) {
-            Some(PhaseArtifact::Mapping(a)) => {
-                record(PhaseId::Mapping, true, report);
-                a.plan
-            }
-            _ => {
-                record(PhaseId::Mapping, false, report);
-                let plan = {
-                    let _s = xring_obs::span("mapping");
-                    crate::mapping::map_signals_with_traffic(
-                        net,
-                        &ring.cycle,
-                        &shortcuts,
-                        &o.traffic,
-                        effective_wavelengths,
-                        o.max_waveguides,
-                    )?
-                };
-                store.put_artifact(
-                    PhaseId::Mapping,
-                    keys.mapping,
-                    PhaseArtifact::Mapping(MappingArtifact { plan: plan.clone() }),
-                );
-                plan
-            }
-        };
+        let mapped = replay(
+            store,
+            (PhaseId::Mapping, keys.mapping),
+            report,
+            |a| match a {
+                PhaseArtifact::Mapping(a) => Some(a.plan),
+                _ => None,
+            },
+            |plan| PhaseArtifact::Mapping(MappingArtifact { plan }),
+            |_| {
+                let _s = xring_obs::span("mapping");
+                crate::mapping::map_signals_with_traffic(
+                    net,
+                    &ring.cycle,
+                    &shortcuts,
+                    &o.traffic,
+                    effective_wavelengths,
+                    o.max_waveguides,
+                )
+            },
+        )?;
 
         // Step 3b: openings.
         check_deadline()?;
-        let (plan, opening_stats) = match store.get_artifact(PhaseId::Opening, keys.opening) {
-            Some(PhaseArtifact::Opening(a)) => {
-                record(PhaseId::Opening, true, report);
-                (a.plan, a.stats)
-            }
-            _ => {
-                record(PhaseId::Opening, false, report);
+        let (plan, opening_stats) = replay(
+            store,
+            (PhaseId::Opening, keys.opening),
+            report,
+            |a| match a {
+                PhaseArtifact::Opening(a) => Some((a.plan, a.stats)),
+                _ => None,
+            },
+            |(plan, stats)| PhaseArtifact::Opening(OpeningArtifact { plan, stats }),
+            |_| {
                 let mut plan = mapped;
                 let stats = if o.openings {
                     let _s = xring_obs::span("opening");
@@ -748,39 +616,28 @@ impl Synthesizer {
                 } else {
                     OpeningStats::default()
                 };
-                store.put_artifact(
-                    PhaseId::Opening,
-                    keys.opening,
-                    PhaseArtifact::Opening(OpeningArtifact {
-                        plan: plan.clone(),
-                        stats: stats.clone(),
-                    }),
-                );
-                (plan, stats)
-            }
-        };
+                Ok((plan, stats))
+            },
+        )?;
 
         // Step 4: PDN.
         check_deadline()?;
-        let pdn = match store.get_artifact(PhaseId::Pdn, keys.pdn) {
-            Some(PhaseArtifact::Pdn(a)) => {
-                record(PhaseId::Pdn, true, report);
-                a.pdn
-            }
-            _ => {
-                record(PhaseId::Pdn, false, report);
-                let pdn = o.pdn.then(|| {
+        let pdn = replay(
+            store,
+            (PhaseId::Pdn, keys.pdn),
+            report,
+            |a| match a {
+                PhaseArtifact::Pdn(a) => Some(a.pdn),
+                _ => None,
+            },
+            |pdn| PhaseArtifact::Pdn(PdnArtifact { pdn }),
+            |_| {
+                Ok(o.pdn.then(|| {
                     let _s = xring_obs::span("pdn");
                     design_pdn(net, &ring.cycle, &plan, &shortcuts, &o.loss, o.laser)
-                });
-                store.put_artifact(
-                    PhaseId::Pdn,
-                    keys.pdn,
-                    PhaseArtifact::Pdn(PdnArtifact { pdn: pdn.clone() }),
-                );
-                pdn
-            }
-        };
+                }))
+            },
+        )?;
 
         // Assembly, audit and (with spares) survivability verification
         // run exactly as in a cold synthesis.
@@ -788,7 +645,7 @@ impl Synthesizer {
             let _s = xring_obs::span("realize");
             realize(net, &ring.cycle, &shortcuts, &plan, pdn.as_ref(), o.spacing)
         };
-        let mut design = XRingDesign {
+        let design = XRingDesign {
             net: net.clone(),
             cycle: ring.cycle,
             shortcuts,
@@ -803,32 +660,7 @@ impl Synthesizer {
 
         xring_obs::record_hist("synth.incremental.wall_us", t0.elapsed().as_micros() as u64);
 
-        let audit = crate::audit::audit_design(&design, &o.traffic, &o.loss);
-        if !audit.is_clean() {
-            return Err(SynthesisError::AuditFailed {
-                summary: audit.summary(),
-            });
-        }
-        if o.spares.any() {
-            let _s = xring_obs::span("survivability-verify");
-            let protected = crate::fault::protected_single_faults(&design, o.spares);
-            let surv = crate::fault::verify_faults(&design, &protected, o, None);
-            if !surv.fully_survivable() {
-                return Err(SynthesisError::SurvivabilityFailed {
-                    survived: surv.survived,
-                    scenarios: surv.scenarios,
-                    scenario: surv
-                        .worst
-                        .unwrap_or_else(|| "unidentified scenario".to_owned()),
-                });
-            }
-        }
-        design.provenance = Provenance {
-            degradation: crate::design::DegradationLevel::Exact,
-            fallback_reason: None,
-            audit,
-        };
-        Ok(design)
+        self.release(design, crate::design::DegradationLevel::Exact, None)
     }
 }
 
@@ -836,6 +668,7 @@ impl Synthesizer {
 mod tests {
     use super::*;
     use crate::netspec::NodeId;
+    use crate::traffic::Traffic;
     use xring_geom::Point;
 
     fn opts() -> SynthesisOptions {

@@ -48,6 +48,7 @@ pub mod layout;
 pub mod mapping;
 pub mod netspec;
 pub mod opening;
+pub mod options;
 pub mod pdn;
 pub mod ring;
 pub mod shortcut;
@@ -66,12 +67,13 @@ pub use fault::{
 };
 pub use incremental::{
     ArtifactStore, IncrementalReport, MappingArtifact, MemoryArtifactStore, OpeningArtifact,
-    PdnArtifact, PhaseArtifact, PhaseId, PhaseKeyer, PhaseKeys, RingArtifact, ShortcutArtifact,
+    PdnArtifact, PhaseArtifact, PhaseId, PhaseKeys, RingArtifact, ShortcutArtifact,
 };
 pub use layout::{Hop, LayoutModel, NoiseSource, Station, Waveguide};
 pub use mapping::{map_signals, map_signals_with_traffic, MappingPlan, RouteKind, SignalRoute};
 pub use netspec::{NetworkSpec, NodeId};
 pub use opening::{open_rings, OpeningStats};
+pub use options::{design_key, Flag, Form, KeyRole, OptionField, OptionValue};
 pub use pdn::{design_pdn, PdnDesign, SHORTCUT_GROUP};
 pub use ring::{Direction, RingAlgorithm, RingBuilder, RingCycle, RingOutcome, RingStats};
 pub use shortcut::{plan_shortcuts, Shortcut, ShortcutPlan};

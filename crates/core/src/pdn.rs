@@ -98,14 +98,26 @@ pub fn design_pdn(
         v
     };
 
-    for (wi, wg) in plan.ring_waveguides.iter().enumerate() {
-        // Senders on this waveguide.
-        let mut sender_nodes: Vec<u32> = wg
-            .lanes
-            .iter()
-            .flat_map(|l| l.arcs.iter().map(|a| cycle.order()[a.from_pos].0))
-            .collect();
-        if wi == 0 {
+    // When every signal rides a shortcut there is no ring waveguide to
+    // host the shortcut senders; they then get a tree of their own,
+    // ordered clockwise from the first ring node.
+    let shortcut_only = (plan.ring_waveguides.is_empty() && !shortcut_nodes.is_empty())
+        .then_some((SHORTCUT_GROUP, None, Direction::Cw, Vec::new()));
+    let groups = plan
+        .ring_waveguides
+        .iter()
+        .enumerate()
+        .map(|(wi, wg)| {
+            let senders = wg
+                .lanes
+                .iter()
+                .flat_map(|l| l.arcs.iter().map(|a| cycle.order()[a.from_pos].0))
+                .collect();
+            (wi, wg.opening, wg.direction, senders)
+        })
+        .chain(shortcut_only);
+    for (group, opening, direction, mut sender_nodes) in groups {
+        if group == 0 || group == SHORTCUT_GROUP {
             sender_nodes.extend(shortcut_nodes.iter().copied());
         }
         sender_nodes.sort_unstable();
@@ -115,11 +127,11 @@ pub fn design_pdn(
         }
         // Order leaves starting at the opening node, following the
         // transmission direction.
-        let start = wg.opening.unwrap_or(0);
+        let start = opening.unwrap_or(0);
         let n = cycle.len();
         let mut ordered: Vec<(NodeId, Point)> = Vec::new();
         for k in 0..n {
-            let pos = match wg.direction {
+            let pos = match direction {
                 Direction::Cw => (start + k) % n,
                 Direction::Ccw => (start + n - k % n) % n,
             };
@@ -130,16 +142,16 @@ pub fn design_pdn(
         }
         let (leaf_loss, depth, length, root) = build_tree(&ordered, loss);
         design.trees.push(PdnTree {
-            group: wi,
+            group,
             depth,
             leaves: ordered.len(),
             length_um: length,
         });
         design.total_length_um += length;
-        roots.push((wi, root));
-        tree_leaf_losses.push((wi, leaf_loss));
-        if wg.opening.is_none() {
-            design.crossed_waveguides.push(wi);
+        roots.push((group, root));
+        tree_leaf_losses.push((group, leaf_loss));
+        if opening.is_none() && group != SHORTCUT_GROUP {
+            design.crossed_waveguides.push(group);
         }
     }
 
@@ -357,6 +369,40 @@ mod tests {
             assert!(pdn.sender_loss_db.contains_key(&(SHORTCUT_GROUP, s.a.0)));
             assert!(pdn.sender_loss_db.contains_key(&(SHORTCUT_GROUP, s.b.0)));
         }
+    }
+
+    #[test]
+    fn shortcut_senders_get_a_tree_when_no_ring_waveguide_exists() {
+        // Seeded floorplan whose permutation traffic rides shortcuts
+        // only: no ring waveguide is mapped, so there is no tree 0 for
+        // the shortcut senders to join.
+        use crate::synth::{SynthesisOptions, Synthesizer};
+        use crate::traffic::Traffic;
+        let positions = [
+            (3800, 500),
+            (3100, 2200),
+            (3000, 4600),
+            (2300, 4400),
+            (500, 5800),
+            (1700, 2400),
+        ];
+        let net = NetworkSpec::new(positions.iter().map(|&(x, y)| Point::new(x, y)).collect())
+            .expect("valid floorplan");
+        let options = SynthesisOptions {
+            traffic: Traffic::Permutation { seed: 869_761_565 },
+            ..SynthesisOptions::with_wavelengths(8)
+        };
+        let design = Synthesizer::new(options)
+            .synthesize(&net)
+            .expect("synthesized");
+        assert!(design.plan.ring_waveguides.is_empty());
+        let pdn = design.pdn.as_ref().expect("pdn designed");
+        assert_eq!(pdn.trees.len(), 1);
+        assert_eq!(pdn.trees[0].group, SHORTCUT_GROUP);
+        for route in &design.plan.routes {
+            assert!(pdn.loss_for(SHORTCUT_GROUP, route.from) > 0.0);
+        }
+        assert!(design.provenance.audit.is_clean());
     }
 
     #[test]

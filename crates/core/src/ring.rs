@@ -55,6 +55,38 @@ pub enum RingAlgorithm {
     Perimeter,
 }
 
+impl RingAlgorithm {
+    /// Every algorithm, in declaration order.
+    pub const ALL: [RingAlgorithm; 3] = [
+        RingAlgorithm::Milp,
+        RingAlgorithm::Heuristic,
+        RingAlgorithm::Perimeter,
+    ];
+
+    /// Stable lowercase name, also accepted by [`FromStr`](std::str::FromStr).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            RingAlgorithm::Milp => "milp",
+            RingAlgorithm::Heuristic => "heuristic",
+            RingAlgorithm::Perimeter => "perimeter",
+        }
+    }
+}
+
+impl std::str::FromStr for RingAlgorithm {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        Self::ALL
+            .into_iter()
+            .find(|a| a.as_str() == s)
+            .ok_or_else(|| {
+                let names = Self::ALL.map(Self::as_str).join("|");
+                format!("unknown ring algorithm {s:?} (expected {names})")
+            })
+    }
+}
+
 /// Statistics from ring construction.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RingStats {
@@ -667,6 +699,17 @@ impl RingBuilder {
         if let Some(orphan) = (0..n).find(|&i| succ[i] == usize::MAX) {
             return Err(SynthesisError::RingConstruction {
                 detail: format!("node {orphan} has no outgoing edge in the MILP solution"),
+            });
+        }
+        // Unless every node also has exactly one incoming edge, the
+        // sub-cycle walk below would never return to its start.
+        let mut entered = vec![false; n];
+        if let Some(&twice) = succ
+            .iter()
+            .find(|&&j| std::mem::replace(&mut entered[j], true))
+        {
+            return Err(SynthesisError::RingConstruction {
+                detail: format!("node {twice} has two incoming edges in the MILP solution"),
             });
         }
 

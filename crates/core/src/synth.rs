@@ -5,6 +5,9 @@ use crate::error::SynthesisError;
 use crate::fault::SpareConfig;
 use crate::netspec::NetworkSpec;
 use crate::opening::open_rings;
+use crate::options::{
+    option_table, positive, Flag, DESIGN, MAPPING, NON_SEMANTIC, OPENING, PDN, RING, SHORTCUT,
+};
 use crate::pdn::design_pdn;
 use crate::ring::{RingAlgorithm, RingBuilder};
 use crate::shortcut::{plan_shortcuts, ShortcutPlan};
@@ -41,6 +44,13 @@ pub enum DegradationPolicy {
 }
 
 impl DegradationPolicy {
+    /// Every policy, in declaration order.
+    pub const ALL: [DegradationPolicy; 3] = [
+        DegradationPolicy::Forbid,
+        DegradationPolicy::Allow,
+        DegradationPolicy::ForceHeuristic,
+    ];
+
     /// Stable lowercase name (the CLI flag spelling).
     pub fn as_str(&self) -> &'static str {
         match self {
@@ -66,92 +76,91 @@ impl std::str::FromStr for DegradationPolicy {
     }
 }
 
-/// Configuration of the synthesis pipeline. The defaults reproduce the
-/// full XRing flow; individual steps can be disabled for ablations.
-#[derive(Debug, Clone)]
-pub struct SynthesisOptions {
-    /// Step-1 algorithm.
-    pub ring_algorithm: RingAlgorithm,
-    /// `#wl`: maximum wavelengths per ring waveguide.
-    pub max_wavelengths: usize,
-    /// Maximum ring waveguides (0 = unlimited).
-    pub max_waveguides: usize,
-    /// Enable Step 2 (shortcut construction).
-    pub shortcuts: bool,
-    /// Enable ring openings (second half of Step 3).
-    pub openings: bool,
-    /// Enable Step 4 (PDN synthesis); when false, reports omit laser
-    /// power, matching Table I's no-PDN comparison.
-    pub pdn: bool,
-    /// Ring-pair spacing constants.
-    pub spacing: RingSpacing,
-    /// On-die coupling point of the off-chip laser.
-    pub laser: Point,
-    /// Which node pairs communicate (default: the paper's all-to-all).
-    pub traffic: Traffic,
-    /// Loss parameters (used during PDN design; evaluation may use the
-    /// same or another set).
-    pub loss: LossParams,
-    /// Wall-clock budget for the whole pipeline (`None` = unbounded).
-    /// Checked cooperatively between steps and, most importantly, once
-    /// per node inside the ring-construction branch-and-bound; expiry
-    /// aborts with [`SynthesisError::DeadlineExceeded`]. The budget does
-    /// not change the result of a synthesis that completes within it.
-    pub deadline: Option<Duration>,
-    /// Whether failures may degrade to the fallback chain (default:
-    /// [`DegradationPolicy::Forbid`]). The heuristic recovery step runs
-    /// with the deadline waived — the budget is already spent and the
-    /// heuristic is fast and bounded.
-    pub degradation: DegradationPolicy,
-    /// LP backend for the ring MILP's relaxations (default: the revised
-    /// simplex with warm starts; [`LpBackendKind::Dense`] is the
-    /// reference tableau). The degradation chain's perturbed retry
-    /// also switches to the dense backend, so a numerical failure in
-    /// one LP kernel is never retried on the same kernel.
-    pub lp_backend: LpBackendKind,
-    /// Worker threads for the ring MILP's per-round node-batch LP
-    /// solves (default 1). The search is deterministic: every setting
-    /// produces the same design, objective, and progress stream — only
-    /// wall-clock time changes.
-    pub solver_threads: usize,
-    /// Pricing rule for the revised simplex's primal phases (default
-    /// Dantzig). Ignored by the dense reference backend.
-    pub pricing: PricingKind,
-    /// Basis factorization for the revised simplex (default sparse LU
-    /// with bounded eta updates). Ignored by the dense backend.
-    pub factorization: FactorizationKind,
-    /// Spare resources for single-device-fault survivability (default:
-    /// none). With `k_wavelengths > 0`, signal mapping is confined to
-    /// `max_wavelengths - k_wavelengths` channels so the top `k` stay
-    /// dark for repairs; with any spare provisioned, synthesis
-    /// exhaustively verifies every single-fault scenario through the
-    /// post-failure auditor and fails with
-    /// [`SynthesisError::SurvivabilityFailed`] rather than return an
-    /// unsurvivable design (see [`crate::fault`]).
-    pub spares: SpareConfig,
-}
-
-impl Default for SynthesisOptions {
-    fn default() -> Self {
-        SynthesisOptions {
-            ring_algorithm: RingAlgorithm::Milp,
-            max_wavelengths: 16,
-            max_waveguides: 0,
-            shortcuts: true,
-            openings: true,
-            pdn: true,
-            spacing: RingSpacing::default(),
-            laser: Point::new(-1_000, -1_000),
-            traffic: Traffic::AllToAll,
-            loss: LossParams::default(),
-            deadline: None,
-            degradation: DegradationPolicy::default(),
-            lp_backend: LpBackendKind::default(),
-            solver_threads: 1,
-            pricing: PricingKind::default(),
-            factorization: FactorizationKind::default(),
-            spares: SpareConfig::default(),
-        }
+option_table! {
+    /// Configuration of the synthesis pipeline. The defaults reproduce the
+    /// full XRing flow; individual steps can be disabled for ablations.
+    ///
+    /// Each field is one row of this table: type and default, key role,
+    /// JSON field, builder, and command-line flag with its help (see
+    /// [`crate::options`]).
+    pub struct SynthesisOptions {
+        /// Step-1 algorithm.
+        ring_algorithm: RingAlgorithm = RingAlgorithm::Milp, role RING, json "ring_algorithm",
+            cli Flag::Value("--ring") => "ring construction algorithm";
+        /// `#wl`: maximum wavelengths per ring waveguide.
+        max_wavelengths: usize = 16, parse positive, role MAPPING, json "max_wavelengths",
+            cli Flag::Value("--wl") => "maximum wavelengths per ring waveguide (#wl)";
+        /// Maximum ring waveguides (0 = unlimited).
+        max_waveguides: usize = 0, role MAPPING, json "max_waveguides";
+        /// Enable Step 2 (shortcut construction).
+        shortcuts: bool = true, role SHORTCUT, json "shortcuts",
+            cli Flag::Disable("--no-shortcuts") => "skip Step 2 (shortcut construction)";
+        /// Enable ring openings (second half of Step 3).
+        openings: bool = true, role OPENING, json "openings",
+            cli Flag::Disable("--no-openings") => "skip the ring openings of Step 3";
+        /// Enable Step 4 (PDN synthesis); when false, reports omit laser
+        /// power, matching Table I's no-PDN comparison.
+        pdn: bool = true, role PDN, json "pdn",
+            cli Flag::Disable("--no-pdn") => "skip Step 4 (PDN; reports omit laser power)";
+        /// Ring-pair spacing constants.
+        spacing: RingSpacing = RingSpacing::default(), role DESIGN;
+        /// On-die coupling point of the off-chip laser.
+        laser: Point = Point::new(-1_000, -1_000), role PDN;
+        /// Which node pairs communicate (default: the paper's all-to-all).
+        traffic: Traffic = Traffic::AllToAll, role MAPPING, json "traffic";
+        /// Loss parameters (used during PDN design; evaluation may use the
+        /// same or another set).
+        loss: LossParams = LossParams::default(), role PDN;
+        /// Wall-clock budget for the whole pipeline (`None` = unbounded).
+        /// Checked cooperatively between steps and, most importantly, once
+        /// per node inside the ring-construction branch-and-bound; expiry
+        /// aborts with [`SynthesisError::DeadlineExceeded`]. The budget does
+        /// not change the result of a synthesis that completes within it.
+        deadline: Option<Duration> = None, role NON_SEMANTIC, json "deadline_ms";
+        /// Whether failures may degrade to the fallback chain (default:
+        /// [`DegradationPolicy::Forbid`]). The heuristic recovery step runs
+        /// with the deadline waived — the budget is already spent and the
+        /// heuristic is fast and bounded.
+        degradation: DegradationPolicy = DegradationPolicy::Forbid, role DESIGN,
+            json "degradation", with with_degradation, cli Flag::Value("--degradation") =>
+            "on failure: fail (forbid); retry with a perturbed\n\
+             objective, then fall back to the heuristic ring\n\
+             (allow); or skip the MILP (force-heuristic)";
+        /// LP backend for the ring MILP's relaxations (default: the revised
+        /// simplex with warm starts; [`LpBackendKind::Dense`] is the
+        /// reference tableau). The degradation chain's perturbed retry
+        /// also switches to the dense backend, so a numerical failure in
+        /// one LP kernel is never retried on the same kernel.
+        lp_backend: LpBackendKind = LpBackendKind::Revised, role RING, json "lp_backend",
+            with with_lp_backend, cli Flag::Value("--lp-backend") => "LP kernel of the ring MILP";
+        /// Worker threads for the ring MILP's per-round node-batch LP
+        /// solves (default 1). The search is deterministic: every setting
+        /// produces the same design, objective, and progress stream — only
+        /// wall-clock time changes.
+        solver_threads: usize = 1, parse positive, role NON_SEMANTIC, json "solver_threads",
+            with with_solver_threads, cli Flag::Value("--solver-threads") =>
+            "branch-and-bound worker threads; any count\nyields the same design";
+        /// Pricing rule for the revised simplex's primal phases (default
+        /// Dantzig). Ignored by the dense reference backend.
+        pricing: PricingKind = PricingKind::Dantzig, role RING, json "pricing", with with_pricing,
+            cli Flag::Value("--pricing") => "pricing rule of the revised simplex";
+        /// Basis factorization for the revised simplex (default sparse LU
+        /// with bounded eta updates). Ignored by the dense backend.
+        factorization: FactorizationKind = FactorizationKind::SparseLu, role RING,
+            json "factorization", with with_factorization,
+            cli Flag::Value("--factorization") => "basis factorization of the revised simplex";
+        /// Spare resources for single-device-fault survivability (default:
+        /// none). With `k_wavelengths > 0`, signal mapping is confined to
+        /// `max_wavelengths - k_wavelengths` channels so the top `k` stay
+        /// dark for repairs; with any spare provisioned, synthesis
+        /// exhaustively verifies every single-fault scenario through the
+        /// post-failure auditor and fails with
+        /// [`SynthesisError::SurvivabilityFailed`] rather than return an
+        /// unsurvivable design (see [`crate::fault`]).
+        spares: SpareConfig = SpareConfig::default(), role MAPPING, json "spares",
+            with with_spares, cli Flag::Value("--spares") =>
+            "spare wavelength channels and MRRs per route;\n\
+             synthesis then proves every single device fault\nsurvivable";
     }
 }
 
@@ -174,45 +183,6 @@ impl SynthesisOptions {
     /// [`deadline`](Self::deadline)).
     pub fn with_deadline(mut self, budget: Duration) -> Self {
         self.deadline = Some(budget);
-        self
-    }
-
-    /// Sets the degradation policy (see [`DegradationPolicy`]).
-    pub fn with_degradation(mut self, policy: DegradationPolicy) -> Self {
-        self.degradation = policy;
-        self
-    }
-
-    /// Selects the LP backend (see [`lp_backend`](Self::lp_backend)).
-    pub fn with_lp_backend(mut self, backend: LpBackendKind) -> Self {
-        self.lp_backend = backend;
-        self
-    }
-
-    /// Sets the MILP solver thread count (see
-    /// [`solver_threads`](Self::solver_threads); minimum 1).
-    pub fn with_solver_threads(mut self, threads: usize) -> Self {
-        self.solver_threads = threads.max(1);
-        self
-    }
-
-    /// Selects the simplex pricing rule (see [`pricing`](Self::pricing)).
-    pub fn with_pricing(mut self, pricing: PricingKind) -> Self {
-        self.pricing = pricing;
-        self
-    }
-
-    /// Selects the basis factorization (see
-    /// [`factorization`](Self::factorization)).
-    pub fn with_factorization(mut self, factorization: FactorizationKind) -> Self {
-        self.factorization = factorization;
-        self
-    }
-
-    /// Reserves spare resources for single-fault survivability (see
-    /// [`spares`](Self::spares)).
-    pub fn with_spares(mut self, spares: SpareConfig) -> Self {
-        self.spares = spares;
         self
     }
 }
@@ -412,7 +382,7 @@ impl Synthesizer {
             let _s = xring_obs::span("realize");
             realize(net, &ring.cycle, &shortcuts, &plan, pdn.as_ref(), o.spacing)
         };
-        let mut design = XRingDesign {
+        let design = XRingDesign {
             net: net.clone(),
             cycle: ring.cycle,
             shortcuts,
@@ -427,16 +397,26 @@ impl Synthesizer {
 
         xring_obs::record_hist("synth.wall_us", t0.elapsed().as_micros() as u64);
 
-        // Audit before release: a dirty design is never returned.
+        self.release(design, attempt.level, attempt.reason.clone())
+    }
+
+    /// Audits `design` and, with spares provisioned, proves it survives
+    /// every single device fault the spares protect against; only then
+    /// stamps its provenance and releases it. A dirty design is never
+    /// returned.
+    pub(crate) fn release(
+        &self,
+        mut design: XRingDesign,
+        degradation: DegradationLevel,
+        fallback_reason: Option<String>,
+    ) -> Result<XRingDesign, SynthesisError> {
+        let o = &self.options;
         let audit = crate::audit::audit_design(&design, &o.traffic, &o.loss);
         if !audit.is_clean() {
             return Err(SynthesisError::AuditFailed {
                 summary: audit.summary(),
             });
         }
-        // With spares provisioned, prove the design survives every
-        // single device fault the spare config protects against before
-        // releasing it.
         if o.spares.any() {
             let _s = xring_obs::span("survivability-verify");
             let protected = crate::fault::protected_single_faults(&design, o.spares);
@@ -452,8 +432,8 @@ impl Synthesizer {
             }
         }
         design.provenance = Provenance {
-            degradation: attempt.level,
-            fallback_reason: attempt.reason.clone(),
+            degradation,
+            fallback_reason,
             audit,
         };
         Ok(design)

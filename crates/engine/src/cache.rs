@@ -2,19 +2,25 @@
 //!
 //! Two jobs produce the same design and report whenever their network,
 //! synthesis options and evaluation parameters agree — synthesis is
-//! deterministic. The cache keys on a *canonical byte encoding* of those
-//! inputs (no hashing, so no collision risk): every integer little-endian,
-//! every float via [`f64::to_bits`], every enum as a tag byte plus
-//! payload. Two fields are deliberately excluded:
+//! deterministic. The cache keys on an exact byte encoding of those
+//! inputs (no hashing, so no collision risk), produced by the option
+//! table's key encoder ([`design_key`], see [`xring_core::options`])
+//! plus the job's evaluation parameters. Excluded are:
 //!
 //! * the job **label** — it only decorates the report, so hits are
 //!   relabelled on the way out;
-//! * the **deadline** — a deadline is a hard stop that never alters a
-//!   synthesis that completes within it, and only completed syntheses are
-//!   cached, so cached results are deadline-independent. A consequence:
-//!   a job whose key is already cached succeeds even with an expired
-//!   deadline, because the budget caps synthesis work and a hit costs
-//!   none.
+//! * the option table's **non-semantic** rows, the deadline and the
+//!   solver thread count. Neither alters a synthesis that completes
+//!   exactly: the parallel search is deterministic, and a deadline is a
+//!   hard stop. A job whose key is already cached therefore succeeds
+//!   even with an expired deadline, because the budget caps synthesis
+//!   work and a hit costs none.
+//!
+//! Because the deadline is not in the key, a design the deadline *did*
+//! shape — degraded because the budget expired
+//! ([`Provenance::degraded_by_deadline`](xring_core::Provenance::degraded_by_deadline))
+//! — is never cached: the same inputs without the deadline would
+//! synthesize exactly.
 //!
 //! # Memory bound
 //!
@@ -48,95 +54,19 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use xring_core::{ArtifactStore, PhaseArtifact, PhaseId, Traffic, XRingDesign};
+use xring_core::{design_key, ArtifactStore, OptionValue, PhaseArtifact, PhaseId, XRingDesign};
 use xring_phot::RouterReport;
 
 use crate::job::SynthesisJob;
 
-/// The canonical cache key of a job: its full synthesis + evaluation
-/// input, byte-encoded. Equal keys imply equal designs and (label aside)
-/// equal reports.
+/// The canonical cache key of a job: the exact key of its synthesis
+/// inputs ([`design_key`]) followed by its evaluation parameters. Equal
+/// keys imply equal designs and (label aside) equal reports.
 pub fn canonical_key(job: &SynthesisJob) -> Vec<u8> {
-    let mut k = Vec::with_capacity(256);
-    let f = |k: &mut Vec<u8>, v: f64| k.extend_from_slice(&v.to_bits().to_le_bytes());
-    let u = |k: &mut Vec<u8>, v: usize| k.extend_from_slice(&(v as u64).to_le_bytes());
-
-    // Network: node count then positions in index order.
-    u(&mut k, job.net.len());
-    for p in job.net.positions() {
-        k.extend_from_slice(&p.x.to_le_bytes());
-        k.extend_from_slice(&p.y.to_le_bytes());
-    }
-
-    // Synthesis options (deadline deliberately excluded, see module docs).
-    let o = &job.options;
-    k.push(o.ring_algorithm as u8);
-    k.push(o.degradation as u8);
-    k.push(o.lp_backend as u8);
-    // Pricing and factorization can steer the simplex to a different
-    // (equally optimal) vertex, i.e. a different design — they key.
-    // `solver_threads` is deliberately excluded: the parallel search is
-    // deterministic across thread counts, so the design is identical
-    // and a cache hit is correct.
-    k.push(o.pricing as u8);
-    k.push(o.factorization as u8);
-    u(&mut k, o.max_wavelengths);
-    u(&mut k, o.max_waveguides);
-    k.push(u8::from(o.shortcuts));
-    k.push(u8::from(o.openings));
-    k.push(u8::from(o.pdn));
-    k.extend_from_slice(&o.spacing.a1_um.to_le_bytes());
-    k.extend_from_slice(&o.spacing.a2_um.to_le_bytes());
-    k.extend_from_slice(&o.laser.x.to_le_bytes());
-    k.extend_from_slice(&o.laser.y.to_le_bytes());
-    match &o.traffic {
-        Traffic::AllToAll => k.push(0),
-        Traffic::Custom(pairs) => {
-            k.push(1);
-            u(&mut k, pairs.len());
-            for (a, b) in pairs {
-                k.extend_from_slice(&a.0.to_le_bytes());
-                k.extend_from_slice(&b.0.to_le_bytes());
-            }
-        }
-        Traffic::NearestNeighbors(n) => {
-            k.push(2);
-            u(&mut k, *n);
-        }
-        Traffic::Hotspot { hotspots, seed } => {
-            k.push(3);
-            u(&mut k, *hotspots);
-            k.extend_from_slice(&seed.to_le_bytes());
-        }
-        Traffic::Permutation { seed } => {
-            k.push(4);
-            k.extend_from_slice(&seed.to_le_bytes());
-        }
-    }
-    u(&mut k, o.spares.k_wavelengths);
-    u(&mut k, o.spares.k_mrrs);
-    for loss in [&o.loss, &job.loss] {
-        f(&mut k, loss.propagation_db_per_cm);
-        f(&mut k, loss.crossing_db);
-        f(&mut k, loss.drop_db);
-        f(&mut k, loss.through_db);
-        f(&mut k, loss.bend_db);
-        f(&mut k, loss.photodetector_db);
-        f(&mut k, loss.splitter_excess_db);
-    }
-
-    // Evaluation parameters.
-    match &job.xtalk {
-        None => k.push(0),
-        Some(x) => {
-            k.push(1);
-            f(&mut k, x.crossing_leak_db);
-            f(&mut k, x.through_leak_db);
-            f(&mut k, x.drop_leak_db);
-        }
-    }
-    f(&mut k, job.power.sensitivity_dbm);
-    f(&mut k, job.power.laser_efficiency);
+    let mut k = design_key(&job.net, &job.options);
+    job.loss.key_bytes(&mut k);
+    job.xtalk.key_bytes(&mut k);
+    job.power.key_bytes(&mut k);
     k
 }
 
@@ -210,27 +140,9 @@ struct Entry {
 /// cannot collide.
 fn artifact_key(phase: PhaseId, key: u64) -> Vec<u8> {
     let mut k = Vec::with_capacity(10);
-    k.push(0xA5);
-    k.push(match phase {
-        PhaseId::Ring => 1,
-        PhaseId::Shortcut => 2,
-        PhaseId::Mapping => 3,
-        PhaseId::Opening => 4,
-        PhaseId::Pdn => 5,
-    });
+    k.extend_from_slice(&[0xA5, phase as u8]);
     k.extend_from_slice(&key.to_le_bytes());
     k
-}
-
-/// Dense index of a phase for the per-phase counter arrays.
-fn phase_index(phase: PhaseId) -> usize {
-    match phase {
-        PhaseId::Ring => 0,
-        PhaseId::Shortcut => 1,
-        PhaseId::Mapping => 2,
-        PhaseId::Opening => 3,
-        PhaseId::Pdn => 4,
-    }
 }
 
 /// The interior of the cache: map, recency queue and byte totals, all
@@ -285,9 +197,9 @@ pub struct DesignCache {
     evictions: AtomicUsize,
     lru_evictions: AtomicUsize,
     evicted_bytes: AtomicUsize,
-    /// Phase-artifact hits, indexed by [`phase_index`].
+    /// Phase-artifact hits, indexed by phase (in pipeline order).
     phase_hits: [AtomicUsize; 5],
-    /// Phase-artifact misses, indexed by [`phase_index`].
+    /// Phase-artifact misses, indexed by phase (in pipeline order).
     phase_misses: [AtomicUsize; 5],
 }
 
@@ -376,12 +288,14 @@ impl DesignCache {
     /// (two workers racing on the same key) keep the first entry so
     /// already-shared `Arc`s stay canonical. Designs that fail the
     /// intactness check (unaudited, dirty audit, misaligned layout) are
-    /// refused — the cache never holds an entry it would evict on read.
+    /// refused — the cache never holds an entry it would evict on read —
+    /// and so are designs degraded by deadline expiry (see the module
+    /// docs).
     ///
     /// Under a byte budget, inserting may evict least-recently-used
     /// entries until the estimated total fits again.
     pub fn insert(&self, key: Vec<u8>, design: Arc<XRingDesign>, report: RouterReport) {
-        if !entry_is_intact(&design) {
+        if !entry_is_intact(&design) || design.provenance.degraded_by_deadline() {
             return;
         }
         let bytes = approx_entry_bytes(key.len(), &design, &report);
@@ -552,12 +466,12 @@ impl DesignCache {
 
     /// Phase-artifact hits for one phase.
     pub fn phase_hits(&self, phase: PhaseId) -> usize {
-        self.phase_hits[phase_index(phase)].load(Ordering::Relaxed)
+        self.phase_hits[phase as usize].load(Ordering::Relaxed)
     }
 
     /// Phase-artifact misses for one phase.
     pub fn phase_misses(&self, phase: PhaseId) -> usize {
-        self.phase_misses[phase_index(phase)].load(Ordering::Relaxed)
+        self.phase_misses[phase as usize].load(Ordering::Relaxed)
     }
 
     /// Phase-artifact hits across all phases.
@@ -589,13 +503,13 @@ impl ArtifactStore for DesignCache {
                 ..
             }) => {
                 let artifact = artifact.clone();
-                self.phase_hits[phase_index(phase)].fetch_add(1, Ordering::Relaxed);
+                self.phase_hits[phase as usize].fetch_add(1, Ordering::Relaxed);
                 xring_obs::counter("cache.artifact_hits", 1);
                 inner.bump(&addr);
                 Some(artifact)
             }
             _ => {
-                self.phase_misses[phase_index(phase)].fetch_add(1, Ordering::Relaxed);
+                self.phase_misses[phase as usize].fetch_add(1, Ordering::Relaxed);
                 xring_obs::counter("cache.artifact_misses", 1);
                 None
             }
@@ -650,7 +564,7 @@ impl ArtifactStore for DesignCache {
 mod tests {
     use super::*;
     use std::time::Duration;
-    use xring_core::{NetworkSpec, SynthesisOptions};
+    use xring_core::{NetworkSpec, SynthesisOptions, Traffic};
 
     fn job(label: &str, wl: usize) -> SynthesisJob {
         SynthesisJob::new(

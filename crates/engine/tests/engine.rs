@@ -3,7 +3,7 @@
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use xring_core::{NetworkSpec, SynthesisOptions, Synthesizer};
+use xring_core::{DegradationLevel, DegradationPolicy, NetworkSpec, SynthesisOptions, Synthesizer};
 use xring_engine::{BatchResult, Engine, EngineEvent, EventSink, JobError, SynthesisJob};
 
 fn sample_jobs() -> Vec<SynthesisJob> {
@@ -115,6 +115,74 @@ fn a_cache_hit_beats_an_expired_deadline() {
     let rescued = batch.outcomes[1].as_ref().expect("served from cache");
     assert!(rescued.cache_hit);
     assert_eq!(batch.metrics.failed, 0);
+}
+
+#[test]
+fn a_deadline_degraded_design_is_never_cached() {
+    // The deadline is not part of the design key, so a design the
+    // deadline shaped must not answer the same request made without one.
+    let net = NetworkSpec::irregular(16, 8_000, 3).expect("valid");
+    let options = SynthesisOptions::with_wavelengths(8).with_degradation(DegradationPolicy::Allow);
+    let rushed = SynthesisJob::new("rushed", net.clone(), options.clone())
+        .with_deadline(Duration::from_nanos(1));
+    let calm = SynthesisJob::new("calm", net, options);
+
+    let engine = Engine::new().with_workers(1);
+    let degraded = engine
+        .run_batch(vec![rushed.clone()])
+        .outcomes
+        .remove(0)
+        .expect("degrades");
+    assert_eq!(
+        degraded.design.provenance.degradation,
+        DegradationLevel::Heuristic
+    );
+    let exact = engine
+        .run_batch(vec![calm.clone()])
+        .outcomes
+        .remove(0)
+        .expect("synthesizes");
+    assert!(!exact.cache_hit);
+    assert_eq!(exact.design.provenance.degradation, DegradationLevel::Exact);
+
+    // The incremental path obeys the same rule.
+    let engine = Engine::new().with_workers(1);
+    let degraded = engine.resynthesize(&rushed, &rushed).expect("degrades");
+    assert_eq!(
+        degraded.design.provenance.degradation,
+        DegradationLevel::Heuristic
+    );
+    let exact = engine.resynthesize(&rushed, &calm).expect("synthesizes");
+    assert!(!exact.cache_hit);
+    assert_eq!(exact.design.provenance.degradation, DegradationLevel::Exact);
+}
+
+#[test]
+fn resynthesis_across_floorplans_finds_the_cold_ring_length() {
+    // The ring MILP of one floorplan, warm-started from the basis of
+    // another of the same size, once returned infeasible or suboptimal
+    // rings (and hung decoding a non-permutation). Alternate optimal
+    // tours may still merge differently, so the ring length compared is
+    // the MILP optimum.
+    let options = SynthesisOptions::with_wavelengths(8);
+    let job = |seed| {
+        let net = NetworkSpec::irregular(16, 8_000, seed).expect("valid");
+        SynthesisJob::new(format!("irr16/{seed}"), net, options.clone())
+    };
+    for pair in 0..20 {
+        let (prev, next) = (job(1_000 + 2 * pair), job(1_001 + 2 * pair));
+        let engine = Engine::new().with_workers(1);
+        engine.resynthesize(&prev, &prev).expect("seed run");
+        let warm = engine.resynthesize(&prev, &next).expect("warm run");
+        let cold = Synthesizer::new(options.clone())
+            .synthesize(&next.net)
+            .expect("cold run");
+        assert!(warm.design.provenance.audit.is_clean(), "pair {pair}");
+        assert_eq!(
+            warm.design.ring_stats.milp_objective, cold.ring_stats.milp_objective,
+            "pair {pair}"
+        );
+    }
 }
 
 #[test]

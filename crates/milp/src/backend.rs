@@ -38,6 +38,9 @@ pub enum LpBackendKind {
 }
 
 impl LpBackendKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [LpBackendKind; 2] = [LpBackendKind::Dense, LpBackendKind::Revised];
+
     /// Stable lowercase name, also accepted by [`FromStr`].
     pub fn as_str(self) -> &'static str {
         match self {

@@ -291,12 +291,12 @@ impl BranchAndBound {
     }
 
     /// Seeds the root node's LP with a basis exported from a previous
-    /// solve ([`MilpSolution::basis`]). The basis must come from a model
-    /// with the same variable count and a compatible row structure —
-    /// typically an earlier solve of the *same* model with different
-    /// coefficients (an edited spec). An incompatible basis is detected
-    /// by the backend and the root simply solves cold, so this is always
-    /// safe to offer. Only the revised backend can adopt it.
+    /// solve ([`MilpSolution::basis`]), typically an earlier solve of the
+    /// same model with different coefficients (an edited spec). A basis
+    /// of the wrong shape is detected by the backend and the root solves
+    /// cold; one of the right shape is adopted even when it is neither
+    /// primal nor dual feasible here, and the simplex restarts from it.
+    /// Only the revised backend can adopt it.
     pub fn with_root_basis(mut self, basis: Basis) -> Self {
         self.root_basis = Some(Arc::new(basis));
         self

@@ -38,6 +38,10 @@ pub enum FactorizationKind {
 }
 
 impl FactorizationKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [FactorizationKind; 2] =
+        [FactorizationKind::DenseEta, FactorizationKind::SparseLu];
+
     /// Stable lowercase name, also accepted by [`FromStr`].
     pub fn as_str(self) -> &'static str {
         match self {

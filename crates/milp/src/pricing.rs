@@ -36,6 +36,13 @@ pub enum PricingKind {
 }
 
 impl PricingKind {
+    /// Every rule, in declaration order.
+    pub const ALL: [PricingKind; 3] = [
+        PricingKind::Dantzig,
+        PricingKind::Devex,
+        PricingKind::Partial,
+    ];
+
     /// Stable lowercase name, also accepted by [`FromStr`].
     pub fn as_str(self) -> &'static str {
         match self {

@@ -862,9 +862,11 @@ impl<'a> Solver<'a> {
         } else {
             pricing.on_pivot(q, l, alpha[r], None);
         }
-        // The leaving variable exits on the bound it ran into.
-        let delta = -sigma * alpha[r];
-        self.at_upper[l] = delta > 0.0 && self.upper[l].is_finite();
+        // The leaving variable exits on the bound it ran into. Phase 1
+        // can move an infeasible variable *up* onto its lower bound, so
+        // the bound is read off the value, not the direction.
+        self.at_upper[l] = self.upper[l].is_finite()
+            && (self.xb[r] - self.upper[l]).abs() < (self.xb[r] - self.lower[l]).abs();
         self.pos[l] = NONE;
         self.xb[r] = self.nb_value(q) + sigma * t;
         self.basic[r] = q;

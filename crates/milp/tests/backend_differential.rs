@@ -252,6 +252,50 @@ fn backend_agreement_on_warm_started_children() {
 }
 
 #[test]
+fn backend_agreement_on_foreign_warm_starts() {
+    // A basis exported for one LP, offered to another of the same shape
+    // with different costs and right-hand sides (the warm hint of an
+    // incremental re-synthesis on a different floorplan): it is adopted
+    // although it may be neither primal nor dual feasible there, and the
+    // solve must still reach the cold optimum.
+    let mut rng = SplitMix64(0xD1FF_5EED_000F);
+    let mut adopted = 0usize;
+    let mut seed_tag = 0u64;
+    while adopted < 1000 {
+        seed_tag += 1;
+        let lp = gen_lp(&mut rng);
+        let Some(basis) = RevisedSimplex.solve(&lp).basis else {
+            continue;
+        };
+        let mut other = lp.clone();
+        for c in &mut other.objective {
+            *c = rng.half(-5, 5);
+        }
+        for row in &mut other.rows {
+            row.rhs = rng.half(-6, 6);
+        }
+        let warm = RevisedSimplex.solve_warm(&other, &basis);
+        let cold = DenseBackend.solve(&other).outcome;
+        let (wc, cc) = (outcome_class(&warm.outcome), outcome_class(&cold));
+        assert_ne!(wc, "iteration-limit", "seed {seed_tag}: warm stalled");
+        assert_eq!(wc, cc, "seed {seed_tag}: warm/cold outcome mismatch");
+        if let (LpOutcome::Optimal(w), LpOutcome::Optimal(c)) = (&warm.outcome, &cold) {
+            assert!(
+                (w.objective - c.objective).abs() < 1e-6,
+                "seed {seed_tag}: warm {} vs cold {} on {other:?}",
+                w.objective,
+                c.objective
+            );
+            assert!(
+                violation(&other, w) < 1e-6,
+                "seed {seed_tag}: warm solution infeasible"
+            );
+        }
+        adopted += usize::from(warm.warmed);
+    }
+}
+
+#[test]
 fn backend_agreement_on_degenerate_transportation_lps() {
     // Classic degenerate family: balanced transportation problems with
     // equal supplies/demands produce many ratio-test ties.

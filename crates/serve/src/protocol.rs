@@ -16,37 +16,28 @@
 //!        | {"grid": {"rows": 4, "cols": 4, "pitch_um": 2000}}
 //!        | {"positions": [[0, 0], [1500, 0], [0, 1500]]}
 //!        | {"irregular": {"n": 16, "die_um": 12000, "seed": 7}},
-//!   "options": {                             // optional, all fields optional
-//!     "max_wavelengths": 16,
-//!     "max_waveguides": 0,
-//!     "shortcuts": true, "openings": true, "pdn": true,
-//!     "ring_algorithm": "milp" | "heuristic" | "perimeter",
-//!     "traffic": "all-to-all" | {"knn": 3}
-//!              | {"hotspot": {"hotspots": 2, "seed": 7}}
-//!              | {"permutation": {"seed": 11}},
-//!     "spares": 1 | {"k_wavelengths": 1, "k_mrrs": 1},
-//!     "deadline_ms": 250,
-//!     "degradation": "forbid" | "allow" | "force-heuristic",
-//!     "lp_backend": "revised" | "dense",
-//!     "solver_threads": 4,
-//!     "pricing": "dantzig" | "devex" | "partial",
-//!     "factorization": "sparse-lu" | "dense-eta"
-//!   }
+//!   "options": {"max_wavelengths": 8, "traffic": {"knn": 3}}  // optional
 //! }
 //! ```
 //!
-//! `"spares"` reserves that many spare wavelength channels and spare
-//! MRRs per route (a bare integer applies to both classes); synthesis
-//! then proves every single device fault survivable before releasing
-//! the design and the job fails with 422 otherwise.
+//! `"options"` takes the JSON field of any row of the option table
+//! ([`xring_core::options`]): an integer, boolean or name as the row's
+//! [`Form`] says, parsed by the table's text setter (`"deadline_ms"` is a
+//! positive number of milliseconds). Two rows also take structured forms:
+//! `"traffic"` is `"all-to-all"`, `{"knn": 3}`,
+//! `{"hotspot": {"hotspots": 2, "seed": 7}}` or
+//! `{"permutation": {"seed": 11}}`; `"spares"` is a count for both spare
+//! classes or `{"k_wavelengths": 1, "k_mrrs": 1}`, and synthesis then
+//! proves every single device fault survivable before releasing the
+//! design (the job fails with 422 otherwise).
 //!
 //! `POST /batch` wraps a list: `{"jobs": [<synth request>, …]}`.
 
 use std::time::Duration;
 
-use xring_core::{
-    DegradationPolicy, NetworkSpec, RingAlgorithm, SpareConfig, SynthesisOptions, Traffic,
-};
+#[cfg(test)]
+use xring_core::RingAlgorithm;
+use xring_core::{DegradationPolicy, Form, NetworkSpec, SpareConfig, SynthesisOptions, Traffic};
 use xring_engine::{JobError, JobOutput, SynthesisJob};
 use xring_geom::Point;
 
@@ -307,170 +298,92 @@ fn require_i64(v: &Json, key: &str, context: &str) -> Result<i64, ProtocolError>
     })
 }
 
+/// Decodes a request's `"options"` object through the option table: each
+/// key names a row's JSON field, and a scalar of the row's form goes
+/// through the table's text setter. `traffic` and `spares` also take the
+/// structured object forms decoded here.
 fn apply_options(v: &Json, options: &mut SynthesisOptions) -> Result<(), ProtocolError> {
-    const ALLOWED: &[&str] = &[
-        "max_wavelengths",
-        "max_waveguides",
-        "shortcuts",
-        "openings",
-        "pdn",
-        "ring_algorithm",
-        "traffic",
-        "spares",
-        "deadline_ms",
-        "degradation",
-        "lp_backend",
-        "solver_threads",
-        "pricing",
-        "factorization",
-    ];
     let obj = v.as_obj().ok_or_else(|| {
         ProtocolError::bad_request("bad_request", "\"options\" must be an object")
     })?;
     for (key, value) in obj {
-        match key.as_str() {
-            "max_wavelengths" => {
-                options.max_wavelengths = value
-                    .as_usize()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| option_err(key, "a positive integer"))?;
+        let field = SynthesisOptions::FIELDS
+            .iter()
+            .find(|f| f.json == Some(key.as_str()))
+            .ok_or_else(|| unknown_field(key, "options"))?;
+        let text = match (field.form, value) {
+            (_, Json::Obj(_)) if field.name == "traffic" => {
+                options.traffic = traffic_from_json(value)?;
+                continue;
             }
-            "max_waveguides" => {
-                options.max_waveguides = value
-                    .as_usize()
-                    .ok_or_else(|| option_err(key, "a non-negative integer"))?;
+            (_, Json::Obj(_)) if field.name == "spares" => {
+                options.spares = spares_from_json(value)?;
+                continue;
             }
-            "shortcuts" => options.shortcuts = require_bool(value, key)?,
-            "openings" => options.openings = require_bool(value, key)?,
-            "pdn" => options.pdn = require_bool(value, key)?,
-            "ring_algorithm" => {
-                options.ring_algorithm = match value.as_str() {
-                    Some("milp") => RingAlgorithm::Milp,
-                    Some("heuristic") => RingAlgorithm::Heuristic,
-                    Some("perimeter") => RingAlgorithm::Perimeter,
-                    _ => {
-                        return Err(option_err(
-                            key,
-                            "one of \"milp\", \"heuristic\", \"perimeter\"",
-                        ))
-                    }
-                };
-            }
-            "traffic" => {
-                const FORMS: &str = "\"all-to-all\", {\"knn\": N}, \
-                     {\"hotspot\": {\"hotspots\": N, \"seed\": S}} or \
-                     {\"permutation\": {\"seed\": S}}";
-                options.traffic = match value {
-                    Json::Str(s) if s == "all-to-all" => Traffic::AllToAll,
-                    Json::Obj(o) if o.len() == 1 => {
-                        let (kind, body) = o.iter().next().expect("len == 1");
-                        match kind.as_str() {
-                            "knn" => {
-                                let k = body
-                                    .as_usize()
-                                    .filter(|&k| k >= 1)
-                                    .ok_or_else(|| option_err(key, "\"knn\" of at least 1"))?;
-                                Traffic::NearestNeighbors(k)
-                            }
-                            "hotspot" => {
-                                check_keys(body, &["hotspots", "seed"], "hotspot")?;
-                                let hotspots = require_usize(body, "hotspots", "hotspot")?;
-                                if hotspots == 0 {
-                                    return Err(option_err(key, "\"hotspots\" of at least 1"));
-                                }
-                                let seed = require_usize(body, "seed", "hotspot")? as u64;
-                                Traffic::Hotspot { hotspots, seed }
-                            }
-                            "permutation" => {
-                                check_keys(body, &["seed"], "permutation")?;
-                                let seed = require_usize(body, "seed", "permutation")? as u64;
-                                Traffic::Permutation { seed }
-                            }
-                            _ => return Err(option_err(key, FORMS)),
-                        }
-                    }
-                    _ => return Err(option_err(key, FORMS)),
-                };
-            }
-            "spares" => {
-                options.spares = match value {
-                    Json::Obj(_) => {
-                        check_keys(value, &["k_wavelengths", "k_mrrs"], "spares")?;
-                        let mut spares = SpareConfig::default();
-                        if let Some(v) = value.get("k_wavelengths") {
-                            spares.k_wavelengths = v.as_usize().ok_or_else(|| {
-                                option_err("k_wavelengths", "a non-negative integer")
-                            })?;
-                        }
-                        if let Some(v) = value.get("k_mrrs") {
-                            spares.k_mrrs = v
-                                .as_usize()
-                                .ok_or_else(|| option_err("k_mrrs", "a non-negative integer"))?;
-                        }
-                        spares
-                    }
-                    _ => SpareConfig::uniform(value.as_usize().ok_or_else(|| {
-                        option_err(
-                            key,
-                            "a non-negative integer or {\"k_wavelengths\": N, \"k_mrrs\": M}",
-                        )
-                    })?),
-                };
-            }
-            "deadline_ms" => {
-                let ms = value
-                    .as_usize()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| option_err(key, "a positive integer of milliseconds"))?;
-                options.deadline = Some(Duration::from_millis(ms as u64));
-            }
-            "degradation" => {
-                options.degradation = value
-                    .as_str()
-                    .and_then(|s| s.parse::<DegradationPolicy>().ok())
-                    .ok_or_else(|| {
-                        option_err(key, "one of \"forbid\", \"allow\", \"force-heuristic\"")
-                    })?;
-            }
-            "lp_backend" => {
-                options.lp_backend = value
-                    .as_str()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| option_err(key, "one of \"revised\", \"dense\""))?;
-            }
-            "solver_threads" => {
-                options.solver_threads = value
-                    .as_usize()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| option_err(key, "a positive integer"))?;
-            }
-            "pricing" => {
-                options.pricing = value
-                    .as_str()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| option_err(key, "one of \"dantzig\", \"devex\", \"partial\""))?;
-            }
-            "factorization" => {
-                options.factorization = value
-                    .as_str()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| option_err(key, "one of \"sparse-lu\", \"dense-eta\""))?;
-            }
-            other => {
-                debug_assert!(!ALLOWED.contains(&other));
-                return Err(unknown_field(other, "options"));
-            }
+            (Form::Int, _) => value.as_usize().map(|n| n.to_string()),
+            (Form::Bool, Json::Bool(b)) => Some(b.to_string()),
+            (Form::Name, Json::Str(s)) => Some(s.clone()),
+            _ => None,
         }
+        .ok_or_else(|| option_err(key, field.form.expected()))?;
+        options
+            .set_text(field.name, &text)
+            .map_err(|e| ProtocolError::bad_request("bad_request", format!("\"{key}\": {e}")))?;
     }
     Ok(())
 }
 
-fn option_err(key: &str, expected: &str) -> ProtocolError {
-    ProtocolError::bad_request("bad_request", format!("\"{key}\" must be {expected}"))
+/// `{"knn": N}`, `{"hotspot": {"hotspots": N, "seed": S}}` or
+/// `{"permutation": {"seed": S}}`.
+fn traffic_from_json(value: &Json) -> Result<Traffic, ProtocolError> {
+    const FORMS: &str = "\"all-to-all\", {\"knn\": N}, \
+         {\"hotspot\": {\"hotspots\": N, \"seed\": S}} or \
+         {\"permutation\": {\"seed\": S}}";
+    let (kind, body) = match value.as_obj() {
+        Some(o) if o.len() == 1 => o.iter().next().expect("len == 1"),
+        _ => return Err(option_err("traffic", FORMS)),
+    };
+    match kind.as_str() {
+        "knn" => body
+            .as_usize()
+            .filter(|&k| k >= 1)
+            .map(Traffic::NearestNeighbors)
+            .ok_or_else(|| option_err("traffic", "\"knn\" of at least 1")),
+        "hotspot" => {
+            check_keys(body, &["hotspots", "seed"], "hotspot")?;
+            let hotspots = require_usize(body, "hotspots", "hotspot")?;
+            if hotspots == 0 {
+                return Err(option_err("traffic", "\"hotspots\" of at least 1"));
+            }
+            let seed = require_usize(body, "seed", "hotspot")? as u64;
+            Ok(Traffic::Hotspot { hotspots, seed })
+        }
+        "permutation" => {
+            check_keys(body, &["seed"], "permutation")?;
+            let seed = require_usize(body, "seed", "permutation")? as u64;
+            Ok(Traffic::Permutation { seed })
+        }
+        _ => Err(option_err("traffic", FORMS)),
+    }
 }
 
-fn require_bool(v: &Json, key: &str) -> Result<bool, ProtocolError> {
-    v.as_bool().ok_or_else(|| option_err(key, "a boolean"))
+/// `{"k_wavelengths": N, "k_mrrs": M}`, either count optional.
+fn spares_from_json(value: &Json) -> Result<SpareConfig, ProtocolError> {
+    check_keys(value, &["k_wavelengths", "k_mrrs"], "spares")?;
+    let count = |key: &str| match value.get(key) {
+        None => Ok(0),
+        Some(v) => v
+            .as_usize()
+            .ok_or_else(|| option_err(key, "a non-negative integer")),
+    };
+    Ok(SpareConfig {
+        k_wavelengths: count("k_wavelengths")?,
+        k_mrrs: count("k_mrrs")?,
+    })
+}
+
+fn option_err(key: &str, expected: &str) -> ProtocolError {
+    ProtocolError::bad_request("bad_request", format!("\"{key}\" must be {expected}"))
 }
 
 /// Renders a successful job outcome. Every success carries the audit

@@ -36,6 +36,9 @@ fn fixture() -> (SynthesisJob, SynthesisJob) {
 
 #[test]
 fn incremental_edit_is_byte_identical_to_cold_synthesis() {
+    // Serialized with the traced test below: spans this test emits while
+    // that test's trace window is open would land in its trace.
+    let _lock = obs::test_guard();
     let (base, edited) = fixture();
 
     // Cold reference: a fresh engine synthesizes the edited spec with
