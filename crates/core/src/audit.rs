@@ -10,6 +10,8 @@
 //! * the selected L-routes have **no undeclared crossings**: a geometric
 //!   recount must match the cycle's own residual counter, which is zero
 //!   unless the 2-SAT fallback was taken on an adversarial placement;
+//!   the Step-2 shortcuts of an XRing design never cross the ring and
+//!   cross each other only as declared CSE partners;
 //! * every traffic demand is **served exactly once** and the Step-3
 //!   wavelength assignment is conflict-free (arc-disjoint lanes, no
 //!   arcs across openings);
@@ -27,6 +29,7 @@ use crate::layout::LayoutModel;
 use crate::mapping::MappingPlan;
 use crate::netspec::{NetworkSpec, NodeId};
 use crate::ring::RingCycle;
+use crate::shortcut::ShortcutPlan;
 use crate::traffic::Traffic;
 use std::collections::HashSet;
 use std::fmt;
@@ -51,7 +54,9 @@ pub enum Invariant {
     /// The ring's geometric crossing count (re-counted from the
     /// L-routes) matches what the cycle declares — zero in the normal
     /// case, the greedy fallback's residual otherwise. No crossing may
-    /// go undeclared.
+    /// go undeclared: for an XRing design this also covers the
+    /// shortcuts, which must not cross the ring and may cross only
+    /// their declared CSE partner.
     RingCrossingFree,
     /// Every traffic demand is served by exactly one route; no route
     /// serves a demand outside the pattern.
@@ -215,7 +220,7 @@ fn check_ring_closed(net: &NetworkSpec, cycle: &RingCycle) -> Result<(), String>
     Ok(())
 }
 
-fn check_ring_crossing_free(cycle: &RingCycle) -> Result<(), String> {
+fn check_ring_crossing_free(cycle: &RingCycle, shortcuts: &ShortcutPlan) -> Result<(), String> {
     // Re-count geometrically instead of trusting the cached counter.
     let n = cycle.len();
     let mut crossings = 0usize;
@@ -234,6 +239,30 @@ fn check_ring_crossing_free(cycle: &RingCycle) -> Result<(), String> {
             "recounted {crossings} ring crossings, cycle claims {}",
             cycle.residual_crossings()
         ));
+    }
+    check_shortcut_crossings(cycle, shortcuts)
+}
+
+/// Step 2's contract (Sec. III-B): no shortcut properly crosses the
+/// ring, and two shortcuts cross only as each other's declared CSE
+/// partner. Re-derived by brute force over every segment pair, so it
+/// does not trust the planner's crossing index.
+fn check_shortcut_crossings(cycle: &RingCycle, shortcuts: &ShortcutPlan) -> Result<(), String> {
+    let list = &shortcuts.shortcuts;
+    if list.is_empty() {
+        return Ok(());
+    }
+    let ring = cycle.polyline().segments();
+    for (i, s) in list.iter().enumerate() {
+        if s.route.proper_crossings_with(&ring) > 0 {
+            return Err(format!("shortcut {i} ({} - {}) crosses the ring", s.a, s.b));
+        }
+        for (j, t) in list.iter().enumerate().skip(i + 1) {
+            let partners = s.crossing_partner == Some(j) && t.crossing_partner == Some(i);
+            if !partners && s.route.crosses(&t.route) {
+                return Err(format!("shortcut {i} crosses non-partner shortcut {j}"));
+            }
+        }
     }
     Ok(())
 }
@@ -281,7 +310,8 @@ fn check_layout_aligned(plan: &MappingPlan, layout: &LayoutModel) -> Result<(), 
 
 /// Audits the structural invariants of a `(ring, mapping, layout)`
 /// triple against the traffic demands in `expected`. Shared by XRing
-/// designs and the baseline ring routers.
+/// designs and the baseline ring routers; [`audit_design`] also checks
+/// an XRing design's shortcuts.
 pub fn audit_structure(
     net: &NetworkSpec,
     cycle: &RingCycle,
@@ -289,9 +319,25 @@ pub fn audit_structure(
     layout: &LayoutModel,
     expected: &[(NodeId, NodeId)],
 ) -> AuditReport {
+    audit_structure_with_shortcuts(net, cycle, &ShortcutPlan::empty(), plan, layout, expected)
+}
+
+/// [`audit_structure`] for a ring carrying Step-2 shortcuts, which the
+/// ring-crossing-free verdict also checks.
+fn audit_structure_with_shortcuts(
+    net: &NetworkSpec,
+    cycle: &RingCycle,
+    shortcuts: &ShortcutPlan,
+    plan: &MappingPlan,
+    layout: &LayoutModel,
+    expected: &[(NodeId, NodeId)],
+) -> AuditReport {
     let mut report = AuditReport::empty();
     report.push(Invariant::RingClosedCycle, check_ring_closed(net, cycle));
-    report.push(Invariant::RingCrossingFree, check_ring_crossing_free(cycle));
+    report.push(
+        Invariant::RingCrossingFree,
+        check_ring_crossing_free(cycle, shortcuts),
+    );
     report.push(
         Invariant::DemandsServedOnce,
         check_demands_served(plan, expected),
@@ -358,9 +404,10 @@ pub fn audit_report_bounds(report: &RouterReport) -> Verdict {
 pub fn audit_design(design: &XRingDesign, traffic: &Traffic, loss: &LossParams) -> AuditReport {
     let _span = xring_obs::span("audit");
     let expected = traffic.pairs(&design.net);
-    let mut report = audit_structure(
+    let mut report = audit_structure_with_shortcuts(
         &design.net,
         &design.cycle,
+        &design.shortcuts,
         &design.plan,
         &design.layout,
         &expected,
@@ -380,6 +427,7 @@ pub fn audit_design(design: &XRingDesign, traffic: &Traffic, loss: &LossParams) 
 mod tests {
     use super::*;
     use crate::synth::{SynthesisOptions, Synthesizer};
+    use xring_geom::{LRoute, Point, RouteOption};
 
     fn clean_design() -> XRingDesign {
         Synthesizer::new(SynthesisOptions::with_wavelengths(8))
@@ -394,6 +442,66 @@ mod tests {
         assert!(report.is_clean(), "{}", report.summary());
         assert_eq!(report.verdicts.len(), 6);
         assert!(report.summary().contains("6 invariants hold"));
+    }
+
+    /// A 16-node serpentine design: it selects shortcuts, among them
+    /// CSE-merged pairs.
+    fn design_with_shortcuts() -> XRingDesign {
+        Synthesizer::new(SynthesisOptions::with_wavelengths(16))
+            .synthesize(&NetworkSpec::psion_16())
+            .expect("synthesized")
+    }
+
+    /// Audits `design` and returns the ring-crossing-free verdict, after
+    /// checking that the invariant set did not change.
+    fn ring_crossing_verdict(design: &XRingDesign) -> Verdict {
+        let report = audit_design(design, &Traffic::AllToAll, &LossParams::default());
+        assert_eq!(report.verdicts.len(), 6);
+        report
+            .verdicts
+            .into_iter()
+            .find(|v| v.invariant == Invariant::RingCrossingFree)
+            .expect("ring verdict")
+    }
+
+    #[test]
+    fn shortcut_crossing_the_ring_is_caught() {
+        let mut d = design_with_shortcuts();
+        assert!(ring_crossing_verdict(&d).passed);
+        // A short straight route across the middle of the first ring
+        // segment crosses it properly.
+        let seg = d.cycle.polyline().segments()[0];
+        let (a, b) = (seg.start(), seg.end());
+        let mid = Point::new((a.x + b.x) / 2, (a.y + b.y) / 2);
+        let (from, to) = match seg.is_horizontal() {
+            true => (Point::new(mid.x, mid.y - 1), Point::new(mid.x, mid.y + 1)),
+            false => (Point::new(mid.x - 1, mid.y), Point::new(mid.x + 1, mid.y)),
+        };
+        assert!(seg.length() >= 2);
+        d.shortcuts.shortcuts[0].route = LRoute::new(from, to, RouteOption::HorizontalFirst);
+        let v = ring_crossing_verdict(&d);
+        assert!(!v.passed);
+        assert!(v.detail.contains("shortcut 0") && v.detail.contains("crosses the ring"));
+    }
+
+    #[test]
+    fn shortcut_crossing_a_non_partner_is_caught() {
+        let mut d = design_with_shortcuts();
+        assert!(ring_crossing_verdict(&d).passed);
+        // Undeclare one CSE merge: the pair still crosses, now as
+        // strangers.
+        let i = d
+            .shortcuts
+            .shortcuts
+            .iter()
+            .position(|s| s.crossing_partner.is_some())
+            .expect("a CSE-merged pair");
+        let j = d.shortcuts.shortcuts[i].crossing_partner.expect("partner");
+        d.shortcuts.shortcuts[i].crossing_partner = None;
+        d.shortcuts.shortcuts[j].crossing_partner = None;
+        let v = ring_crossing_verdict(&d);
+        assert!(!v.passed);
+        assert!(v.detail.contains("non-partner"), "{}", v.detail);
     }
 
     #[test]

@@ -281,11 +281,28 @@ impl RingCycle {
     }
 
     /// Length in µm of the arc from `from` to `to` in direction `dir`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from == to`, like [`arc_edges`](Self::arc_edges).
     pub fn arc_length(&self, from: usize, to: usize, dir: Direction) -> i64 {
-        self.arc_edges(from, to, dir)
-            .iter()
-            .map(|&e| self.edge_length(e))
-            .sum()
+        assert_ne!(from, to, "degenerate arc");
+        // Walk the same edges as `arc_edges` without collecting them.
+        let n = self.len();
+        let (mut p, mut len) = (from, 0);
+        while p != to {
+            match dir {
+                Direction::Cw => {
+                    len += self.edge_length(p);
+                    p = (p + 1) % n;
+                }
+                Direction::Ccw => {
+                    p = (p + n - 1) % n;
+                    len += self.edge_length(p);
+                }
+            }
+        }
+        len
     }
 
     /// The interior cycle positions strictly between `from` and `to` when
@@ -996,6 +1013,22 @@ mod tests {
             c.arc_length(0, 2, Direction::Cw) + c.arc_length(2, 0, Direction::Cw),
             c.perimeter()
         );
+    }
+
+    #[test]
+    fn arc_length_sums_the_arc_edges() {
+        let net = NetworkSpec::psion_16();
+        let out = RingBuilder::new().build(&net).expect("solved");
+        let c = &out.cycle;
+        for from in 0..c.len() {
+            for to in (0..c.len()).filter(|&to| to != from) {
+                for dir in [Direction::Cw, Direction::Ccw] {
+                    let edges = c.arc_edges(from, to, dir);
+                    let summed: i64 = edges.iter().map(|&e| c.edge_length(e)).sum();
+                    assert_eq!(c.arc_length(from, to, dir), summed);
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,10 +8,20 @@
 //! at most one shortcut; a shortcut may cross at most one other shortcut,
 //! in which case the crossing is implemented as a CSE that additionally
 //! serves the "swapped" node pairs (Fig. 7).
+//!
+//! Cost for an N-node ring: candidate collection visits all N(N−1)/2
+//! node pairs. Each pair makes one query per route option against a
+//! crossing index of the ring polyline, built once in O(N log N); a
+//! query binary-searches to the perpendicular ring segments inside the
+//! route's span and tests only those, O(log N + k) for k of them. Each
+//! pair's ring distance is O(1) from an edge-length prefix sum. Before
+//! the index, every pair rescanned all O(N) ring segments and walked the
+//! ring, O(N³) in total. Greedy selection is O(C log C + C·S) for C
+//! candidates and S selected shortcuts.
 
 use crate::netspec::{NetworkSpec, NodeId};
-use crate::ring::{Direction, RingCycle};
-use xring_geom::{LRoute, Point, Polyline, RouteOption};
+use crate::ring::RingCycle;
+use xring_geom::{LRoute, Point, RouteOption};
 
 /// A selected shortcut between two nodes.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,33 +89,48 @@ impl ShortcutPlan {
 /// gain, select greedily subject to (a) one shortcut per node, (b) at most
 /// one crossing partner per shortcut, (c) non-negative gain.
 pub fn plan_shortcuts(net: &NetworkSpec, cycle: &RingCycle) -> ShortcutPlan {
-    let ring = cycle.polyline();
-
-    // 1. Collect feasible candidates with positive gain.
     let gain_span = xring_obs::span("shortcut-gain");
-    struct Candidate {
-        a: NodeId,
-        b: NodeId,
-        route: LRoute,
-        length_um: i64,
-        gain_um: i64,
+    let candidates = candidates(net, cycle);
+    xring_obs::counter("shortcut.candidates", candidates.len() as u64);
+    drop(gain_span);
+    select(candidates)
+}
+
+/// A feasible shortcut with positive gain, before selection.
+#[derive(Debug, PartialEq)]
+struct Candidate {
+    a: NodeId,
+    b: NodeId,
+    route: LRoute,
+    length_um: i64,
+    gain_um: i64,
+}
+
+/// Collects every node pair with a ring-avoiding L-route and a positive
+/// gain, in pair order. The ring is indexed once and ring distances come
+/// from a prefix sum over the edge lengths (costs in the module doc).
+fn candidates(net: &NetworkSpec, cycle: &RingCycle) -> Vec<Candidate> {
+    let ring = cycle.polyline().crossing_index();
+    // offset[p]: clockwise ring distance from position 0 to position p.
+    let mut offset = Vec::with_capacity(cycle.len());
+    let mut perimeter = 0i64;
+    for e in 0..cycle.len() {
+        offset.push(perimeter);
+        perimeter += cycle.edge_length(e);
     }
-    let mut candidates: Vec<Candidate> = Vec::new();
+    let mut candidates = Vec::new();
     let n = net.len() as u32;
     for i in 0..n {
         for j in i + 1..n {
             let (a, b) = (NodeId(i), NodeId(j));
-            let pa = net.position(a);
-            let pb = net.position(b);
-            let Some(route) = feasible_route(pa, pb, &ring) else {
+            let (pa, pb) = (net.position(a), net.position(b));
+            let Some(route) = feasible_route(pa, pb, |r| ring.crosses_route(r)) else {
                 continue;
             };
             let length = pa.manhattan_distance(pb);
-            let (fa, fb) = (cycle.position_of(a), cycle.position_of(b));
-            let ring_len = cycle
-                .arc_length(fa, fb, Direction::Cw)
-                .min(cycle.arc_length(fa, fb, Direction::Ccw));
-            let gain = ring_len - length;
+            let d = offset[cycle.position_of(b)] - offset[cycle.position_of(a)];
+            let cw = if d >= 0 { d } else { d + perimeter };
+            let gain = cw.min(perimeter - cw) - length;
             if gain > 0 {
                 candidates.push(Candidate {
                     a,
@@ -117,11 +142,11 @@ pub fn plan_shortcuts(net: &NetworkSpec, cycle: &RingCycle) -> ShortcutPlan {
             }
         }
     }
+    candidates
+}
 
-    xring_obs::counter("shortcut.candidates", candidates.len() as u64);
-    drop(gain_span);
-
-    // 2. Greedy selection by descending gain (CSE merges included).
+/// Greedy selection by descending gain (CSE merges included).
+fn select(mut candidates: Vec<Candidate>) -> ShortcutPlan {
     let _select_span = xring_obs::span("shortcut-select");
     candidates.sort_by_key(|c| (std::cmp::Reverse(c.gain_um), c.a, c.b));
     let mut plan = ShortcutPlan::empty();
@@ -181,16 +206,15 @@ pub fn plan_shortcuts(net: &NetworkSpec, cycle: &RingCycle) -> ShortcutPlan {
     plan
 }
 
-/// Finds an L-route between `a` and `b` that touches the ring only at its
-/// endpoints, preferring the option with that property.
-fn feasible_route(a: Point, b: Point, ring: &Polyline) -> Option<LRoute> {
-    for opt in RouteOption::BOTH {
-        let r = LRoute::new(a, b, opt);
-        if !ring.route_conflicts(&r, &[a, b]) {
-            return Some(r);
-        }
-    }
-    None
+/// The first L-route option between `a` and `b` that does not properly
+/// cross the ring, as judged by `crosses_ring`. Endpoint contacts (the
+/// shortcut attaching at its own nodes, a corner grazing the ring) and
+/// collinear overlaps are resolved by offset routing and do not count.
+fn feasible_route(a: Point, b: Point, crosses_ring: impl Fn(&LRoute) -> bool) -> Option<LRoute> {
+    RouteOption::BOTH
+        .into_iter()
+        .map(|opt| LRoute::new(a, b, opt))
+        .find(|r| !crosses_ring(r))
 }
 
 /// If the two routes share exactly one point, returns the along-route
@@ -232,7 +256,7 @@ fn distance_along(route: &LRoute, p: Point) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::RingBuilder;
+    use crate::ring::{Direction, RingBuilder};
 
     #[test]
     fn no_shortcuts_on_a_square() {
@@ -314,6 +338,133 @@ mod tests {
                 .min(out.cycle.arc_length(fa, fb, Direction::Ccw));
             assert_eq!(s.gain_um, best_ring - s.length_um);
         }
+    }
+
+    /// The candidate collection as it was before the crossing index: every
+    /// pair rescans all ring segments per route option and walks the ring
+    /// for both arc lengths. Selection is shared; only collection changed.
+    fn reference_plan(net: &NetworkSpec, cycle: &RingCycle) -> ShortcutPlan {
+        let ring = cycle.polyline();
+        let gain_span = xring_obs::span("shortcut-gain");
+        let mut candidates = Vec::new();
+        let n = net.len() as u32;
+        for i in 0..n {
+            for j in i + 1..n {
+                let (a, b) = (NodeId(i), NodeId(j));
+                let (pa, pb) = (net.position(a), net.position(b));
+                let crosses_ring = |r: &LRoute| {
+                    r.segments()
+                        .iter()
+                        .any(|sa| ring.segments().iter().any(|sb| sa.crosses_properly(sb)))
+                };
+                let Some(route) = feasible_route(pa, pb, crosses_ring) else {
+                    continue;
+                };
+                let length = pa.manhattan_distance(pb);
+                let (fa, fb) = (cycle.position_of(a), cycle.position_of(b));
+                let ring_len = cycle
+                    .arc_length(fa, fb, Direction::Cw)
+                    .min(cycle.arc_length(fa, fb, Direction::Ccw));
+                let gain = ring_len - length;
+                if gain > 0 {
+                    candidates.push(Candidate {
+                        a,
+                        b,
+                        route,
+                        length_um: length,
+                        gain_um: gain,
+                    });
+                }
+            }
+        }
+        xring_obs::counter("shortcut.candidates", candidates.len() as u64);
+        drop(gain_span);
+        select(candidates)
+    }
+
+    /// Runs `plan` under a request scope of its own and returns the plan
+    /// with its candidate, selection and CSE-merge counters.
+    fn counted(plan: impl FnOnce() -> ShortcutPlan) -> (ShortcutPlan, [u64; 3]) {
+        let ctx = xring_obs::RequestCtx::new(xring_obs::RequestId::mint(0, 0, 0));
+        let out = {
+            let _scope = ctx.attach();
+            plan()
+        };
+        let trace = ctx.finish();
+        let counters = [
+            "shortcut.candidates",
+            "shortcut.selected",
+            "shortcut.cse_merges",
+        ]
+        .map(|name| trace.total(name));
+        (out, counters)
+    }
+
+    #[test]
+    fn planner_matches_the_ring_rescan_reference() {
+        use crate::ring::RingAlgorithm;
+        let mut cases: Vec<(String, NetworkSpec, RingAlgorithm)> = Vec::new();
+        let fixtures = [
+            ("proton_8", NetworkSpec::proton_8()),
+            ("proton_16", NetworkSpec::proton_16()),
+            ("psion_8", NetworkSpec::psion_8()),
+            ("psion_16", NetworkSpec::psion_16()),
+        ];
+        for (name, net) in fixtures {
+            for alg in RingAlgorithm::ALL {
+                cases.push((name.to_owned(), net.clone(), alg));
+            }
+        }
+        let large = [RingAlgorithm::Heuristic, RingAlgorithm::Perimeter];
+        for alg in large {
+            cases.push(("psion_32".to_owned(), NetworkSpec::psion_32(), alg));
+            for (rows, cols) in [(8, 8), (4, 8), (12, 12)] {
+                let net = NetworkSpec::regular_grid(rows, cols, 1_000).expect("grid");
+                cases.push((format!("grid {rows}x{cols}"), net, alg));
+            }
+        }
+        // Seeded irregular floorplans; small dies make them dense, so
+        // shared coordinates (collinear and grazing routes) are common.
+        for seed in 1..=4u64 {
+            for (n, die_um) in [(8, 1_500), (12, 2_000), (16, 2_500)] {
+                let net = NetworkSpec::irregular(n, die_um, seed).expect("irregular");
+                for alg in RingAlgorithm::ALL {
+                    cases.push((
+                        format!("irregular {n}/{die_um} seed {seed}"),
+                        net.clone(),
+                        alg,
+                    ));
+                }
+            }
+            for (n, die_um) in [(32, 3_000), (64, 6_000), (128, 28_000)] {
+                let net = NetworkSpec::irregular(n, die_um, seed).expect("irregular");
+                for alg in large {
+                    cases.push((
+                        format!("irregular {n}/{die_um} seed {seed}"),
+                        net.clone(),
+                        alg,
+                    ));
+                }
+            }
+        }
+        let (mut selected, mut merges) = (0, 0);
+        for (name, net, alg) in &cases {
+            let out = RingBuilder::new()
+                .with_algorithm(*alg)
+                .build(net)
+                .expect("ring");
+            let got = counted(|| plan_shortcuts(net, &out.cycle));
+            let want = counted(|| reference_plan(net, &out.cycle));
+            assert_eq!(got, want, "{name} with {alg:?}");
+            selected += got.1[1];
+            merges += got.1[2];
+        }
+        // The cases must exercise selection and CSE merging, not only
+        // agree on empty plans.
+        assert!(
+            selected > 100 && merges > 0,
+            "{selected} selected, {merges} merges"
+        );
     }
 
     #[test]

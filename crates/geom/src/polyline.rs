@@ -1,6 +1,6 @@
 //! Rectilinear polylines: realized waveguide paths.
 
-use crate::{LRoute, Point, Segment, SegmentIntersection};
+use crate::{LRoute, Point, Segment};
 
 /// An open or closed rectilinear polyline built from axis-aligned segments.
 ///
@@ -170,28 +170,119 @@ impl Polyline {
         count
     }
 
-    /// True if `route` transversally crosses this polyline: used to test
-    /// shortcut feasibility ("without crossing any existing ring
-    /// waveguide", Sec. III-B). Endpoint contacts (the shortcut attaching
-    /// at its own node positions, or a corner grazing the ring) and
-    /// collinear overlaps are resolved by offset routing and do not count;
-    /// `allowed` lists extra points where even a transversal contact is
-    /// permitted (unused under proper-crossing semantics but kept for
-    /// explicitness at call sites).
-    pub fn route_conflicts(&self, route: &LRoute, allowed: &[Point]) -> bool {
-        for sa in route.segments() {
-            for sb in self.segments() {
-                if sa.crosses_properly(&sb) {
-                    if let SegmentIntersection::Point(p) = sa.intersection(&sb) {
-                        if allowed.contains(&p) {
-                            continue;
-                        }
-                    }
-                    return true;
-                }
+    /// A sorted index over this polyline's segments that answers
+    /// proper-crossing queries by binary search (see [`CrossingIndex`]).
+    pub fn crossing_index(&self) -> CrossingIndex {
+        let mut index = CrossingIndex {
+            horizontal: Vec::new(),
+            vertical: Vec::new(),
+        };
+        for s in self.segments() {
+            let (a, b) = (s.start(), s.end());
+            if s.is_horizontal() {
+                index.horizontal.push(AxisSpan::new(a.y, a.x, b.x));
+            } else {
+                index.vertical.push(AxisSpan::new(a.x, a.y, b.y));
             }
         }
-        false
+        index.horizontal.sort_unstable();
+        index.vertical.sort_unstable();
+        index
+    }
+
+    /// Brute-force reference for [`CrossingIndex::crosses_route`]: true
+    /// if some route segment properly crosses some polyline segment.
+    #[cfg(test)]
+    fn route_conflicts(&self, route: &LRoute) -> bool {
+        route
+            .segments()
+            .iter()
+            .any(|sa| self.segments().iter().any(|sb| sa.crosses_properly(sb)))
+    }
+}
+
+/// Proper-crossing queries against a fixed polyline, built once by
+/// [`Polyline::crossing_index`].
+///
+/// Only perpendicular axis-aligned segments can cross properly: collinear
+/// ones either overlap or touch at an endpoint. The index keeps the
+/// polyline's horizontal and vertical segments apart, each sorted by its
+/// fixed coordinate. A query segment visits only the perpendicular
+/// segments whose fixed coordinate lies strictly inside its own span and
+/// tests whether its fixed coordinate lies strictly inside theirs:
+/// O(log n + k) per query for `k` such segments, against O(n) for a scan.
+///
+/// # Example
+///
+/// ```
+/// use xring_geom::{LRoute, Point, Polyline, RouteOption};
+///
+/// let ring = Polyline::closed(vec![
+///     Point::new(0, 0),
+///     Point::new(100, 0),
+///     Point::new(100, 100),
+///     Point::new(0, 100),
+/// ]);
+/// let index = ring.crossing_index();
+/// let through = LRoute::new(Point::new(50, 50), Point::new(200, 50), RouteOption::HorizontalFirst);
+/// assert!(index.crosses_route(&through));
+/// // A corner grazing the ring is a contact, not a crossing.
+/// let chord = LRoute::new(Point::new(0, 0), Point::new(100, 100), RouteOption::HorizontalFirst);
+/// assert!(!index.crosses_route(&chord));
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CrossingIndex {
+    /// Horizontal segments, sorted by y.
+    horizontal: Vec<AxisSpan>,
+    /// Vertical segments, sorted by x.
+    vertical: Vec<AxisSpan>,
+}
+
+/// A non-degenerate axis-aligned segment as its fixed coordinate and the
+/// closed interval `lo..=hi` it spans along the other axis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct AxisSpan {
+    at: i64,
+    lo: i64,
+    hi: i64,
+}
+
+impl AxisSpan {
+    fn new(at: i64, a: i64, b: i64) -> Self {
+        AxisSpan {
+            at,
+            lo: a.min(b),
+            hi: a.max(b),
+        }
+    }
+}
+
+impl CrossingIndex {
+    /// True if `seg` properly crosses some indexed segment: they meet in
+    /// one point interior to both. Degenerate segments never do.
+    fn crosses_segment(&self, seg: &Segment) -> bool {
+        if seg.is_degenerate() {
+            return false;
+        }
+        let (a, b) = (seg.start(), seg.end());
+        let (query, perpendicular) = if seg.is_horizontal() {
+            (AxisSpan::new(a.y, a.x, b.x), &self.vertical)
+        } else {
+            (AxisSpan::new(a.x, a.y, b.y), &self.horizontal)
+        };
+        let first = perpendicular.partition_point(|t| t.at <= query.lo);
+        perpendicular[first..]
+            .iter()
+            .take_while(|t| t.at < query.hi)
+            .any(|t| t.lo < query.at && query.at < t.hi)
+    }
+
+    /// True if either leg of `route` properly crosses some indexed
+    /// segment.
+    pub fn crosses_route(&self, route: &LRoute) -> bool {
+        let c = route.corner();
+        self.crosses_segment(&Segment::new(route.from(), c))
+            || self.crosses_segment(&Segment::new(c, route.to()))
     }
 }
 
@@ -236,17 +327,80 @@ mod tests {
     #[test]
     fn route_conflict_with_ring() {
         let ring = Polyline::closed(vec![p(0, 0), p(100, 0), p(100, 100), p(0, 100)]);
+        let index = ring.crossing_index();
         // A chord between two ring vertices, inside the ring: its corner
         // grazes the ring corner at (100, 0), which offset routing
         // resolves — no transversal crossing, no conflict.
         let inside = LRoute::new(p(0, 0), p(100, 100), RouteOption::HorizontalFirst);
-        assert!(!ring.route_conflicts(&inside, &[p(0, 0), p(100, 100)]));
+        assert!(!ring.route_conflicts(&inside));
+        assert!(!index.crosses_route(&inside));
         // A route punching straight through the ring boundary conflicts.
         let through = LRoute::new(p(50, 50), p(200, 50), RouteOption::HorizontalFirst);
-        assert!(ring.route_conflicts(&through, &[]));
+        assert!(ring.route_conflicts(&through));
+        assert!(index.crosses_route(&through));
         // A route fully outside the ring does not conflict.
         let outside = LRoute::new(p(200, 0), p(300, 50), RouteOption::HorizontalFirst);
-        assert!(!ring.route_conflicts(&outside, &[]));
+        assert!(!ring.route_conflicts(&outside));
+        assert!(!index.crosses_route(&outside));
+    }
+
+    /// Tiny xorshift so the test needs no RNG dependency.
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// A random closed rectilinear polyline on a 7x7 grid: alternating
+    /// horizontal and vertical moves, so repeated coordinates make
+    /// collinear overlaps, T-contacts and degenerate segments common.
+    fn random_ring(state: &mut u64) -> Polyline {
+        let turns = 2 + (xorshift(state) % 10) as usize;
+        let mut coord = || (xorshift(state) % 7) as i64;
+        let start = p(coord(), coord());
+        let mut vertices = vec![start];
+        let mut cur = start;
+        for k in 0..turns {
+            cur = match k % 2 {
+                0 => p(coord(), cur.y),
+                _ => p(cur.x, coord()),
+            };
+            vertices.push(cur);
+        }
+        // Close horizontally onto the start's x, then vertically home.
+        vertices.push(p(start.x, cur.y));
+        Polyline::closed(vertices)
+    }
+
+    #[test]
+    fn crossing_index_agrees_with_pairwise_scan() {
+        let mut state = 0x5EED_0001_u64;
+        let (mut crossing, mut clear) = (0usize, 0usize);
+        for _ in 0..400 {
+            let ring = random_ring(&mut state);
+            let index = ring.crossing_index();
+            let segments = ring.segments();
+            for _ in 0..60 {
+                let mut coord = || (xorshift(&mut state) % 7) as i64;
+                let (from, to) = (p(coord(), coord()), p(coord(), coord()));
+                let option = RouteOption::BOTH[(xorshift(&mut state) % 2) as usize];
+                let route = LRoute::new(from, to, option);
+                for seg in route.segments() {
+                    let scan = segments.iter().any(|s| seg.crosses_properly(s));
+                    assert_eq!(index.crosses_segment(&seg), scan, "{seg} vs {ring:?}");
+                }
+                let scan = ring.route_conflicts(&route);
+                assert_eq!(index.crosses_route(&route), scan, "{route:?} vs {ring:?}");
+                match scan {
+                    true => crossing += 1,
+                    false => clear += 1,
+                }
+            }
+        }
+        // Both outcomes must be well represented for the agreement to mean
+        // anything.
+        assert!(crossing > 1_000 && clear > 1_000, "{crossing} / {clear}");
     }
 
     #[test]
