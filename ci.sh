@@ -17,13 +17,17 @@ cargo build --release --offline
 echo "==> cargo build perfbench (its own workspace; catches API breaks the benchmark depends on)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> perfbench heuristic-large --trace 1 (each request replayed layer by layer, checked against the daemon)"
-bench_verdict=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
-    --workload heuristic-large --seed 1 --seconds 3 --trace 1 | tail -1)
-echo "$bench_verdict" | grep -q '"correct": true' && echo "$bench_verdict" | grep -q '"failed": 0[,}]' || {
-    echo "perfbench: heuristic-large trace run not correct or had failures: $bench_verdict" >&2
-    exit 1
-}
+# Every workload: the crossing kernel sits under the heuristic ring and the
+# exact ring MILP's lazy cuts alike.
+for workload in heuristic-large exact-ring serve-mix; do
+    echo "==> perfbench $workload --trace 1 (each request replayed layer by layer, checked against the daemon)"
+    bench_verdict=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 3 --trace 1 | tail -1)
+    echo "$bench_verdict" | grep -q '"correct": true' && echo "$bench_verdict" | grep -q '"failed": 0[,}]' || {
+        echo "perfbench: $workload trace run not correct or had failures: $bench_verdict" >&2
+        exit 1
+    }
+done
 
 echo "==> cargo test -q (tier-1)"
 cargo test -q --offline

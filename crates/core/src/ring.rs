@@ -146,16 +146,16 @@ impl RingCycle {
             .collect();
 
         // 2-SAT: variable i == true  <=>  edge i routes VerticalFirst.
+        // The clause order fixes which satisfying assignment is found.
         let mut sat = TwoSat::new(n);
         for i in 0..n {
             for j in i + 1..n {
                 let (a1, a2) = endpoints[i];
                 let (b1, b2) = endpoints[j];
+                let pair = classify_edge_pair(a1, a2, b1, b2);
                 for (oi, oa) in RouteOption::BOTH.into_iter().enumerate() {
                     for (oj, ob) in RouteOption::BOTH.into_iter().enumerate() {
-                        let ra = LRoute::new(a1, a2, oa);
-                        let rb = LRoute::new(b1, b2, ob);
-                        if ra.crosses(&rb) {
+                        if pair.crosses(oa, ob) {
                             sat.forbid_pair(i, oi == 1, j, oj == 1);
                         }
                     }
@@ -178,6 +178,7 @@ impl RingCycle {
             }
             None => (greedy_options(&endpoints), true),
         };
+        xring_obs::counter("ring.twosat_fallback", u64::from(fallback));
 
         let routes: Vec<LRoute> = (0..n)
             .map(|i| LRoute::new(endpoints[i].0, endpoints[i].1, options[i]))
@@ -1058,6 +1059,147 @@ mod tests {
             .build(&net)
             .expect("built");
         assert_valid_cycle(&net, &out.cycle);
+    }
+
+    /// The crossing test `from_order` originally ran: every pair of
+    /// `segments()`, allocated per call, with no bounding-box rejection.
+    fn crosses_by_segments(a: &LRoute, b: &LRoute) -> bool {
+        let theirs = b.segments();
+        a.segments()
+            .iter()
+            .any(|sa| theirs.iter().any(|sb| sa.crosses_properly(sb)))
+    }
+
+    /// The original all-pairs realization: 2-SAT clauses from the four
+    /// option combinations of every edge pair, the greedy fallback and
+    /// the residual count, all on [`crosses_by_segments`]. Returns the
+    /// routes, residual crossings and fallback flag.
+    fn reference_realization(net: &NetworkSpec, order: &[NodeId]) -> (Vec<LRoute>, usize, bool) {
+        let n = order.len();
+        let endpoints: Vec<(Point, Point)> = (0..n)
+            .map(|i| (net.position(order[i]), net.position(order[(i + 1) % n])))
+            .collect();
+        let route = |i: usize, o: RouteOption| LRoute::new(endpoints[i].0, endpoints[i].1, o);
+        let mut sat = TwoSat::new(n);
+        for i in 0..n {
+            for j in i + 1..n {
+                for (oi, oa) in RouteOption::BOTH.into_iter().enumerate() {
+                    for (oj, ob) in RouteOption::BOTH.into_iter().enumerate() {
+                        if crosses_by_segments(&route(i, oa), &route(j, ob)) {
+                            sat.forbid_pair(i, oi == 1, j, oj == 1);
+                        }
+                    }
+                }
+            }
+        }
+        let (options, fallback) = match sat.solve() {
+            Some(sol) => {
+                let opts = (0..n)
+                    .map(|i| RouteOption::BOTH[usize::from(sol.value(i))])
+                    .collect();
+                (opts, false)
+            }
+            None => {
+                let mut opts = vec![RouteOption::HorizontalFirst; n];
+                for i in 0..n {
+                    let mut best = (usize::MAX, RouteOption::HorizontalFirst);
+                    for opt in RouteOption::BOTH {
+                        let crossings = (0..i)
+                            .filter(|&j| crosses_by_segments(&route(i, opt), &route(j, opts[j])))
+                            .count();
+                        if crossings < best.0 {
+                            best = (crossings, opt);
+                        }
+                    }
+                    opts[i] = best.1;
+                }
+                (opts, true)
+            }
+        };
+        let routes: Vec<LRoute> = (0..n).map(|i| route(i, options[i])).collect();
+        let mut residual = 0;
+        for i in 0..n {
+            for j in i + 1..n {
+                residual += usize::from(crosses_by_segments(&routes[i], &routes[j]));
+            }
+        }
+        (routes, residual, fallback)
+    }
+
+    #[test]
+    fn from_order_matches_the_all_pairs_reference() {
+        use crate::heuristics::nearest_neighbor_tour;
+        let mut nets: Vec<(String, NetworkSpec)> = Vec::new();
+        for (rows, cols) in [(3, 3), (4, 4), (4, 8), (8, 8), (12, 12)] {
+            let net = NetworkSpec::regular_grid(rows, cols, 1_000).expect("grid");
+            nets.push((format!("grid {rows}x{cols}"), net));
+        }
+        // Small dies make dense nets with many shared coordinates; the
+        // 128-node die is the heuristic-large floorplan size.
+        for seed in 1..=5u64 {
+            for (n, die_um) in [
+                (8, 1_500),
+                (16, 2_500),
+                (32, 4_000),
+                (64, 8_000),
+                (128, 28_000),
+            ] {
+                let net = NetworkSpec::irregular(n, die_um, seed).expect("irregular");
+                nets.push((format!("irregular {n}/{die_um} seed {seed}"), net));
+            }
+        }
+        type Tour = fn(&NetworkSpec) -> Vec<NodeId>;
+        let orders: [(&str, Tour); 3] = [
+            ("heuristic", heuristic_tour),
+            ("perimeter", perimeter_tour),
+            ("nearest-neighbour", nearest_neighbor_tour),
+        ];
+        let mut fallbacks = 0;
+        for (name, net) in &nets {
+            for (order_name, tour) in orders {
+                let order = tour(net);
+                let (cycle, fallback) = RingCycle::from_order(net, order.clone());
+                let routes: Vec<LRoute> = (0..cycle.len()).map(|i| *cycle.edge_route(i)).collect();
+                let got = (routes, cycle.residual_crossings(), fallback);
+                assert_eq!(
+                    got,
+                    reference_realization(net, &order),
+                    "{name}, {order_name} order"
+                );
+                fallbacks += usize::from(fallback);
+            }
+        }
+        assert!(fallbacks > 0, "no case took the greedy fallback");
+    }
+
+    #[test]
+    fn twosat_fallback_is_counted() {
+        let count = |net: &NetworkSpec| {
+            let ctx = xring_obs::RequestCtx::new(xring_obs::RequestId::mint(0, 0, 0));
+            let out = {
+                let _scope = ctx.attach();
+                RingBuilder::new()
+                    .with_algorithm(RingAlgorithm::Heuristic)
+                    .build(net)
+                    .expect("heuristic ring")
+            };
+            (
+                out.stats.twosat_fallback,
+                ctx.finish().total("ring.twosat_fallback"),
+            )
+        };
+        let (mut with, mut without) = (0, 0);
+        for seed in 1..=6u64 {
+            let net = NetworkSpec::irregular(128, 28_000, seed).expect("irregular");
+            let (fallback, counted) = count(&net);
+            assert_eq!(counted, u64::from(fallback), "seed {seed}");
+            with += usize::from(fallback);
+            without += usize::from(!fallback);
+        }
+        assert!(
+            with > 0 && without > 0,
+            "{with} with fallback, {without} without"
+        );
     }
 
     #[test]

@@ -61,13 +61,21 @@ impl Traffic {
                 out
             }
             Traffic::NearestNeighbors(k) => {
-                let mut out = Vec::new();
+                let take = (*k).min(net.len().saturating_sub(1));
+                let mut out = Vec::with_capacity(net.len() * take);
+                let mut others = Vec::with_capacity(net.len());
                 for a in net.node_ids() {
-                    let mut others: Vec<NodeId> = net.node_ids().filter(|b| *b != a).collect();
-                    others.sort_by_key(|b| (net.distance(a, *b), b.index()));
-                    for b in others.into_iter().take(*k) {
-                        out.push((a, b));
+                    others.clear();
+                    others.extend(net.node_ids().filter(|b| *b != a));
+                    // (distance, index) is a strict total order, so selecting
+                    // the `take` smallest and sorting only those equals a
+                    // full sort truncated to `take`.
+                    let key = |b: &NodeId| (net.distance(a, *b), b.index());
+                    if take < others.len() {
+                        others.select_nth_unstable_by_key(take, key);
                     }
+                    others[..take].sort_unstable_by_key(key);
+                    out.extend(others[..take].iter().map(|&b| (a, b)));
                 }
                 out
             }
@@ -187,6 +195,37 @@ mod tests {
         // Every chosen destination is at most 2 grid steps away.
         for (a, b) in pairs {
             assert!(net.distance(a, b) <= 2_000, "{a}->{b} too far");
+        }
+    }
+
+    #[test]
+    fn nearest_neighbors_matches_the_full_sort_reference() {
+        // The pre-selection implementation: sort every peer, keep `k`.
+        let reference = |net: &NetworkSpec, k: usize| {
+            let mut out = Vec::new();
+            for a in net.node_ids() {
+                let mut others: Vec<NodeId> = net.node_ids().filter(|b| *b != a).collect();
+                others.sort_by_key(|b| (net.distance(a, *b), b.index()));
+                out.extend(others.into_iter().take(k).map(|b| (a, b)));
+            }
+            out
+        };
+        // Regular grids tie on distance everywhere; irregular nets rarely.
+        let mut nets = vec![NetworkSpec::proton_8(), NetworkSpec::psion_16()];
+        for (rows, cols) in [(2, 2), (3, 5), (8, 8)] {
+            nets.push(NetworkSpec::regular_grid(rows, cols, 1_000).expect("grid"));
+        }
+        for seed in 1..=3 {
+            for (n, die_um) in [(5, 1_000), (24, 3_000), (128, 28_000)] {
+                nets.push(NetworkSpec::irregular(n, die_um, seed).expect("irregular"));
+            }
+        }
+        for net in &nets {
+            let n = net.len();
+            for k in [0, 1, 3, n - 1, n, n + 5] {
+                let got = Traffic::NearestNeighbors(k).pairs(net);
+                assert_eq!(got, reference(net, k), "{n} nodes, k = {k}");
+            }
         }
     }
 

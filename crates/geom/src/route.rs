@@ -92,19 +92,17 @@ impl LRoute {
         }
     }
 
+    /// The two legs in travel order, `None` where a leg is degenerate.
+    fn legs(&self) -> [Option<Segment>; 2] {
+        let c = self.corner();
+        let leg = |a: Point, b: Point| (a != b).then(|| Segment::new(a, b));
+        [leg(self.from, c), leg(c, self.to)]
+    }
+
     /// The (up to two) non-degenerate segments of this route, in travel
     /// order. Degenerate legs are dropped.
     pub fn segments(&self) -> Vec<Segment> {
-        let c = self.corner();
-        let mut out = Vec::with_capacity(2);
-        let first = Segment::new(self.from, c);
-        if !first.is_degenerate() {
-            out.push(first);
-        }
-        let second = Segment::new(c, self.to);
-        if !second.is_degenerate() {
-            out.push(second);
-        }
+        let mut out: Vec<Segment> = self.legs().into_iter().flatten().collect();
         if out.is_empty() {
             // from == to: keep a single degenerate segment so that the
             // route still "occupies" its point.
@@ -123,26 +121,40 @@ impl LRoute {
     /// crossing forces a physical waveguide crossing — this matches the
     /// paper's Fig. 2(a), whose minimum-length ring runs the return
     /// waveguide parallel to a node column.
+    ///
+    /// Allocation-free. A route lies inside the closed bounding box of its
+    /// endpoints, so routes with disjoint boxes are rejected before any
+    /// leg is tested; degenerate legs are skipped because a zero-length
+    /// segment has no interior point to cross at.
     pub fn crosses(&self, other: &LRoute) -> bool {
-        for sa in self.segments() {
-            for sb in other.segments() {
-                if sa.crosses_properly(&sb) {
-                    return true;
-                }
-            }
+        if boxes_disjoint(self.from, self.to, other.from, other.to) {
+            return false;
         }
-        false
+        let theirs = other.legs();
+        self.legs()
+            .iter()
+            .flatten()
+            .any(|sa| theirs.iter().flatten().any(|sb| sa.crosses_properly(sb)))
     }
 
     /// Count of *proper* crossings between this route and a set of
     /// segments (interior-interior intersections only). Used to count
     /// physical waveguide crossings on a realized layout.
     pub fn proper_crossings_with(&self, segments: &[Segment]) -> usize {
-        self.segments()
+        self.legs()
             .iter()
+            .flatten()
             .map(|sa| segments.iter().filter(|sb| sa.crosses_properly(sb)).count())
             .sum()
     }
+}
+
+/// True when the closed bounding boxes of `a1`–`a2` and `b1`–`b2` share
+/// no point. Both L-routes of an edge lie inside its endpoints' box, so
+/// edges with disjoint boxes cannot cross under any option.
+pub(crate) fn boxes_disjoint(a1: Point, a2: Point, b1: Point, b2: Point) -> bool {
+    let apart = |a: i64, b: i64, c: i64, d: i64| a.max(b) < c.min(d) || c.max(d) < a.min(b);
+    apart(a1.x, a2.x, b1.x, b2.x) || apart(a1.y, a2.y, b1.y, b2.y)
 }
 
 #[cfg(test)]
@@ -303,6 +315,45 @@ mod tests {
             Segment::new(Point::new(30, 0), Point::new(30, 10)),
         ];
         assert_eq!(r.proper_crossings_with(&walls), 2);
+    }
+
+    /// The allocating all-legs test that `crosses` replaced: every pair of
+    /// `segments()`, degenerate ones included, with no bounding-box
+    /// rejection.
+    fn crosses_reference(a: &LRoute, b: &LRoute) -> bool {
+        let theirs = b.segments();
+        a.segments()
+            .iter()
+            .any(|sa| theirs.iter().any(|sb| sa.crosses_properly(sb)))
+    }
+
+    #[test]
+    fn crosses_matches_the_all_legs_reference() {
+        // A 5x5 grid makes collinear overlaps, endpoint contacts, corners
+        // on segments and zero-length routes common.
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut random_route = || {
+            let mut coord = || (next() % 5) as i64;
+            let (from, to) = (Point::new(coord(), coord()), Point::new(coord(), coord()));
+            LRoute::new(from, to, RouteOption::BOTH[(next() % 2) as usize])
+        };
+        let (mut crossing, mut zero_length) = (0, 0);
+        for _ in 0..20_000 {
+            let (a, b) = (random_route(), random_route());
+            assert_eq!(a.crosses(&b), crosses_reference(&a, &b), "{a:?} vs {b:?}");
+            crossing += usize::from(a.crosses(&b));
+            zero_length += usize::from(a.length() == 0);
+        }
+        assert!(
+            crossing > 500 && zero_length > 200,
+            "{crossing} crossing, {zero_length} zero-length"
+        );
     }
 
     #[test]
