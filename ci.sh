@@ -129,21 +129,7 @@ echo "==> incremental edit smoke (CLI edit loop, byte-identity check)"
 ./target/release/xring edit --irregular 16,5,8000 --wl 8 \
     | grep -q 'byte-identical to cold synthesis of the edited spec: yes'
 
-echo "==> regress --quick (pinned perf suite smoke + baseline gate)"
-cargo run -q --release -p xring-bench --bin regress --offline -- \
-    --quick --out target/regress-ci.json --compare BENCH_PR10.json
-
-echo "==> edit-loop gate (incremental re-synthesis must beat cold synthesis)"
-edit_cold=$(tr ',{}' '\n' <target/regress-ci.json | sed -n 's/"edit_cold_wall_ms"://p')
-edit_inc=$(tr ',{}' '\n' <target/regress-ci.json | sed -n 's/"edit_incremental_wall_ms"://p')
-if [ -z "$edit_cold" ] || [ -z "$edit_inc" ]; then
-    echo "edit-loop gate: metrics missing from target/regress-ci.json" >&2
-    exit 1
-fi
-awk -v cold="$edit_cold" -v inc="$edit_inc" 'BEGIN { exit !(inc < cold) }' || {
-    echo "edit-loop gate: incremental ${edit_inc}ms not faster than cold ${edit_cold}ms" >&2
-    exit 1
-}
-echo "edit-loop: incremental ${edit_inc}ms vs cold ${edit_cold}ms"
+echo "==> golden work counters (exact solver, pipeline and allocation counts per fixture)"
+cargo test -q --offline --test golden_work
 
 echo "ci: all green"

@@ -7,13 +7,7 @@
 //! `xring synth --grid 4x4 --wl 16 --trace out.jsonl`.
 //!
 //! Run with: `cargo run --release -p xring-bench --bin phases`
-//!
-//! `--json FILE` additionally writes the inclusive times as a flat
-//! regression-report envelope (`{"schema":...,"metrics":{...}}`, keys
-//! like `n8_ring_milp_us`) that `regress --compare` can diff against a
-//! previous run.
 
-use xring_bench::regress::RegressReport;
 use xring_core::{NetworkSpec, SynthesisOptions, Synthesizer};
 use xring_obs as obs;
 use xring_phot::{CrosstalkParams, LossParams, PowerParams};
@@ -34,18 +28,6 @@ const PHASES: &[&str] = &[
 ];
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut json_out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--json" => {
-                json_out = Some(it.next().ok_or("--json needs a path")?.clone());
-            }
-            other => return Err(format!("unknown flag {other}").into()),
-        }
-    }
-    let mut report = RegressReport::new();
     println!("n,wl,phase,inclusive_us,share_pct");
     for (n, net) in [
         (4usize, NetworkSpec::regular_grid(2, 2, 2_000)?),
@@ -84,19 +66,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ns / 1_000,
                 100.0 * ns as f64 / total_ns as f64
             );
-            report.metrics.insert(
-                format!("n{n}_{}_us", phase.replace('-', "_")),
-                ns as f64 / 1_000.0,
-            );
         }
         println!("{n},{wl},total,{},100.0", total_ns / 1_000);
-        report
-            .metrics
-            .insert(format!("n{n}_total_us"), total_ns as f64 / 1_000.0);
-    }
-    if let Some(path) = json_out {
-        std::fs::write(&path, report.to_json())?;
-        eprintln!("phase timings written to {path}");
     }
     Ok(())
 }

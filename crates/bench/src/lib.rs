@@ -13,10 +13,8 @@
 //! rows; the Criterion benches under `benches/` time the underlying
 //! synthesis flows.
 
-pub mod regress;
 pub mod tables;
 
-pub use regress::{compare, run_suite, MetricDelta, RegressReport, REGRESS_SCHEMA};
 pub use tables::{
     ablation_pdn, ablation_ring, ablation_shortcuts, table1, table2, table3, RingContext,
 };

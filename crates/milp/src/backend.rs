@@ -199,9 +199,6 @@ pub(crate) struct SolveTelemetry {
 /// suffixed names rather than tags. The unsuffixed aggregates are part
 /// of the public telemetry surface (pinned by the engine trace tests).
 pub(crate) fn record_counters(backend: &'static str, t: SolveTelemetry) {
-    if !xring_obs::enabled() {
-        return;
-    }
     xring_obs::counter("simplex.pivots", t.pivots as u64);
     xring_obs::counter("simplex.degenerate_pivots", t.degenerate as u64);
     let (pivots_name, warm_name, cold_name) = match backend {

@@ -1,15 +1,16 @@
 //! End-to-end acceptance suite for incremental re-synthesis.
 //!
-//! Pins the three properties the incremental layer promises on the
-//! N=16 irregular fixture used by the `regress` edit-loop scenario:
+//! Pins the three properties the incremental layer promises on an
+//! N=16 irregular fixture whose ring MILP really branches:
 //!
 //! 1. **Determinism** — re-synthesizing an edited spec from cached
 //!    phase artifacts is byte-identical to a cold full synthesis of
 //!    the same final spec.
 //! 2. **Dirty-suffix-only recompute** — a single-demand edit replays
 //!    the ring and shortcut phases verbatim (no `ring-milp` /
-//!    `shortcut` spans in the trace) and recomputes exactly the
-//!    mapping → opening → PDN suffix.
+//!    `shortcut` spans in the trace, no LP solve and no simplex pivot,
+//!    where a cold synthesis of the edited spec does both) and
+//!    recomputes exactly the mapping → opening → PDN suffix.
 //! 3. **Fault containment** (`--features fault-inject`) — a phase
 //!    artifact corrupted mid-edit is detected by the audit, evicted,
 //!    and the request falls back to a cold synthesis with the same
@@ -102,6 +103,26 @@ fn edit_recomputes_only_the_dirty_suffix_of_the_phase_dag() {
     assert_eq!(trace.total("incremental.phase_hits"), 2);
     assert_eq!(trace.total("incremental.phase_misses"), 3);
     assert_eq!(trace.total("incremental.fallbacks"), 0);
+
+    // The edit is cheaper in work, not only in wall time: it solves no
+    // LP at all, where a cold synthesis of the same spec runs the MILP.
+    obs::start();
+    Engine::new()
+        .with_workers(1)
+        .resynthesize(&edited, &edited)
+        .expect("pinned edit workload is feasible");
+    let cold = obs::finish();
+    for counter in ["milp.lp_solves", "simplex.pivots"] {
+        assert_eq!(
+            trace.total(counter),
+            0,
+            "incremental edit recorded {counter}"
+        );
+        assert!(
+            cold.total(counter) > 0,
+            "cold synthesis recorded no {counter}"
+        );
+    }
 }
 
 /// A mapping artifact corrupted between the seed run and the edit: the

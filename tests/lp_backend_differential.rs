@@ -80,9 +80,8 @@ fn backends_agree_on_the_ring_milp_optimum_for_every_fixture() {
 fn revised_backend_warm_starts_nearly_every_branching_child() {
     // Summed over the fixtures whose branch-and-bound actually branches
     // (the regular floorplans mostly solve at the root), the revised
-    // backend must reuse the parent basis on > 80 % of child solves —
-    // the ISSUE's headline warm-start acceptance, asserted here on the
-    // same irregular nets the regression suite pins.
+    // backend must reuse the parent basis on > 80 % of child solves,
+    // on irregular nets like the one `golden_work.rs` pins.
     let mut warm = 0usize;
     let mut eligible = 0usize;
     for seed in [5u64, 7, 13] {

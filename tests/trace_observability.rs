@@ -1,9 +1,11 @@
 //! End-to-end observability: a traced synthesis run must produce a
 //! well-formed JSONL event stream covering every pipeline phase, and a
-//! folded export that parses as flamegraph collapsed stacks.
+//! folded export that parses as flamegraph collapsed stacks. A
+//! request-scoped capture must see the solver's counters without the
+//! global trace.
 
 use xring::obs;
-use xring_core::{NetworkSpec, SynthesisOptions, Synthesizer};
+use xring_core::{NetworkSpec, RingBuilder, SynthesisOptions, Synthesizer};
 use xring_phot::{CrosstalkParams, LossParams, PowerParams};
 
 /// One full traced run: synthesize the paper's 8-node floorplan and
@@ -112,4 +114,29 @@ fn folded_trace_parses_as_collapsed_stacks() {
     sorted.sort_unstable();
     sorted.dedup();
     assert_eq!(sorted.len(), chains.len(), "duplicate chain lines");
+}
+
+#[test]
+fn request_capture_sees_simplex_counters_without_the_global_trace() {
+    // Serialized with the globally traced tests above, so the global
+    // recorder is provably off while the request captures.
+    let _lock = obs::test_guard();
+    assert!(!obs::enabled());
+    let net = NetworkSpec::irregular(16, 8_000, 5).expect("valid placement");
+    let ctx = obs::RequestCtx::new(obs::RequestId::mint(16, 1, 0));
+    let scope = ctx.attach();
+    RingBuilder::new().build(&net).expect("ring");
+    drop(scope);
+    let trace = ctx.finish();
+    assert!(trace.total("milp.lp_solves") > 0);
+    for name in [
+        "simplex.pivots",
+        "simplex.refactorizations",
+        "simplex.warm_starts",
+    ] {
+        assert!(
+            trace.total(name) > 0,
+            "{name} missing from the request trace"
+        );
+    }
 }
