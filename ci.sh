@@ -8,6 +8,18 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> non-test Rust lines per crate (informational: lines above each file's first top-level #[cfg(test)])"
+total=0
+for dir in crates/*/src src; do
+    name=$(basename "$(dirname "$dir")")
+    [ "$dir" = src ] && name=xring
+    lines=$(find "$dir" -name '*.rs' -exec awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } !skip { n++ } END { print n + 0 }' {} + \
+        | awk '{ s += $1 } END { print s + 0 }')
+    printf '  %-10s %6d\n' "$name" "$lines"
+    total=$((total + lines))
+done
+printf '  %-10s %6d\n' total "$total"
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

@@ -10,8 +10,7 @@
 //!   E5–E7.
 //!
 //! The binaries `table1`, `table2`, `table3` and `ablation` print the
-//! rows; the Criterion benches under `benches/` time the underlying
-//! synthesis flows.
+//! rows; `scaling` prints runtime and metrics against node count.
 
 pub mod tables;
 

@@ -526,6 +526,7 @@ pub fn print_sections(sections: &[(String, Vec<RouterReport>)]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xring_engine::CacheCounter;
 
     #[test]
     fn wl_candidate_buckets() {
@@ -634,9 +635,9 @@ mod tests {
     fn repeated_ablations_reuse_cached_designs() {
         let engine = Engine::new();
         let first = ablation_pdn(&engine).expect("E6");
-        assert_eq!(engine.cache().hits(), 0);
+        assert_eq!(engine.cache().counters.get(CacheCounter::Hits), 0);
         let second = ablation_pdn(&engine).expect("E6 again");
-        assert_eq!(engine.cache().hits(), 2);
+        assert_eq!(engine.cache().counters.get(CacheCounter::Hits), 2);
         assert_eq!(first[0].1.len(), second[0].1.len());
         for (a, b) in first[0].1.iter().zip(&second[0].1) {
             assert_eq!(a, b, "cached rows must be identical");

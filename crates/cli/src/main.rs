@@ -18,8 +18,9 @@ use xring_bench::tables::{
 use xring_core::{
     DegradationLevel, NetworkSpec, SpareConfig, SynthesisOptions, Synthesizer, Traffic,
 };
-use xring_engine::{Engine, JsonlSink, SynthesisJob};
+use xring_engine::{CacheCounter, Engine, JsonlSink, SynthesisJob};
 use xring_phot::{CrosstalkParams, LossParams, PowerParams, RouterReport};
+use xring_serve::ServeCounter;
 use xring_viz::{render_design, RenderOptions};
 
 /// The `Ok` value of `$result`; on `Err(e)` prints `error: [context: ]e`
@@ -214,12 +215,11 @@ fn run_ablation(which: &str, engine: &Engine) -> ExitCode {
             }
         }
     }
-    if engine.cache().hits() > 0 {
-        println!(
-            "engine cache: {} hits, {} misses",
-            engine.cache().hits(),
-            engine.cache().misses()
-        );
+    let cache = &engine.cache().counters;
+    let hits = cache.get(CacheCounter::Hits);
+    if hits > 0 {
+        let misses = cache.get(CacheCounter::Misses);
+        println!("engine cache: {hits} hits, {misses} misses");
     }
     ExitCode::SUCCESS
 }
@@ -503,17 +503,25 @@ fn run_serve(args: &ServeArgs) -> ExitCode {
         std::thread::sleep(Duration::from_millis(50));
     }
     server.shutdown();
-    let m = server.metrics();
+    // Two populations: `/synth` and `/batch` requests ran in the handler
+    // pool; responses span every route, operator endpoints included.
+    let serve = |row| server.metrics().counters.get(row);
+    let cache = |row| server.cache().counters.get(row);
+    let responses = serve(ServeCounter::Ok)
+        + serve(ServeCounter::ClientErrors)
+        + serve(ServeCounter::ServerErrors)
+        + serve(ServeCounter::Shed);
     xring_obs::log::info(
         "cli",
         &format!(
-            "drained after {} requests ({} ok, {} shed, {} degraded); cache {} hits / {} misses",
-            m.requests(),
-            m.ok(),
-            m.shed(),
-            m.degraded(),
-            server.cache().hits(),
-            server.cache().misses(),
+            "drained after {} synth/batch requests ({} degraded) and {} responses on all routes ({} ok, {} shed); cache {} hits / {} misses",
+            serve(ServeCounter::Requests),
+            serve(ServeCounter::Degraded),
+            responses,
+            serve(ServeCounter::Ok),
+            serve(ServeCounter::Shed),
+            cache(CacheCounter::Hits),
+            cache(CacheCounter::Misses),
         ),
         &[],
     );

@@ -104,8 +104,9 @@ impl PhaseId {
 }
 
 /// FNV-1a (64-bit): a stable content hash, identical across processes
-/// (no `DefaultHasher` seeding).
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// and platforms (no `DefaultHasher` seeding). Keys phase artifacts and
+/// fingerprints request specs and golden designs.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
@@ -146,7 +147,7 @@ impl PhaseKeys {
                 net.key_bytes(&mut bytes);
             }
             o.encode_key(|role| role == KeyRole::Phase(phase), &mut bytes);
-            *key = fnv1a(&bytes);
+            *key = fnv1a64(&bytes);
             upstream = *key;
         }
         let [ring, shortcut, mapping, opening, pdn] = keys;
@@ -670,6 +671,13 @@ mod tests {
     use crate::netspec::NodeId;
     use crate::traffic::Traffic;
     use xring_geom::Point;
+
+    #[test]
+    fn fnv_hash_is_stable_and_spreads() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_ne!(fnv1a64(b"a"), fnv1a64(b"b"));
+        assert_eq!(fnv1a64(b"spec"), fnv1a64(b"spec"));
+    }
 
     fn opts() -> SynthesisOptions {
         SynthesisOptions::with_wavelengths(8)

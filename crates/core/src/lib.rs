@@ -66,8 +66,9 @@ pub use fault::{
     DeviceFault, FaultAudit, RepairSummary, SpareConfig, SurvivabilityReport,
 };
 pub use incremental::{
-    ArtifactStore, IncrementalReport, MappingArtifact, MemoryArtifactStore, OpeningArtifact,
-    PdnArtifact, PhaseArtifact, PhaseId, PhaseKeys, RingArtifact, ShortcutArtifact,
+    fnv1a64, ArtifactStore, IncrementalReport, MappingArtifact, MemoryArtifactStore,
+    OpeningArtifact, PdnArtifact, PhaseArtifact, PhaseId, PhaseKeys, RingArtifact,
+    ShortcutArtifact,
 };
 pub use layout::{Hop, LayoutModel, NoiseSource, Station, Waveguide};
 pub use mapping::{map_signals, map_signals_with_traffic, MappingPlan, RouteKind, SignalRoute};

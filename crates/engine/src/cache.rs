@@ -33,8 +33,7 @@
 //! *used* entries are evicted until the total fits the budget again.
 //! Recency is bumped on hits, so a hot design survives a scan of cold
 //! ones. Evictions are observable through
-//! [`lru_evictions`](DesignCache::lru_evictions) /
-//! [`evicted_bytes`](DesignCache::evicted_bytes) and the
+//! [`CacheCounter::LruEvictions`] / [`CacheCounter::EvictBytes`] and the
 //! `cache.evict_bytes` counter.
 
 //! # Phase artifacts
@@ -52,9 +51,9 @@
 //! overwrites.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use xring_core::{design_key, ArtifactStore, OptionValue, PhaseArtifact, PhaseId, XRingDesign};
+use xring_obs::{CounterRow, Counters, Series};
 use xring_phot::RouterReport;
 
 use crate::job::SynthesisJob;
@@ -182,6 +181,67 @@ impl Inner {
     }
 }
 
+/// The cache's counters, one row per `/metrics` series.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CacheCounter {
+    /// Whole-design lookups served from the cache.
+    Hits,
+    /// Whole-design lookups that found nothing usable.
+    Misses,
+    /// Corrupted entries evicted on read.
+    Evictions,
+    /// Entries evicted to fit the byte budget.
+    LruEvictions,
+    /// Estimated bytes reclaimed by budget evictions.
+    EvictBytes,
+    /// Phase-artifact hits across all phases.
+    ArtifactHits,
+    /// Phase-artifact misses across all phases.
+    ArtifactMisses,
+    /// Phase-artifact hits for one phase.
+    PhaseHits(PhaseId),
+    /// Phase-artifact misses for one phase.
+    PhaseMisses(PhaseId),
+}
+
+impl CounterRow for CacheCounter {
+    // The per-phase rows interleave hits and misses in pipeline order;
+    // the global recorder sees only the two artifact totals.
+    const TABLE: &'static [Series] = &[
+        Series::forwarded("cache.hits"),
+        Series::forwarded("cache.misses"),
+        Series::forwarded("cache.evictions"),
+        Series::forwarded("cache.lru_evictions"),
+        Series::forwarded("cache.evict_bytes"),
+        Series::forwarded("cache.artifact_hits"),
+        Series::forwarded("cache.artifact_misses"),
+        Series::local("cache.phase_hits.ring-milp"),
+        Series::local("cache.phase_misses.ring-milp"),
+        Series::local("cache.phase_hits.shortcut"),
+        Series::local("cache.phase_misses.shortcut"),
+        Series::local("cache.phase_hits.mapping"),
+        Series::local("cache.phase_misses.mapping"),
+        Series::local("cache.phase_hits.opening"),
+        Series::local("cache.phase_misses.opening"),
+        Series::local("cache.phase_hits.pdn"),
+        Series::local("cache.phase_misses.pdn"),
+    ];
+
+    fn index(self) -> usize {
+        match self {
+            CacheCounter::Hits => 0,
+            CacheCounter::Misses => 1,
+            CacheCounter::Evictions => 2,
+            CacheCounter::LruEvictions => 3,
+            CacheCounter::EvictBytes => 4,
+            CacheCounter::ArtifactHits => 5,
+            CacheCounter::ArtifactMisses => 6,
+            CacheCounter::PhaseHits(phase) => 7 + 2 * phase as usize,
+            CacheCounter::PhaseMisses(phase) => 8 + 2 * phase as usize,
+        }
+    }
+}
+
 /// An in-memory, thread-safe design cache shared by every job an
 /// [`Engine`](crate::Engine) runs (and, through an [`Arc`], across
 /// engines — the serve daemon shares one cache over all requests). Only
@@ -192,15 +252,8 @@ pub struct DesignCache {
     inner: Mutex<Inner>,
     /// Byte budget; `None` = unbounded (the historical behaviour).
     byte_budget: Option<usize>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    evictions: AtomicUsize,
-    lru_evictions: AtomicUsize,
-    evicted_bytes: AtomicUsize,
-    /// Phase-artifact hits, indexed by phase (in pipeline order).
-    phase_hits: [AtomicUsize; 5],
-    /// Phase-artifact misses, indexed by phase (in pipeline order).
-    phase_misses: [AtomicUsize; 5],
+    /// Hit, miss and eviction counts since construction.
+    pub counters: Counters<CacheCounter>,
 }
 
 impl std::fmt::Debug for DesignCache {
@@ -209,8 +262,7 @@ impl std::fmt::Debug for DesignCache {
             .field("len", &self.len())
             .field("bytes", &self.bytes())
             .field("byte_budget", &self.byte_budget)
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
+            .field("counters", &self.counters)
             .finish()
     }
 }
@@ -260,8 +312,7 @@ impl DesignCache {
                 payload: Payload::Design { design, report },
                 ..
             }) if entry_is_intact(design) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                xring_obs::counter("cache.hits", 1);
+                self.counters.add(CacheCounter::Hits, 1);
                 let design = Arc::clone(design);
                 let mut report = report.clone();
                 report.label = label.to_owned();
@@ -270,15 +321,12 @@ impl DesignCache {
             }
             Some(_) => {
                 inner.remove(key);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                xring_obs::counter("cache.evictions", 1);
-                xring_obs::counter("cache.misses", 1);
+                self.counters.add(CacheCounter::Evictions, 1);
+                self.counters.add(CacheCounter::Misses, 1);
                 None
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                xring_obs::counter("cache.misses", 1);
+                self.counters.add(CacheCounter::Misses, 1);
                 None
             }
         }
@@ -336,36 +384,10 @@ impl DesignCache {
                 continue; // stale residue of a later bump
             }
             let entry = inner.remove(&key).expect("live entry");
-            self.lru_evictions.fetch_add(1, Ordering::Relaxed);
-            self.evicted_bytes.fetch_add(entry.bytes, Ordering::Relaxed);
-            xring_obs::counter("cache.lru_evictions", 1);
-            xring_obs::counter("cache.evict_bytes", entry.bytes as u64);
+            self.counters.add(CacheCounter::LruEvictions, 1);
+            self.counters
+                .add(CacheCounter::EvictBytes, entry.bytes as u64);
         }
-    }
-
-    /// Cache hits counted so far.
-    pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Cache misses counted so far.
-    pub fn misses(&self) -> usize {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Corrupted entries evicted on read so far.
-    pub fn evictions(&self) -> usize {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Entries evicted to fit the byte budget so far.
-    pub fn lru_evictions(&self) -> usize {
-        self.lru_evictions.load(Ordering::Relaxed)
-    }
-
-    /// Total estimated bytes reclaimed by budget evictions so far.
-    pub fn evicted_bytes(&self) -> usize {
-        self.evicted_bytes.load(Ordering::Relaxed)
     }
 
     /// Estimated bytes currently held.
@@ -463,32 +485,6 @@ impl DesignCache {
         }
         basis
     }
-
-    /// Phase-artifact hits for one phase.
-    pub fn phase_hits(&self, phase: PhaseId) -> usize {
-        self.phase_hits[phase as usize].load(Ordering::Relaxed)
-    }
-
-    /// Phase-artifact misses for one phase.
-    pub fn phase_misses(&self, phase: PhaseId) -> usize {
-        self.phase_misses[phase as usize].load(Ordering::Relaxed)
-    }
-
-    /// Phase-artifact hits across all phases.
-    pub fn artifact_hits(&self) -> usize {
-        self.phase_hits
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Phase-artifact misses across all phases.
-    pub fn artifact_misses(&self) -> usize {
-        self.phase_misses
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
 }
 
 impl ArtifactStore for DesignCache {
@@ -503,14 +499,14 @@ impl ArtifactStore for DesignCache {
                 ..
             }) => {
                 let artifact = artifact.clone();
-                self.phase_hits[phase as usize].fetch_add(1, Ordering::Relaxed);
-                xring_obs::counter("cache.artifact_hits", 1);
+                self.counters.add(CacheCounter::PhaseHits(phase), 1);
+                self.counters.add(CacheCounter::ArtifactHits, 1);
                 inner.bump(&addr);
                 Some(artifact)
             }
             _ => {
-                self.phase_misses[phase as usize].fetch_add(1, Ordering::Relaxed);
-                xring_obs::counter("cache.artifact_misses", 1);
+                self.counters.add(CacheCounter::PhaseMisses(phase), 1);
+                self.counters.add(CacheCounter::ArtifactMisses, 1);
                 None
             }
         }
@@ -666,14 +662,14 @@ mod tests {
 
         assert!(cache.corrupt(&key));
         assert!(cache.lookup(&key, "j").is_none(), "corrupt entry served");
-        assert_eq!(cache.evictions(), 1);
+        assert_eq!(cache.counters.get(CacheCounter::Evictions), 1);
         assert_eq!(cache.len(), 0, "corrupt entry not removed");
         assert_eq!(cache.bytes(), 0, "corrupt eviction must release bytes");
 
         // Re-inserting a good design heals the slot.
         cache.insert(key.clone(), design, report);
         assert!(cache.lookup(&key, "j").is_some());
-        assert_eq!(cache.evictions(), 1);
+        assert_eq!(cache.counters.get(CacheCounter::Evictions), 1);
     }
 
     #[test]
@@ -701,8 +697,8 @@ mod tests {
         cache.insert(key.clone(), design, report);
         let (_, hit) = cache.lookup(&key, "second").expect("hit");
         assert_eq!(hit.label, "second");
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.counters.get(CacheCounter::Hits), 1);
+        assert_eq!(cache.counters.get(CacheCounter::Misses), 1);
         assert_eq!(cache.len(), 1);
     }
 
@@ -739,8 +735,11 @@ mod tests {
         assert!(cache.lookup(kc, "c").is_some(), "fresh C evicted");
         assert!(cache.lookup(kb, "b").is_none(), "LRU B survived");
         assert!(cache.bytes() <= budget, "over budget after eviction");
-        assert_eq!(cache.lru_evictions(), 1);
-        assert_eq!(cache.evicted_bytes(), sizes[1]);
+        assert_eq!(cache.counters.get(CacheCounter::LruEvictions), 1);
+        assert_eq!(
+            cache.counters.get(CacheCounter::EvictBytes),
+            sizes[1] as u64
+        );
     }
 
     #[test]
@@ -751,7 +750,11 @@ mod tests {
         cache.insert(key.clone(), design, report);
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.bytes(), 0);
-        assert_eq!(cache.lru_evictions(), 0, "refusal is not an eviction");
+        assert_eq!(
+            cache.counters.get(CacheCounter::LruEvictions),
+            0,
+            "refusal is not an eviction"
+        );
     }
 
     #[test]
@@ -764,7 +767,7 @@ mod tests {
             cache.insert(key, design, report);
         }
         assert_eq!(cache.len(), 3);
-        assert_eq!(cache.lru_evictions(), 0);
+        assert_eq!(cache.counters.get(CacheCounter::LruEvictions), 0);
         assert!(cache.bytes() > 0);
     }
 
@@ -778,21 +781,48 @@ mod tests {
     }
 
     #[test]
+    fn counter_rows_name_their_own_series() {
+        let name = |row: CacheCounter| CacheCounter::TABLE[row.index()].name;
+        assert_eq!(name(CacheCounter::ArtifactMisses), "cache.artifact_misses");
+        for phase in PhaseId::ALL {
+            let phase_name = phase.as_str();
+            let hits = format!("cache.phase_hits.{phase_name}");
+            let misses = format!("cache.phase_misses.{phase_name}");
+            assert_eq!(name(CacheCounter::PhaseHits(phase)), hits);
+            assert_eq!(name(CacheCounter::PhaseMisses(phase)), misses);
+        }
+        assert_eq!(CacheCounter::TABLE.len(), 7 + 2 * PhaseId::ALL.len());
+    }
+
+    #[test]
     fn artifact_roundtrip_counts_phase_hits_and_misses() {
         let cache = DesignCache::new();
         assert!(cache.get_artifact(PhaseId::Shortcut, 7).is_none());
-        assert_eq!(cache.phase_misses(PhaseId::Shortcut), 1);
+        assert_eq!(
+            cache
+                .counters
+                .get(CacheCounter::PhaseMisses(PhaseId::Shortcut)),
+            1
+        );
         cache.put_artifact(PhaseId::Shortcut, 7, shortcut_artifact(2));
         assert!(matches!(
             cache.get_artifact(PhaseId::Shortcut, 7),
             Some(PhaseArtifact::Shortcut(_))
         ));
-        assert_eq!(cache.phase_hits(PhaseId::Shortcut), 1);
-        assert_eq!(cache.artifact_hits(), 1);
-        assert_eq!(cache.artifact_misses(), 1);
+        assert_eq!(
+            cache
+                .counters
+                .get(CacheCounter::PhaseHits(PhaseId::Shortcut)),
+            1
+        );
+        assert_eq!(cache.counters.get(CacheCounter::ArtifactHits), 1);
+        assert_eq!(cache.counters.get(CacheCounter::ArtifactMisses), 1);
         // Same content key under a different phase is a distinct address.
         assert!(cache.get_artifact(PhaseId::Ring, 7).is_none());
-        assert_eq!(cache.phase_misses(PhaseId::Ring), 1);
+        assert_eq!(
+            cache.counters.get(CacheCounter::PhaseMisses(PhaseId::Ring)),
+            1
+        );
         cache.evict_artifact(PhaseId::Shortcut, 7);
         assert!(cache.get_artifact(PhaseId::Shortcut, 7).is_none());
     }
@@ -857,7 +887,7 @@ mod tests {
             "live neighbour evicted by overwrite churn"
         );
         assert!(cache.bytes() <= budget);
-        assert_eq!(cache.lru_evictions(), 0);
+        assert_eq!(cache.counters.get(CacheCounter::LruEvictions), 0);
     }
 
     #[test]
@@ -874,7 +904,10 @@ mod tests {
             cache.put_artifact(PhaseId::Shortcut, k, shortcut_artifact(2));
         }
         assert!(cache.bytes() <= design_bytes + 256);
-        assert!(cache.lru_evictions() > 0, "budget never enforced");
+        assert!(
+            cache.counters.get(CacheCounter::LruEvictions) > 0,
+            "budget never enforced"
+        );
     }
 
     #[test]

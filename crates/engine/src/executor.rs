@@ -509,6 +509,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CacheCounter;
 
     #[test]
     fn tasks_return_in_index_order() {
@@ -551,8 +552,8 @@ mod tests {
             second.outcomes[0].as_ref().expect("ok").cache_hit,
             "second engine missed the shared cache"
         );
-        assert_eq!(shared.hits(), 1);
-        assert_eq!(shared.misses(), 1);
+        assert_eq!(shared.counters.get(CacheCounter::Hits), 1);
+        assert_eq!(shared.counters.get(CacheCounter::Misses), 1);
         assert!(shared.bytes() > 0);
     }
 

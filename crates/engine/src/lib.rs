@@ -57,7 +57,7 @@ pub mod metrics;
 pub mod survivability;
 pub mod sweep;
 
-pub use cache::{approx_entry_bytes, canonical_key, DesignCache};
+pub use cache::{approx_entry_bytes, canonical_key, CacheCounter, DesignCache};
 pub use executor::Engine;
 #[cfg(feature = "fault-inject")]
 pub use fault::{FaultClass, FaultPlan, FaultRates};

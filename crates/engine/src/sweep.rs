@@ -83,6 +83,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CacheCounter;
     use xring_core::sweep_wavelengths as serial_sweep;
 
     #[test]
@@ -190,11 +191,11 @@ mod tests {
                 .expect("sweep")
         };
         let first = run();
-        assert_eq!(engine.cache().hits(), 0);
-        assert_eq!(engine.cache().misses(), 2);
+        assert_eq!(engine.cache().counters.get(CacheCounter::Hits), 0);
+        assert_eq!(engine.cache().counters.get(CacheCounter::Misses), 2);
         let second = run();
-        assert_eq!(engine.cache().hits(), 2);
-        assert_eq!(engine.cache().misses(), 2);
+        assert_eq!(engine.cache().counters.get(CacheCounter::Hits), 2);
+        assert_eq!(engine.cache().counters.get(CacheCounter::Misses), 2);
         assert_eq!(first.best, second.best);
         for (a, b) in first.points.iter().zip(&second.points) {
             assert_eq!(a.report, b.report); // cached hits echo the report

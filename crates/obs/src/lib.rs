@@ -18,7 +18,8 @@
 //! capture** ([`RequestCtx`]: per-request span trees collected
 //! concurrently and independently of the global recorder) and a
 //! structured, leveled **JSONL [`log`]** whose events automatically carry
-//! the attached request id.
+//! the attached request id, and always-on **[`Counters`] tables** whose
+//! rows are declared once and can be read at any moment.
 //!
 //! # Design
 //!
@@ -69,6 +70,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod counters;
 mod export;
 mod hist;
 pub mod log;
@@ -77,6 +79,7 @@ mod reqctx;
 mod sampler;
 mod trace;
 
+pub use counters::{CounterRow, Counters, Series};
 pub use export::{folded_frame, json_escape, TraceFormat};
 pub use hist::{histogram, record_hist, Histogram, HistogramSnapshot, HIST_BUCKETS};
 pub use prom::{sanitize_metric_name, validate_exposition};

@@ -8,7 +8,7 @@
 use std::time::Duration;
 
 use xring_core::DegradationPolicy;
-use xring_serve::{client, ServeConfig, Server};
+use xring_serve::{client, ServeConfig, ServeCounter, Server};
 
 fn thread_count() -> usize {
     // Linux-specific but CI runs on Linux; elsewhere the check is
@@ -141,7 +141,10 @@ fn main() {
         client::http_request(addr, "POST", "/shutdown", "").expect("shutdown reachable");
     check("shutdown", status == 200 && body.contains("draining"));
     server.shutdown();
-    check("drained", server.metrics().ok() >= 3);
+    check(
+        "drained",
+        server.metrics().counters.get(ServeCounter::Ok) >= 3,
+    );
 
     // Give the OS a beat to reap finished threads before counting.
     std::thread::sleep(Duration::from_millis(100));

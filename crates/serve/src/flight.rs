@@ -257,19 +257,10 @@ impl TailSampler {
     }
 }
 
-/// FNV-1a 64-bit hash — the spec fingerprint stored in request records.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xring_core::fnv1a64;
 
     fn record(id: &str, wall_us: u64, slow: bool) -> RequestRecord {
         RequestRecord {
@@ -358,12 +349,5 @@ mod tests {
         assert_eq!(tail.get("shed-1").as_deref(), Some("trace-3"));
         assert_eq!(tail.ids(), ["shed-1", "degraded-1"]);
         assert!(tail.get("fast").is_none());
-    }
-
-    #[test]
-    fn fnv_hash_is_stable_and_spreads() {
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv1a64(b"a"), fnv1a64(b"b"));
-        assert_eq!(fnv1a64(b"spec"), fnv1a64(b"spec"));
     }
 }

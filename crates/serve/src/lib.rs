@@ -82,6 +82,6 @@ pub mod protocol;
 pub mod server;
 
 pub use flight::{FlightRecorder, RequestRecord, TailSampler};
-pub use metrics::{ServeMetrics, SloConfig, SloTracker};
+pub use metrics::{ServeCounter, ServeMetrics, SloConfig, SloTracker};
 pub use protocol::{ProtocolError, RequestDefaults};
 pub use server::{ServeConfig, Server};

@@ -3,73 +3,79 @@
 //! The global xring-obs recorder is drain-on-finish — right for batch
 //! runs, wrong for a daemon whose `/metrics` endpoint must answer at any
 //! moment without destroying state. So the daemon owns *always-on local*
-//! instruments (the same lock-free [`Histogram`] type plus plain
-//! atomics) and renders a scrape by assembling a point-in-time
-//! [`Trace`] value and reusing [`Trace::write_prometheus`] — one
-//! exposition renderer in the workspace, two lifecycles.
+//! instruments ([`Counters`] tables, the same lock-free [`Histogram`]
+//! type, and two gauge atomics) and renders a scrape by assembling a
+//! point-in-time [`Trace`] value and reusing [`Trace::write_prometheus`]
+//! — one exposition renderer in the workspace, two lifecycles.
 //!
-//! Every sample is additionally mirrored into the global recorder via
-//! the gated [`xring_obs::record_hist`]/[`counter`](xring_obs::counter)
-//! calls, so `xring serve --trace` captures `serve.*` series alongside
-//! the engine's exactly like every other subcommand.
+//! Every [`ServeCounter`] increment and histogram sample is additionally
+//! mirrored into the gated global recorder, so `xring serve --trace`
+//! captures `serve.*` series alongside the engine's exactly like every
+//! other subcommand. The SLO counters stay local.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use xring_core::PhaseId;
 use xring_engine::DesignCache;
-use xring_obs::{GaugeRecord, Histogram, Trace};
+use xring_obs::{CounterRow, Counters, GaugeRecord, Histogram, Series, Trace};
 
-/// Counter and histogram names, in one place so the daemon, the tests
-/// and the bench load-test agree on spellings.
-pub mod names {
-    /// End-to-end request wall time, admission to response, µs.
-    pub const REQUEST_WALL_US: &str = "serve.request_wall_us";
-    /// Time spent queued before a handler picked the request up, µs.
-    pub const QUEUE_WAIT_US: &str = "serve.queue_wait_us";
-    /// Requests admitted (everything that got past parsing).
-    pub const REQUESTS: &str = "serve.requests";
-    /// Responses with a 2xx status.
-    pub const OK: &str = "serve.ok";
+/// End-to-end request wall time, admission to response, µs.
+const REQUEST_WALL_US: &str = "serve.request_wall_us";
+/// Time spent queued before a handler picked the request up, µs.
+const QUEUE_WAIT_US: &str = "serve.queue_wait_us";
+
+/// The daemon's counters, one row per `/metrics` series.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServeCounter {
+    /// Requests that ran in the handler pool (`/synth` and `/batch`),
+    /// shed ones excluded. Inline endpoints are not counted here.
+    Requests,
+    /// Responses with a 2xx status, from every endpoint.
+    Ok,
     /// Responses with a 4xx status (shed responses not included).
-    pub const CLIENT_ERRORS: &str = "serve.client_errors";
+    ClientErrors,
     /// Responses with a 5xx status.
-    pub const SERVER_ERRORS: &str = "serve.server_errors";
+    ServerErrors,
     /// Requests shed by admission control (429).
-    pub const SHED: &str = "serve.shed";
+    Shed,
     /// Requests that exhausted their deadline (exact synthesis only;
-    /// degraded completions count under [`DEGRADED`] instead).
-    pub const DEADLINE_EXCEEDED: &str = "serve.deadline_exceeded";
-    /// Successful responses produced below [`DegradationLevel::Exact`]
+    /// degraded completions count under [`Degraded`](Self::Degraded)).
+    DeadlineExceeded,
+    /// Successful responses produced below
+    /// [`DegradationLevel::Exact`](xring_core::DegradationLevel::Exact)
     /// (i.e. the fallback chain ran).
-    ///
-    /// [`DegradationLevel::Exact`]: xring_core::DegradationLevel::Exact
-    pub const DEGRADED: &str = "serve.degraded";
+    Degraded,
     /// Successful responses whose design was synthesized with spares,
     /// i.e. released only after the exhaustive single-device-fault
     /// survivability proof.
-    pub const SPARED: &str = "serve.spared";
-    /// Requests currently inside a handler (gauge).
-    pub const INFLIGHT: &str = "serve.inflight";
-    /// Requests currently parked in the accept queue (gauge).
-    pub const QUEUED: &str = "serve.queued";
+    Spared,
     /// `/synth` responses that replayed at least one pipeline phase
     /// from the cache's artifact store (incremental re-synthesis).
-    pub const INCREMENTAL: &str = "serve.incremental";
+    Incremental,
     /// Handler bodies that panicked and were converted to a 500 by the
     /// `catch_unwind` wrapper (the pool thread survives).
-    pub const HANDLER_PANICS: &str = "serve.handler_panics";
-    /// Availability SLO: requests answered without a server-side
-    /// failure (not 5xx, not shed).
-    pub const SLO_AVAILABILITY_GOOD: &str = "serve.slo.availability_good";
-    /// Availability SLO: requests lost to a 5xx or shed by admission.
-    pub const SLO_AVAILABILITY_BAD: &str = "serve.slo.availability_bad";
-    /// Latency SLO: successful responses within the latency target.
-    pub const SLO_LATENCY_GOOD: &str = "serve.slo.latency_good";
-    /// Latency SLO: successful responses over the latency target.
-    pub const SLO_LATENCY_BAD: &str = "serve.slo.latency_bad";
+    HandlerPanics,
+}
+
+impl CounterRow for ServeCounter {
+    const TABLE: &'static [Series] = &[
+        Series::forwarded("serve.requests"),
+        Series::forwarded("serve.ok"),
+        Series::forwarded("serve.client_errors"),
+        Series::forwarded("serve.server_errors"),
+        Series::forwarded("serve.shed"),
+        Series::forwarded("serve.deadline_exceeded"),
+        Series::forwarded("serve.degraded"),
+        Series::forwarded("serve.spared"),
+        Series::forwarded("serve.incremental"),
+        Series::forwarded("serve.handler_panics"),
+    ];
+
+    fn index(self) -> usize {
+        self as usize
+    }
 }
 
 /// The daemon's live instrument set. One instance per
@@ -81,16 +87,8 @@ pub struct ServeMetrics {
     pub request_wall: Histogram,
     /// Queue wait (accepted to handler pickup).
     pub queue_wait: Histogram,
-    requests: AtomicU64,
-    ok: AtomicU64,
-    client_errors: AtomicU64,
-    server_errors: AtomicU64,
-    shed: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    degraded: AtomicU64,
-    spared: AtomicU64,
-    incremental: AtomicU64,
-    handler_panics: AtomicU64,
+    /// Request and response counts, one row per [`ServeCounter`].
+    pub counters: Counters<ServeCounter>,
     inflight: AtomicU64,
     queued: AtomicU64,
     started: Instant,
@@ -108,16 +106,7 @@ impl ServeMetrics {
         ServeMetrics {
             request_wall: Histogram::new(),
             queue_wait: Histogram::new(),
-            requests: AtomicU64::new(0),
-            ok: AtomicU64::new(0),
-            client_errors: AtomicU64::new(0),
-            server_errors: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            spared: AtomicU64::new(0),
-            incremental: AtomicU64::new(0),
-            handler_panics: AtomicU64::new(0),
+            counters: Counters::new(),
             inflight: AtomicU64::new(0),
             queued: AtomicU64::new(0),
             started: Instant::now(),
@@ -129,75 +118,30 @@ impl ServeMetrics {
         self.started.elapsed().as_secs()
     }
 
-    /// Records one admitted request's end-to-end wall time and mirrors
-    /// it into the global recorder (a no-op unless `--trace` is live).
+    /// Records one handler-pool request's end-to-end wall time and
+    /// mirrors it into the global recorder (a no-op unless `--trace` is
+    /// live).
     pub fn record_request_wall(&self, us: u64) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.counters.add(ServeCounter::Requests, 1);
         self.request_wall.record(us);
-        xring_obs::record_hist(names::REQUEST_WALL_US, us);
-        xring_obs::counter(names::REQUESTS, 1);
+        xring_obs::record_hist(REQUEST_WALL_US, us);
     }
 
     /// Records one request's queue wait.
     pub fn record_queue_wait(&self, us: u64) {
         self.queue_wait.record(us);
-        xring_obs::record_hist(names::QUEUE_WAIT_US, us);
+        xring_obs::record_hist(QUEUE_WAIT_US, us);
     }
 
     /// Classifies a finished response by status code.
     pub fn record_status(&self, status: u16) {
-        let slot = match status {
-            200..=299 => &self.ok,
-            429 => &self.shed,
-            400..=499 => &self.client_errors,
-            _ => &self.server_errors,
+        let row = match status {
+            200..=299 => ServeCounter::Ok,
+            429 => ServeCounter::Shed,
+            400..=499 => ServeCounter::ClientErrors,
+            _ => ServeCounter::ServerErrors,
         };
-        slot.fetch_add(1, Ordering::Relaxed);
-        let name = match status {
-            200..=299 => names::OK,
-            429 => names::SHED,
-            400..=499 => names::CLIENT_ERRORS,
-            _ => names::SERVER_ERRORS,
-        };
-        xring_obs::counter(name, 1);
-    }
-
-    /// Counts a deadline-exceeded outcome.
-    pub fn record_deadline_exceeded(&self) {
-        self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-        xring_obs::counter(names::DEADLINE_EXCEEDED, 1);
-    }
-
-    /// Counts a response produced by the degradation fallback chain.
-    pub fn record_degraded(&self) {
-        self.degraded.fetch_add(1, Ordering::Relaxed);
-        xring_obs::counter(names::DEGRADED, 1);
-    }
-
-    /// Counts a successful response backed by a survivability-proven
-    /// (spared) design.
-    pub fn record_spared(&self) {
-        self.spared.fetch_add(1, Ordering::Relaxed);
-        xring_obs::counter(names::SPARED, 1);
-    }
-
-    /// Counts a response that replayed at least one pipeline phase
-    /// from cached artifacts instead of recomputing it.
-    pub fn record_incremental(&self) {
-        self.incremental.fetch_add(1, Ordering::Relaxed);
-        xring_obs::counter(names::INCREMENTAL, 1);
-    }
-
-    /// Counts a handler body that panicked and was absorbed by the
-    /// `catch_unwind` wrapper.
-    pub fn record_handler_panic(&self) {
-        self.handler_panics.fetch_add(1, Ordering::Relaxed);
-        xring_obs::counter(names::HANDLER_PANICS, 1);
-    }
-
-    /// Total handler panics absorbed.
-    pub fn handler_panics(&self) -> u64 {
-        self.handler_panics.load(Ordering::Relaxed)
+        self.counters.add(row, 1);
     }
 
     /// Handler entry/exit bracket; returns the inflight count *after*
@@ -221,145 +165,39 @@ impl ServeMetrics {
         self.queued.load(Ordering::Relaxed)
     }
 
-    /// Total admitted requests.
-    pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
-    }
-
-    /// Total shed (429) responses.
-    pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
-    }
-
-    /// Total 2xx responses.
-    pub fn ok(&self) -> u64 {
-        self.ok.load(Ordering::Relaxed)
-    }
-
-    /// Total responses produced below [`DegradationLevel::Exact`]
-    /// (the load-shedding fallback chain fired).
-    ///
-    /// [`DegradationLevel::Exact`]: xring_core::DegradationLevel::Exact
-    pub fn degraded(&self) -> u64 {
-        self.degraded.load(Ordering::Relaxed)
-    }
-
-    /// Total 2xx responses whose design carried spares and so passed
-    /// the exhaustive single-fault survivability proof.
-    pub fn spared(&self) -> u64 {
-        self.spared.load(Ordering::Relaxed)
-    }
-
-    /// Total jobs that failed outright on an expired deadline.
-    pub fn deadline_exceeded(&self) -> u64 {
-        self.deadline_exceeded.load(Ordering::Relaxed)
-    }
-
-    /// Total `/synth` responses that replayed at least one pipeline
-    /// phase from cached artifacts.
-    pub fn incremental(&self) -> u64 {
-        self.incremental.load(Ordering::Relaxed)
-    }
-
     /// Assembles a point-in-time [`Trace`] of the daemon: serve
     /// counters/gauges/histograms plus the shared cache's counters and
-    /// byte occupancy. Feeding the result to [`Trace::write_prometheus`]
-    /// is the `/metrics` endpoint; the same value also backs the bench
-    /// load-test's percentile extraction.
+    /// byte occupancy. With [`SloTracker::append_to`], feeding the result
+    /// to [`Trace::write_prometheus`] is the `/metrics` endpoint.
     pub fn to_trace(&self, cache: &DesignCache) -> Trace {
         let at_ns = self.started.elapsed().as_nanos() as u64;
-        let gauge = |name: &str, value: f64| GaugeRecord {
-            name: name.to_owned(),
-            value,
-            thread: 0,
-            at_ns,
-        };
-        // Zero-valued counters stay in the exposition: scrapers want
-        // stable series, and "shed 0" is information.
-        let mut totals = vec![
-            (
-                names::REQUESTS.to_owned(),
-                self.requests.load(Ordering::Relaxed),
-            ),
-            (names::OK.to_owned(), self.ok.load(Ordering::Relaxed)),
-            (
-                names::CLIENT_ERRORS.to_owned(),
-                self.client_errors.load(Ordering::Relaxed),
-            ),
-            (
-                names::SERVER_ERRORS.to_owned(),
-                self.server_errors.load(Ordering::Relaxed),
-            ),
-            (names::SHED.to_owned(), self.shed.load(Ordering::Relaxed)),
-            (
-                names::DEADLINE_EXCEEDED.to_owned(),
-                self.deadline_exceeded.load(Ordering::Relaxed),
-            ),
-            (
-                names::DEGRADED.to_owned(),
-                self.degraded.load(Ordering::Relaxed),
-            ),
-            (
-                names::SPARED.to_owned(),
-                self.spared.load(Ordering::Relaxed),
-            ),
-            (
-                names::INCREMENTAL.to_owned(),
-                self.incremental.load(Ordering::Relaxed),
-            ),
-            (
-                names::HANDLER_PANICS.to_owned(),
-                self.handler_panics.load(Ordering::Relaxed),
-            ),
-            ("cache.hits".to_owned(), cache.hits() as u64),
-            ("cache.misses".to_owned(), cache.misses() as u64),
-            ("cache.evictions".to_owned(), cache.evictions() as u64),
-            (
-                "cache.lru_evictions".to_owned(),
-                cache.lru_evictions() as u64,
-            ),
-            ("cache.evict_bytes".to_owned(), cache.evicted_bytes() as u64),
-            (
-                "cache.artifact_hits".to_owned(),
-                cache.artifact_hits() as u64,
-            ),
-            (
-                "cache.artifact_misses".to_owned(),
-                cache.artifact_misses() as u64,
-            ),
-        ];
-        // One stable hit/miss series per pipeline phase, so operators
-        // can see *which* phases incremental edits are replaying.
-        for phase in PhaseId::ALL {
-            totals.push((
-                format!("cache.phase_hits.{}", phase.as_str()),
-                cache.phase_hits(phase) as u64,
-            ));
-            totals.push((
-                format!("cache.phase_misses.{}", phase.as_str()),
-                cache.phase_misses(phase) as u64,
-            ));
-        }
-        let hists = [
-            self.request_wall.snapshot(names::REQUEST_WALL_US),
-            self.queue_wait.snapshot(names::QUEUE_WAIT_US),
-        ]
-        .into_iter()
-        .filter(|h| h.count > 0)
-        .collect();
-        Trace {
-            spans: Vec::new(),
+        let mut trace = Trace {
             gauges: vec![
-                gauge(
-                    names::INFLIGHT,
-                    self.inflight.load(Ordering::Relaxed) as f64,
-                ),
-                gauge(names::QUEUED, self.queued.load(Ordering::Relaxed) as f64),
-                gauge("cache.bytes", cache.bytes() as f64),
+                gauge("serve.inflight", self.inflight() as f64, at_ns),
+                gauge("serve.queued", self.queued() as f64, at_ns),
+                gauge("cache.bytes", cache.bytes() as f64, at_ns),
             ],
-            totals,
-            hists,
-        }
+            hists: [
+                self.request_wall.snapshot(REQUEST_WALL_US),
+                self.queue_wait.snapshot(QUEUE_WAIT_US),
+            ]
+            .into_iter()
+            .filter(|h| h.count > 0)
+            .collect(),
+            ..Trace::default()
+        };
+        self.counters.append_to(&mut trace);
+        cache.counters.append_to(&mut trace);
+        trace
+    }
+}
+
+fn gauge(name: &str, value: f64, at_ns: u64) -> GaugeRecord {
+    GaugeRecord {
+        name: name.to_owned(),
+        value,
+        thread: 0,
+        at_ns,
     }
 }
 
@@ -384,14 +222,40 @@ impl Default for SloConfig {
     }
 }
 
-/// Per-minute good/bad tallies for the rolling burn-rate windows.
+/// The SLO tracker's lifetime good/bad event counts, one row per
+/// `/metrics` series. These rows are not forwarded to the global
+/// recorder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SloCounter {
+    /// Requests answered without a server-side failure (not 5xx, not shed).
+    AvailabilityGood,
+    /// Requests lost to a 5xx or shed by admission.
+    AvailabilityBad,
+    /// Successful responses within the latency target.
+    LatencyGood,
+    /// Successful responses over the latency target.
+    LatencyBad,
+}
+
+impl CounterRow for SloCounter {
+    const TABLE: &'static [Series] = &[
+        Series::local("serve.slo.availability_good"),
+        Series::local("serve.slo.availability_bad"),
+        Series::local("serve.slo.latency_good"),
+        Series::local("serve.slo.latency_bad"),
+    ];
+
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
+/// Per-minute event tallies for the rolling burn-rate windows, indexed
+/// like [`SloCounter`].
 #[derive(Debug, Default, Clone, Copy)]
 struct SloBucket {
     minute: u64,
-    avail_good: u64,
-    avail_bad: u64,
-    lat_good: u64,
-    lat_bad: u64,
+    counts: [u64; 4],
 }
 
 /// Good/bad SLO event accounting with rolling 5-minute and 1-hour
@@ -412,10 +276,7 @@ struct SloBucket {
 #[derive(Debug)]
 pub struct SloTracker {
     config: SloConfig,
-    avail_good: AtomicU64,
-    avail_bad: AtomicU64,
-    lat_good: AtomicU64,
-    lat_bad: AtomicU64,
+    counters: Counters<SloCounter>,
     buckets: Mutex<VecDeque<SloBucket>>,
     started: Instant,
 }
@@ -428,10 +289,7 @@ impl SloTracker {
     pub fn new(config: SloConfig) -> Self {
         SloTracker {
             config,
-            avail_good: AtomicU64::new(0),
-            avail_bad: AtomicU64::new(0),
-            lat_good: AtomicU64::new(0),
-            lat_bad: AtomicU64::new(0),
+            counters: Counters::new(),
             buckets: Mutex::new(VecDeque::new()),
             started: Instant::now(),
         }
@@ -450,21 +308,15 @@ impl SloTracker {
     }
 
     fn record_at(&self, minute: u64, status: u16, wall_us: u64, shed: bool) {
-        let avail_bad = shed || status >= 500;
-        let success = (200..300).contains(&status);
-        let lat_bad = success && wall_us > self.config.latency_target.as_micros() as u64;
-        match avail_bad {
-            true => &self.avail_bad,
-            false => &self.avail_good,
-        }
-        .fetch_add(1, Ordering::Relaxed);
-        if success {
-            match lat_bad {
-                true => &self.lat_bad,
-                false => &self.lat_good,
-            }
-            .fetch_add(1, Ordering::Relaxed);
-        }
+        let availability = match shed || status >= 500 {
+            true => SloCounter::AvailabilityBad,
+            false => SloCounter::AvailabilityGood,
+        };
+        let slow = wall_us > self.config.latency_target.as_micros() as u64;
+        let latency = (200..300).contains(&status).then_some(match slow {
+            true => SloCounter::LatencyBad,
+            false => SloCounter::LatencyGood,
+        });
         let mut buckets = self
             .buckets
             .lock()
@@ -479,17 +331,9 @@ impl SloTracker {
             }
         }
         let bucket = buckets.back_mut().expect("bucket just ensured");
-        if avail_bad {
-            bucket.avail_bad += 1;
-        } else {
-            bucket.avail_good += 1;
-        }
-        if success {
-            if lat_bad {
-                bucket.lat_bad += 1;
-            } else {
-                bucket.lat_good += 1;
-            }
+        for row in std::iter::once(availability).chain(latency) {
+            self.counters.add(row, 1);
+            bucket.counts[row.index()] += 1;
         }
     }
 
@@ -506,15 +350,15 @@ impl SloTracker {
             .buckets
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let mut sum = SloBucket::default();
+        let mut sum = [0u64; 4];
         for b in buckets.iter().filter(|b| b.minute >= oldest) {
-            sum.avail_good += b.avail_good;
-            sum.avail_bad += b.avail_bad;
-            sum.lat_good += b.lat_good;
-            sum.lat_bad += b.lat_bad;
+            for (total, count) in sum.iter_mut().zip(b.counts) {
+                *total += count;
+            }
         }
         let budget = 1.0 - f64::from(self.config.target_ppm) / 1_000_000.0;
-        let burn = |good: u64, bad: u64| {
+        let burn = |good: SloCounter, bad: SloCounter| {
+            let (good, bad) = (sum[good.index()], sum[bad.index()]);
             let total = good + bad;
             if total == 0 || budget <= 0.0 {
                 return 0.0;
@@ -522,8 +366,8 @@ impl SloTracker {
             (bad as f64 / total as f64) / budget
         };
         (
-            burn(sum.avail_good, sum.avail_bad),
-            burn(sum.lat_good, sum.lat_bad),
+            burn(SloCounter::AvailabilityGood, SloCounter::AvailabilityBad),
+            burn(SloCounter::LatencyGood, SloCounter::LatencyBad),
         )
     }
 
@@ -531,44 +375,22 @@ impl SloTracker {
     /// the configured targets, and the 5m/1h burn-rate gauges — to a
     /// `/metrics` trace.
     pub fn append_to(&self, trace: &mut Trace) {
-        trace.totals.extend([
-            (
-                names::SLO_AVAILABILITY_GOOD.to_owned(),
-                self.avail_good.load(Ordering::Relaxed),
-            ),
-            (
-                names::SLO_AVAILABILITY_BAD.to_owned(),
-                self.avail_bad.load(Ordering::Relaxed),
-            ),
-            (
-                names::SLO_LATENCY_GOOD.to_owned(),
-                self.lat_good.load(Ordering::Relaxed),
-            ),
-            (
-                names::SLO_LATENCY_BAD.to_owned(),
-                self.lat_bad.load(Ordering::Relaxed),
-            ),
-        ]);
+        self.counters.append_to(trace);
         let at_ns = self.started.elapsed().as_nanos() as u64;
-        let gauge = |name: &str, value: f64| GaugeRecord {
-            name: name.to_owned(),
-            value,
-            thread: 0,
-            at_ns,
-        };
         let (avail_5m, lat_5m) = self.burn_rates(5);
         let (avail_1h, lat_1h) = self.burn_rates(60);
-        trace.gauges.extend([
-            gauge("serve.slo.target_ppm", f64::from(self.config.target_ppm)),
-            gauge(
-                "serve.slo.latency_target_us",
-                self.config.latency_target.as_micros() as f64,
-            ),
-            gauge("serve.slo.availability_burn_rate_5m", avail_5m),
-            gauge("serve.slo.availability_burn_rate_1h", avail_1h),
-            gauge("serve.slo.latency_burn_rate_5m", lat_5m),
-            gauge("serve.slo.latency_burn_rate_1h", lat_1h),
-        ]);
+        let latency_target_us = self.config.latency_target.as_micros() as f64;
+        trace.gauges.extend(
+            [
+                ("serve.slo.target_ppm", f64::from(self.config.target_ppm)),
+                ("serve.slo.latency_target_us", latency_target_us),
+                ("serve.slo.availability_burn_rate_5m", avail_5m),
+                ("serve.slo.availability_burn_rate_1h", avail_1h),
+                ("serve.slo.latency_burn_rate_5m", lat_5m),
+                ("serve.slo.latency_burn_rate_1h", lat_1h),
+            ]
+            .map(|(name, value)| gauge(name, value, at_ns)),
+        );
     }
 }
 
@@ -606,9 +428,9 @@ mod tests {
         m.record_status(429);
         m.record_status(400);
         m.record_status(500);
-        m.record_degraded();
-        m.record_spared();
-        m.record_incremental();
+        m.counters.add(ServeCounter::Degraded, 1);
+        m.counters.add(ServeCounter::Spared, 1);
+        m.counters.add(ServeCounter::Incremental, 1);
         m.adjust_inflight(1);
 
         let cache = DesignCache::with_byte_budget(1 << 20);
@@ -670,7 +492,7 @@ mod tests {
     fn slo_series_render_as_valid_prometheus() {
         let m = ServeMetrics::new();
         m.record_status(200);
-        m.record_handler_panic();
+        m.counters.add(ServeCounter::HandlerPanics, 1);
         let slo = SloTracker::new(SloConfig::default());
         slo.record(200, 10, false);
         slo.record(503, 10, false);

@@ -37,13 +37,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use xring_core::{DegradationLevel, DegradationPolicy};
+use xring_core::{fnv1a64, DegradationLevel, DegradationPolicy};
 use xring_engine::{DesignCache, Engine, JobError, SynthesisJob};
 use xring_obs::{log, RequestCtx, RequestId};
 
-use crate::flight::{fnv1a64, FlightRecorder, RequestRecord, TailSampler};
+use crate::flight::{FlightRecorder, RequestRecord, TailSampler};
 use crate::http::{self, Request};
-use crate::metrics::{ServeMetrics, SloConfig, SloTracker};
+use crate::metrics::{ServeCounter, ServeMetrics, SloConfig, SloTracker};
 use crate::protocol::{self, RequestDefaults};
 
 /// Daemon configuration; the CLI's `xring serve` flags map onto this
@@ -332,8 +332,8 @@ fn accept_loop(listener: TcpListener, shared: &Shared, sender: SyncSender<Work>,
                     "{{\"status\":\"ok\",\"inflight\":{},\"queued\":{},\"requests\":{},\"shed\":{},\"uptime_s\":{},\"version\":\"{}\"}}",
                     m.inflight(),
                     m.queued(),
-                    m.requests(),
-                    m.shed(),
+                    m.counters.get(ServeCounter::Requests),
+                    m.counters.get(ServeCounter::Shed),
                     m.uptime_s(),
                     env!("CARGO_PKG_VERSION"),
                 );
@@ -666,7 +666,7 @@ fn handler_loop(shared: &Shared, receiver: &Mutex<Receiver<Work>>) {
         let (outcome, panicked) = match result {
             Ok(outcome) => (outcome, false),
             Err(_) => {
-                shared.metrics.record_handler_panic();
+                shared.metrics.counters.add(ServeCounter::HandlerPanics, 1);
                 log::error(
                     "serve",
                     "handler panicked; responding 500",
@@ -765,7 +765,7 @@ fn handle(shared: &Shared, request: &Request, queue_us: u64, t0: Instant) -> Han
             match outcome {
                 Ok(out) => {
                     if out.phases_reused > 0 {
-                        shared.metrics.record_incremental();
+                        shared.metrics.counters.add(ServeCounter::Incremental, 1);
                     }
                     if let Ok(mut slot) = shared.last_synth.lock() {
                         *slot = Some(job);
@@ -862,13 +862,16 @@ fn track_outcome_metrics(
     match outcome {
         Ok(out) => {
             if out.design.provenance.degradation != DegradationLevel::Exact {
-                shared.metrics.record_degraded();
+                shared.metrics.counters.add(ServeCounter::Degraded, 1);
             }
             if spared {
-                shared.metrics.record_spared();
+                shared.metrics.counters.add(ServeCounter::Spared, 1);
             }
         }
-        Err(JobError::DeadlineExceeded) => shared.metrics.record_deadline_exceeded(),
+        Err(JobError::DeadlineExceeded) => shared
+            .metrics
+            .counters
+            .add(ServeCounter::DeadlineExceeded, 1),
         Err(_) => {}
     }
 }

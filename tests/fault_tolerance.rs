@@ -10,7 +10,9 @@
 use xring::core::{
     DegradationLevel, DegradationPolicy, LpBackendKind, NetworkSpec, SynthesisOptions,
 };
-use xring::engine::{Engine, FaultClass, FaultPlan, FaultRates, JobError, SynthesisJob};
+use xring::engine::{
+    CacheCounter, Engine, FaultClass, FaultPlan, FaultRates, JobError, SynthesisJob,
+};
 
 /// 32 distinct jobs (8 `#wl` settings × shortcuts on/off × openings
 /// on/off on the 8-node network), all allowing degradation.
@@ -137,7 +139,10 @@ fn faulted_batch_completes_every_job_with_audited_designs() {
     let batch2 = engine.run_batch(jobs_32());
     assert_eq!(batch2.metrics.succeeded, 32);
     assert_eq!(batch2.metrics.failed, 0);
-    assert_eq!(engine.cache().evictions(), corrupted);
+    assert_eq!(
+        engine.cache().counters.get(CacheCounter::Evictions),
+        corrupted as u64
+    );
     assert_eq!(
         batch2.metrics.cache_hits,
         32 - corrupted - count(FaultClass::SolverDeadline)

@@ -6,14 +6,7 @@
 //! test and k-NN demand selection were rewritten for speed; a speed-up
 //! that changes any design fails here.
 
-use xring::core::{NetworkSpec, RingAlgorithm, SynthesisOptions, Synthesizer, Traffic};
-
-/// FNV-1a (64-bit), stable across processes and platforms.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
+use xring::core::{fnv1a64, NetworkSpec, RingAlgorithm, SynthesisOptions, Synthesizer, Traffic};
 
 /// Synthesizes `net` and digests the design; also reports whether the
 /// ring took the greedy fallback of the 2-SAT option assignment.
@@ -30,7 +23,7 @@ fn digest(net: &NetworkSpec, options: SynthesisOptions) -> (u64, bool) {
         design.provenance.audit.summary(),
         routes.join("\n")
     );
-    (fnv1a(text.as_bytes()), design.ring_stats.twosat_fallback)
+    (fnv1a64(text.as_bytes()), design.ring_stats.twosat_fallback)
 }
 
 /// The heuristic-ring, 3-nearest-neighbour variant of `#wl = wl`.
