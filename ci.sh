@@ -20,6 +20,9 @@ for dir in crates/*/src src; do
 done
 printf '  %-10s %6d\n' total "$total"
 
+echo "==> sh -n perf-ab.sh (the A/B comparison script parses; it is run by hand)"
+sh -n perf-ab.sh
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

@@ -13,6 +13,14 @@
 //! crossing pairs use λ₀/λ₁ for the direct signals and λ₂/λ₃ for the
 //! CSE-routed ones, so no two signals on a shared wire or a crossing ever
 //! share a wavelength.
+//!
+//! Cost for S signals on an N-node ring: a signal finds the shortcut its
+//! source joins through a per-node slot, O(1). Ring signals are placed
+//! longest first, best fit over the L lanes opened so far. Each lane keeps
+//! a bitmap of the ring edges its arcs cover and their count, so testing
+//! an arc against a lane is ⌈N/64⌉ word ANDs instead of a comparison
+//! with every resident arc: O(S·L·⌈N/64⌉) in all, plus O(N) per signal
+//! to list its arc's edges.
 
 use crate::error::SynthesisError;
 use crate::netspec::{NetworkSpec, NodeId};
@@ -247,10 +255,17 @@ pub fn map_signals_with_traffic(
 
     // Split traffic into shortcut-served and ring-bound.
     let cse_allowed = max_wavelengths >= 4;
+    // shortcut_at[node]: the shortcut the node joins (at most one).
+    let mut shortcut_at = vec![None; net.len()];
+    for (i, s) in shortcuts.shortcuts.iter().enumerate() {
+        shortcut_at[s.a.index()] = Some(i);
+        shortcut_at[s.b.index()] = Some(i);
+    }
     let mut ring_jobs: Vec<(NodeId, NodeId)> = Vec::new();
     let mut shortcut_routes: Vec<SignalRoute> = Vec::new();
     for (from, to) in traffic.pairs(net) {
-        match classify_shortcut_route(shortcuts, from, to, cse_allowed) {
+        let slot = shortcut_at[from.index()];
+        match slot.and_then(|i| classify_shortcut_route(shortcuts, i, from, to, cse_allowed)) {
             Some((kind, wl)) => shortcut_routes.push(SignalRoute {
                 from,
                 to,
@@ -280,6 +295,7 @@ pub fn map_signals_with_traffic(
     jobs.sort_by_key(|&(from, to, _, _, _, len)| (std::cmp::Reverse(len), from, to));
 
     let mut ring_routes: Vec<SignalRoute> = Vec::with_capacity(jobs.len());
+    let mut lanes = LaneIndex::new(cycle.len());
     for (from, to, fa, fb, dir, _) in jobs {
         let signal_idx = ring_routes.len();
         let edges = cycle.arc_edges(fa, fb, dir);
@@ -293,6 +309,7 @@ pub fn map_signals_with_traffic(
         };
         let Some((wi, wl)) = place_arc(
             &mut plan.ring_waveguides,
+            &mut lanes,
             dir,
             arc,
             max_wavelengths,
@@ -319,57 +336,126 @@ pub fn map_signals_with_traffic(
     Ok(plan)
 }
 
-/// Shortcut service classification with the paper's wavelength rules.
+/// Shortcut service classification with the paper's wavelength rules,
+/// for a signal leaving `from`, an endpoint of shortcut `i`. Both the
+/// direct and the CSE rule need `from` on the entering shortcut, and a
+/// node joins at most one shortcut, so `i` is the only one to check.
 fn classify_shortcut_route(
     shortcuts: &ShortcutPlan,
+    i: usize,
     from: NodeId,
     to: NodeId,
     cse_allowed: bool,
 ) -> Option<(RouteKind, Wavelength)> {
-    for (i, s) in shortcuts.shortcuts.iter().enumerate() {
-        if (s.a == from && s.b == to) || (s.b == from && s.a == to) {
-            let wl = match s.crossing_partner {
-                None => Wavelength::new(0),
-                Some(p) => {
-                    if i < p {
-                        Wavelength::new(0)
-                    } else {
-                        Wavelength::new(1)
-                    }
-                }
-            };
-            return Some((RouteKind::ShortcutDirect { shortcut: i }, wl));
-        }
-        if !cse_allowed {
-            continue;
-        }
-        if let Some(p) = s.crossing_partner {
-            let t = &shortcuts.shortcuts[p];
-            // The CSE serves exactly the swapped pairs of Fig. 7(b): the
-            // forward wires couple `s.a → t.b`, the reverse wires couple
-            // `s.b → t.a` (and the loop visits the partner's iteration
-            // for the opposite orientations).
-            let serves = (s.a == from && t.b == to) || (s.b == from && t.a == to);
-            if serves {
-                // λ2 for the pair containing the lower shortcut's `a`
-                // endpoint, λ3 for the pair containing its `b` endpoint.
-                let lower_a_pair = if i < p { s.a == from } else { t.a == to };
-                let wl = if lower_a_pair {
-                    Wavelength::new(2)
+    let s = &shortcuts.shortcuts[i];
+    if (s.a == from && s.b == to) || (s.b == from && s.a == to) {
+        let wl = match s.crossing_partner {
+            None => Wavelength::new(0),
+            Some(p) => {
+                if i < p {
+                    Wavelength::new(0)
                 } else {
-                    Wavelength::new(3)
-                };
-                return Some((RouteKind::ShortcutCse { enter: i, exit: p }, wl));
+                    Wavelength::new(1)
+                }
             }
-        }
+        };
+        return Some((RouteKind::ShortcutDirect { shortcut: i }, wl));
     }
-    None
+    if !cse_allowed {
+        return None;
+    }
+    let p = s.crossing_partner?;
+    let t = &shortcuts.shortcuts[p];
+    // The CSE serves exactly the swapped pairs of Fig. 7(b): the forward
+    // wires couple `s.a → t.b`, the reverse wires couple `s.b → t.a` (the
+    // opposite orientations leave from the partner's endpoints).
+    let serves = (s.a == from && t.b == to) || (s.b == from && t.a == to);
+    if !serves {
+        return None;
+    }
+    // λ2 for the pair containing the lower shortcut's `a` endpoint, λ3 for
+    // the pair containing its `b` endpoint.
+    let lower_a_pair = if i < p { s.a == from } else { t.a == to };
+    let wl = if lower_a_pair {
+        Wavelength::new(2)
+    } else {
+        Wavelength::new(3)
+    };
+    Some((RouteKind::ShortcutCse { enter: i, exit: p }, wl))
 }
 
-/// Places an arc on the first fitting (waveguide, lane); creates lanes and
-/// waveguides as the budget allows. Returns `(waveguide index, wavelength)`.
+/// Edge occupancy of the lanes one mapping opens, so that [`place_arc`]
+/// tests a lane with a few word ANDs instead of comparing its arcs edge by
+/// edge.
+struct LaneIndex {
+    /// Bitmap words per lane, one bit per cycle edge.
+    words: usize,
+    /// One entry of `HEADER + words` values per lane, in the order
+    /// opened: its waveguide, its lane on that waveguide, the number of
+    /// edges its arcs cover, then its edge bitmap.
+    entries: Vec<u64>,
+    /// Edge bitmap of the arc being placed.
+    mask: Vec<u64>,
+}
+
+impl LaneIndex {
+    const HEADER: usize = 3;
+
+    fn new(edges: usize) -> Self {
+        let words = edges.div_ceil(64);
+        LaneIndex {
+            words,
+            entries: Vec::new(),
+            mask: vec![0; words],
+        }
+    }
+
+    /// Makes `edges` the arc being placed.
+    fn load(&mut self, edges: &[usize]) {
+        self.mask.fill(0);
+        for &e in edges {
+            self.mask[e / 64] |= 1 << (e % 64);
+        }
+    }
+
+    /// `(waveguide, lane)`, covered edges, and whether the loaded arc fits,
+    /// for every indexed lane in the order opened.
+    fn fits(&self) -> impl Iterator<Item = ((usize, usize), u64, bool)> + '_ {
+        self.entries
+            .chunks_exact(Self::HEADER + self.words)
+            .map(|entry| {
+                let bits = &entry[Self::HEADER..];
+                let free = bits.iter().zip(&self.mask).all(|(b, m)| b & m == 0);
+                ((entry[0] as usize, entry[1] as usize), entry[2], free)
+            })
+    }
+
+    /// Adds the loaded arc, of `len` edges, to the lane opened `slot`-th.
+    fn fill(&mut self, slot: usize, len: usize) {
+        let stride = Self::HEADER + self.words;
+        let entry = &mut self.entries[slot * stride..(slot + 1) * stride];
+        entry[2] += len as u64;
+        for (b, m) in entry[Self::HEADER..].iter_mut().zip(&self.mask) {
+            *b |= m;
+        }
+    }
+
+    /// Indexes the new lane `li` of waveguide `wi`, holding the loaded
+    /// arc of `len` edges.
+    fn open(&mut self, wi: usize, li: usize, len: usize) {
+        self.entries.extend([wi as u64, li as u64, len as u64]);
+        self.entries.extend_from_slice(&self.mask);
+    }
+}
+
+/// Places an arc on the best-fitting (waveguide, lane); creates lanes and
+/// waveguides as the budget allows. Every lane of `waveguides` must be in
+/// `index`, and no waveguide has an opening yet (Step 3b chooses them
+/// later), so a lane fits exactly when the arc's edges are free on it.
+/// Returns `(waveguide index, wavelength)`.
 fn place_arc(
     waveguides: &mut Vec<RingWaveguide>,
+    index: &mut LaneIndex,
     dir: Direction,
     arc: LaneArc,
     max_wavelengths: usize,
@@ -379,21 +465,26 @@ fn place_arc(
     // already cover the most edges — packing arcs densely so fewer
     // waveguides are needed (fewer waveguides = shorter outer rings and
     // smaller PDN trees, which is what the paper's #wl sweep optimizes).
-    let mut best: Option<(usize, usize, usize)> = None; // (covered, wi, li)
-    for (wi, wg) in waveguides.iter().enumerate() {
+    // Ties go to the first lane in (waveguide, lane) order.
+    index.load(&arc.edges);
+    let mut best: Option<(u64, (usize, usize), usize)> = None; // (covered, (wi, li), slot)
+    for (slot, ((wi, li), covered, free)) in index.fits().enumerate() {
+        let wg = &waveguides[wi];
         if wg.direction != dir {
             continue;
         }
-        for (li, lane) in wg.lanes.iter().enumerate() {
-            if lane.accepts(&arc.edges, &arc.interior, wg.opening) {
-                let covered: usize = lane.arcs.iter().map(|a| a.edges.len()).sum();
-                if best.map(|(c, _, _)| covered > c).unwrap_or(true) {
-                    best = Some((covered, wi, li));
-                }
-            }
+        let fits = free;
+        debug_assert_eq!(
+            fits,
+            wg.lanes[li].accepts(&arc.edges, &arc.interior, wg.opening)
+        );
+        let better = best.is_none_or(|(c, at, _)| covered > c || (covered == c && (wi, li) < at));
+        if fits && better {
+            best = Some((covered, (wi, li), slot));
         }
     }
-    if let Some((_, wi, li)) = best {
+    if let Some((_, (wi, li), slot)) = best {
+        index.fill(slot, arc.edges.len());
         waveguides[wi].lanes[li].arcs.push(arc);
         return Some((wi, Wavelength::new(li as u16)));
     }
@@ -406,11 +497,13 @@ fn place_arc(
         .map(|(wi, _)| wi);
     if let Some(wi) = fullest {
         let li = waveguides[wi].lanes.len();
+        index.open(wi, li, arc.edges.len());
         waveguides[wi].lanes.push(Lane { arcs: vec![arc] });
         return Some((wi, Wavelength::new(li as u16)));
     }
     if max_waveguides == 0 || waveguides.len() < max_waveguides {
         let level = waveguides.iter().filter(|w| w.direction == dir).count();
+        index.open(waveguides.len(), 0, arc.edges.len());
         waveguides.push(RingWaveguide {
             direction: dir,
             level,

@@ -10,18 +10,20 @@
 //! serves the "swapped" node pairs (Fig. 7).
 //!
 //! Cost for an N-node ring: candidate collection visits all N(N−1)/2
-//! node pairs. Each pair makes one query per route option against a
-//! crossing index of the ring polyline, built once in O(N log N); a
-//! query binary-searches to the perpendicular ring segments inside the
-//! route's span and tests only those, O(log N + k) for k of them. Each
-//! pair's ring distance is O(1) from an edge-length prefix sum. Before
-//! the index, every pair rescanned all O(N) ring segments and walked the
-//! ring, O(N³) in total. Greedy selection is O(C log C + C·S) for C
-//! candidates and S selected shortcuts.
+//! node pairs in O(1) each. Each leg of an L-route is an axis-aligned
+//! segment from one of the pair's own nodes to the corner, so a leg
+//! properly crosses the ring exactly when it runs past that node's
+//! nearest ring crossing in its direction. Those four nearest crossings
+//! per node ([`Reach`]) are read once per request from a crossing index
+//! of the ring polyline, built in O(N log N); a pair's route option is
+//! then two comparisons. Each pair's ring distance is O(1) from an
+//! edge-length prefix sum. Greedy selection is O(C log C + C·S) for C
+//! candidates and S selected shortcuts; a per-node flag skips pairs with
+//! a used endpoint in O(1).
 
 use crate::netspec::{NetworkSpec, NodeId};
 use crate::ring::RingCycle;
-use xring_geom::{LRoute, Point, RouteOption};
+use xring_geom::{LRoute, Point, Reach, RouteOption};
 
 /// A selected shortcut between two nodes.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,13 +59,6 @@ impl ShortcutPlan {
         Self::default()
     }
 
-    /// The shortcut (if any) incident to `node`.
-    pub fn shortcut_of(&self, node: NodeId) -> Option<usize> {
-        self.shortcuts
-            .iter()
-            .position(|s| s.a == node || s.b == node)
-    }
-
     /// All node pairs served *directly* by shortcuts, plus the CSE-merged
     /// swapped pairs, as unordered pairs.
     pub fn served_pairs(&self) -> Vec<(NodeId, NodeId)> {
@@ -93,7 +88,7 @@ pub fn plan_shortcuts(net: &NetworkSpec, cycle: &RingCycle) -> ShortcutPlan {
     let candidates = candidates(net, cycle);
     xring_obs::counter("shortcut.candidates", candidates.len() as u64);
     drop(gain_span);
-    select(candidates)
+    select(candidates, net.len())
 }
 
 /// A feasible shortcut with positive gain, before selection.
@@ -107,10 +102,15 @@ struct Candidate {
 }
 
 /// Collects every node pair with a ring-avoiding L-route and a positive
-/// gain, in pair order. The ring is indexed once and ring distances come
-/// from a prefix sum over the edge lengths (costs in the module doc).
+/// gain, in pair order. The ring is indexed once, each node's ray reach
+/// is read from the index once, and ring distances come from a prefix sum
+/// over the edge lengths (costs in the module doc).
 fn candidates(net: &NetworkSpec, cycle: &RingCycle) -> Vec<Candidate> {
     let ring = cycle.polyline().crossing_index();
+    let n = net.len() as u32;
+    let reach: Vec<Reach> = (0..n)
+        .map(|i| ring.reach(net.position(NodeId(i))))
+        .collect();
     // offset[p]: clockwise ring distance from position 0 to position p.
     let mut offset = Vec::with_capacity(cycle.len());
     let mut perimeter = 0i64;
@@ -119,12 +119,14 @@ fn candidates(net: &NetworkSpec, cycle: &RingCycle) -> Vec<Candidate> {
         perimeter += cycle.edge_length(e);
     }
     let mut candidates = Vec::new();
-    let n = net.len() as u32;
     for i in 0..n {
         for j in i + 1..n {
             let (a, b) = (NodeId(i), NodeId(j));
             let (pa, pb) = (net.position(a), net.position(b));
-            let Some(route) = feasible_route(pa, pb, |r| ring.crosses_route(r)) else {
+            // Each leg runs from one endpoint to the corner.
+            let (ra, rb) = (&reach[i as usize], &reach[j as usize]);
+            let crosses_ring = |r: &LRoute| ra.blocked(r.corner()) || rb.blocked(r.corner());
+            let Some(route) = feasible_route(pa, pb, crosses_ring) else {
                 continue;
             };
             let length = pa.manhattan_distance(pb);
@@ -145,13 +147,16 @@ fn candidates(net: &NetworkSpec, cycle: &RingCycle) -> Vec<Candidate> {
     candidates
 }
 
-/// Greedy selection by descending gain (CSE merges included).
-fn select(mut candidates: Vec<Candidate>) -> ShortcutPlan {
+/// Greedy selection by descending gain (CSE merges included) over a
+/// network of `nodes` nodes.
+fn select(mut candidates: Vec<Candidate>, nodes: usize) -> ShortcutPlan {
     let _select_span = xring_obs::span("shortcut-select");
     candidates.sort_by_key(|c| (std::cmp::Reverse(c.gain_um), c.a, c.b));
+    // used[node]: the node already joins a selected shortcut.
+    let mut used = vec![false; nodes];
     let mut plan = ShortcutPlan::empty();
     for c in candidates {
-        if plan.shortcut_of(c.a).is_some() || plan.shortcut_of(c.b).is_some() {
+        if used[c.a.index()] || used[c.b.index()] {
             continue; // at most one shortcut per node
         }
         // Count crossings with already selected shortcuts.
@@ -201,6 +206,8 @@ fn select(mut candidates: Vec<Candidate>) -> ShortcutPlan {
             }
             _ => continue, // would cross 2+ shortcuts
         }
+        used[c.a.index()] = true;
+        used[c.b.index()] = true;
     }
     xring_obs::counter("shortcut.selected", plan.shortcuts.len() as u64);
     plan
@@ -379,7 +386,7 @@ mod tests {
         }
         xring_obs::counter("shortcut.candidates", candidates.len() as u64);
         drop(gain_span);
-        select(candidates)
+        select(candidates, net.len())
     }
 
     /// Runs `plan` under a request scope of its own and returns the plan

@@ -190,8 +190,9 @@ impl Polyline {
         index
     }
 
-    /// Brute-force reference for [`CrossingIndex::crosses_route`]: true
-    /// if some route segment properly crosses some polyline segment.
+    /// Brute-force reference for [`CrossingIndex::reach`] on both legs of
+    /// `route`: true if some route segment properly crosses some polyline
+    /// segment.
     #[cfg(test)]
     fn route_conflicts(&self, route: &LRoute) -> bool {
         route
@@ -207,10 +208,11 @@ impl Polyline {
 /// Only perpendicular axis-aligned segments can cross properly: collinear
 /// ones either overlap or touch at an endpoint. The index keeps the
 /// polyline's horizontal and vertical segments apart, each sorted by its
-/// fixed coordinate. A query segment visits only the perpendicular
-/// segments whose fixed coordinate lies strictly inside its own span and
-/// tests whether its fixed coordinate lies strictly inside theirs:
-/// O(log n + k) per query for `k` such segments, against O(n) for a scan.
+/// fixed coordinate. [`reach`](Self::reach) answers, for one point, how
+/// far each of its four axis rays runs before it properly crosses the
+/// polyline; any axis-aligned segment leaving that point is then tested
+/// in O(1) by [`Reach::blocked`]. An L-route is two such segments, one
+/// from each endpoint to the corner.
 ///
 /// # Example
 ///
@@ -225,10 +227,12 @@ impl Polyline {
 /// ]);
 /// let index = ring.crossing_index();
 /// let through = LRoute::new(Point::new(50, 50), Point::new(200, 50), RouteOption::HorizontalFirst);
-/// assert!(index.crosses_route(&through));
+/// assert!(index.reach(through.from()).blocked(through.corner()));
 /// // A corner grazing the ring is a contact, not a crossing.
 /// let chord = LRoute::new(Point::new(0, 0), Point::new(100, 100), RouteOption::HorizontalFirst);
-/// assert!(!index.crosses_route(&chord));
+/// let corner = chord.corner();
+/// assert!(!index.reach(chord.from()).blocked(corner));
+/// assert!(!index.reach(chord.to()).blocked(corner));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrossingIndex {
@@ -255,34 +259,79 @@ impl AxisSpan {
             hi: a.max(b),
         }
     }
+
+    /// True if a perpendicular line at `c` passes through this span's
+    /// interior.
+    fn straddles(&self, c: i64) -> bool {
+        self.lo < c && c < self.hi
+    }
 }
 
 impl CrossingIndex {
-    /// True if `seg` properly crosses some indexed segment: they meet in
-    /// one point interior to both. Degenerate segments never do.
-    fn crosses_segment(&self, seg: &Segment) -> bool {
-        if seg.is_degenerate() {
-            return false;
-        }
-        let (a, b) = (seg.start(), seg.end());
-        let (query, perpendicular) = if seg.is_horizontal() {
-            (AxisSpan::new(a.y, a.x, b.x), &self.vertical)
-        } else {
-            (AxisSpan::new(a.x, a.y, b.y), &self.horizontal)
+    /// The nearest proper crossing on each axis ray from `p`.
+    ///
+    /// A segment from `p` along an axis properly crosses an indexed
+    /// perpendicular segment when the crossing lies strictly inside both.
+    /// So each direction needs only the first perpendicular segment,
+    /// strictly beyond `p`, whose open span contains `p`'s other
+    /// coordinate: a binary search to `p`, then a scan outward that stops
+    /// at the first hit.
+    pub fn reach(&self, p: Point) -> Reach {
+        let nearest = |spans: &[AxisSpan], at: i64, across: i64| {
+            let first_after = spans.partition_point(|t| t.at <= at);
+            let up = spans[first_after..]
+                .iter()
+                .find(|t| t.straddles(across))
+                .map_or(i64::MAX, |t| t.at);
+            let last_before = spans.partition_point(|t| t.at < at);
+            let down = spans[..last_before]
+                .iter()
+                .rev()
+                .find(|t| t.straddles(across))
+                .map_or(i64::MIN, |t| t.at);
+            (down, up)
         };
-        let first = perpendicular.partition_point(|t| t.at <= query.lo);
-        perpendicular[first..]
-            .iter()
-            .take_while(|t| t.at < query.hi)
-            .any(|t| t.lo < query.at && query.at < t.hi)
+        let (west, east) = nearest(&self.vertical, p.x, p.y);
+        let (south, north) = nearest(&self.horizontal, p.y, p.x);
+        Reach {
+            from: p,
+            west,
+            east,
+            south,
+            north,
+        }
     }
+}
 
-    /// True if either leg of `route` properly crosses some indexed
-    /// segment.
-    pub fn crosses_route(&self, route: &LRoute) -> bool {
-        let c = route.corner();
-        self.crosses_segment(&Segment::new(route.from(), c))
-            || self.crosses_segment(&Segment::new(c, route.to()))
+/// How far each axis ray from one point runs before it properly crosses
+/// an indexed polyline, from [`CrossingIndex::reach`]. A bound is
+/// `i64::MAX` (or `i64::MIN`) when the ray never crosses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reach {
+    from: Point,
+    /// x of the nearest crossing towards −x.
+    west: i64,
+    /// x of the nearest crossing towards +x.
+    east: i64,
+    /// y of the nearest crossing towards −y.
+    south: i64,
+    /// y of the nearest crossing towards +y.
+    north: i64,
+}
+
+impl Reach {
+    /// True if the segment from this reach's point to `to` properly
+    /// crosses the indexed polyline: it runs strictly past the nearest
+    /// crossing in its direction. A degenerate segment never does.
+    ///
+    /// `to` must be axis-aligned with the point.
+    pub fn blocked(&self, to: Point) -> bool {
+        debug_assert!(self.from.is_axis_aligned_with(to), "{} to {to}", self.from);
+        if to.y == self.from.y {
+            to.x > self.east || to.x < self.west
+        } else {
+            to.y > self.north || to.y < self.south
+        }
     }
 }
 
@@ -328,20 +377,24 @@ mod tests {
     fn route_conflict_with_ring() {
         let ring = Polyline::closed(vec![p(0, 0), p(100, 0), p(100, 100), p(0, 100)]);
         let index = ring.crossing_index();
+        let crosses = |r: &LRoute| {
+            let c = r.corner();
+            index.reach(r.from()).blocked(c) || index.reach(r.to()).blocked(c)
+        };
         // A chord between two ring vertices, inside the ring: its corner
         // grazes the ring corner at (100, 0), which offset routing
         // resolves — no transversal crossing, no conflict.
         let inside = LRoute::new(p(0, 0), p(100, 100), RouteOption::HorizontalFirst);
         assert!(!ring.route_conflicts(&inside));
-        assert!(!index.crosses_route(&inside));
+        assert!(!crosses(&inside));
         // A route punching straight through the ring boundary conflicts.
         let through = LRoute::new(p(50, 50), p(200, 50), RouteOption::HorizontalFirst);
         assert!(ring.route_conflicts(&through));
-        assert!(index.crosses_route(&through));
+        assert!(crosses(&through));
         // A route fully outside the ring does not conflict.
         let outside = LRoute::new(p(200, 0), p(300, 50), RouteOption::HorizontalFirst);
         assert!(!ring.route_conflicts(&outside));
-        assert!(!index.crosses_route(&outside));
+        assert!(!crosses(&outside));
     }
 
     /// Tiny xorshift so the test needs no RNG dependency.
@@ -386,12 +439,19 @@ mod tests {
                 let (from, to) = (p(coord(), coord()), p(coord(), coord()));
                 let option = RouteOption::BOTH[(xorshift(&mut state) % 2) as usize];
                 let route = LRoute::new(from, to, option);
-                for seg in route.segments() {
-                    let scan = segments.iter().any(|s| seg.crosses_properly(s));
-                    assert_eq!(index.crosses_segment(&seg), scan, "{seg} vs {ring:?}");
+                // Leg 1 runs from `from` to the corner, leg 2 from the
+                // corner to `to`: each is a ray segment from its endpoint.
+                let corner = route.corner();
+                let mut blocked = false;
+                for end in [from, to] {
+                    let leg = Segment::new(end, corner);
+                    let scan = segments.iter().any(|s| leg.crosses_properly(s));
+                    let reach = index.reach(end).blocked(corner);
+                    assert_eq!(reach, scan, "{leg} vs {ring:?}");
+                    blocked |= reach;
                 }
                 let scan = ring.route_conflicts(&route);
-                assert_eq!(index.crosses_route(&route), scan, "{route:?} vs {ring:?}");
+                assert_eq!(blocked, scan, "{route:?} vs {ring:?}");
                 match scan {
                     true => crossing += 1,
                     false => clear += 1,
