@@ -7,6 +7,8 @@ cd "$(dirname "$0")"
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
+# perfbench is its own workspace, so `--all` above never sees it.
+cargo fmt --manifest-path perfbench/Cargo.toml -- --check
 
 echo "==> non-test Rust lines per crate (informational: lines above each file's first top-level #[cfg(test)])"
 total=0
@@ -25,6 +27,7 @@ sh -n perf-ab.sh
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 echo "==> cargo build --release (tier-1)"
 cargo build --release --offline

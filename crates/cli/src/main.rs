@@ -378,8 +378,8 @@ fn run_fault_sweep(args: &SynthArgs, levels: &[usize], engine: &Engine) -> ExitC
 /// `xring edit`: the incremental re-synthesis demo loop. Synthesizes
 /// the base spec cold (seeding the engine's phase-artifact store),
 /// drops one traffic demand, re-synthesizes the edited spec
-/// incrementally, and compares it against a cold synthesis of the same
-/// edited spec on a fresh engine.
+/// incrementally, and compares it against a cold batch synthesis of the
+/// same edited spec on a fresh engine.
 fn run_edit(args: &SynthArgs, drop_pair: usize, engine: &Engine) -> ExitCode {
     let net = or_fail!(network_of(args));
     let options = args.options.clone();
@@ -401,10 +401,15 @@ fn run_edit(args: &SynthArgs, drop_pair: usize, engine: &Engine) -> ExitCode {
 
     // Cold run of the base spec: populates the phase-artifact store.
     let cold_base = or_fail!(engine.resynthesize(&base, &base), "base synthesis failed");
-    // Cold reference for the *edited* spec, on a fresh engine whose
-    // cache holds nothing — what a non-incremental tool would pay.
+    // Cold reference for the *edited* spec: a batch job on a fresh
+    // engine whose cache holds nothing — what a non-incremental tool
+    // would pay.
     let cold_edit = or_fail!(
-        Engine::new().with_workers(1).resynthesize(&edited, &edited),
+        Engine::new()
+            .with_workers(1)
+            .run_batch(vec![edited.clone()])
+            .outcomes
+            .remove(0),
         "cold reference synthesis failed"
     );
     // The edit: diffed against the base, replaying clean phases.

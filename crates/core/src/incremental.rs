@@ -11,6 +11,12 @@
 //! only recomputes the *dirty suffix* of the DAG and replays the clean
 //! prefix from an [`ArtifactStore`].
 //!
+//! There is one step walk for both entry points.
+//! [`Synthesizer::synthesize`] runs it with no store, so every phase
+//! runs directly; [`Synthesizer::synthesize_incremental`] runs it with
+//! the caller's store, so each phase is replayed by its key when its
+//! artifact is there and persisted back when it is recomputed.
+//!
 //! When the ring phase itself is dirty (a node moved, the LP backend
 //! changed), the MILP can still be seeded with the previous solution's
 //! exported [`Basis`] via the `warm_hint` argument of
@@ -26,21 +32,22 @@
 //! Every assembled design still passes the full post-synthesis audit. If
 //! the audit rejects a design assembled from cached artifacts (e.g. a
 //! corrupted cache entry), the artifacts involved are evicted and the
-//! request falls back to a cold [`Synthesizer::synthesize`] run.
+//! request falls back to a cold [`Synthesizer::synthesize`] run. Any
+//! other failure continues the [`DegradationPolicy`] chain after its
+//! exact step, as in a cold run.
 
-use crate::design::{realize, Provenance, XRingDesign};
+use crate::design::XRingDesign;
 use crate::error::SynthesisError;
 use crate::mapping::MappingPlan;
 use crate::netspec::NetworkSpec;
-use crate::opening::{open_rings, OpeningStats};
+use crate::opening::OpeningStats;
 use crate::options::{KeyRole, OptionValue};
-use crate::pdn::{design_pdn, PdnDesign};
-use crate::ring::{RingBuilder, RingCycle, RingStats};
-use crate::shortcut::{plan_shortcuts, Shortcut, ShortcutPlan};
-use crate::synth::{DegradationPolicy, SynthesisOptions, Synthesizer};
+use crate::pdn::PdnDesign;
+use crate::ring::RingOutcome;
+use crate::shortcut::{Shortcut, ShortcutPlan};
+use crate::synth::{Attempt, DegradationPolicy, SynthesisOptions, Synthesizer};
 use std::collections::HashMap;
 use std::sync::Mutex;
-use std::time::Instant;
 use xring_milp::Basis;
 
 /// One artifact-producing phase of the synthesis pipeline, in DAG order.
@@ -182,61 +189,20 @@ impl PhaseKeys {
     }
 }
 
-/// Step-1 artifact: the realized ring plus the basis that proved it.
-#[derive(Debug, Clone)]
-pub struct RingArtifact {
-    /// The realized ring cycle.
-    pub cycle: RingCycle,
-    /// Construction statistics of the producing solve.
-    pub stats: RingStats,
-    /// Exported LP basis for warm-starting a ring-dirty re-solve.
-    pub basis: Option<Basis>,
-}
-
-/// Step-2 artifact.
-#[derive(Debug, Clone)]
-pub struct ShortcutArtifact {
-    /// The planned shortcuts (empty when Step 2 was disabled).
-    pub plan: ShortcutPlan,
-}
-
-/// Step-3a artifact: the *pre-opening* signal mapping.
-#[derive(Debug, Clone)]
-pub struct MappingArtifact {
-    /// The mapped plan before any ring was opened.
-    pub plan: MappingPlan,
-}
-
-/// Step-3b artifact: the post-opening plan and its statistics.
-#[derive(Debug, Clone)]
-pub struct OpeningArtifact {
-    /// The plan after the opening pass mutated it.
-    pub plan: MappingPlan,
-    /// What the pass did.
-    pub stats: OpeningStats,
-}
-
-/// Step-4 artifact.
-#[derive(Debug, Clone)]
-pub struct PdnArtifact {
-    /// The designed PDN (`None` when Step 4 was disabled).
-    pub pdn: Option<PdnDesign>,
-}
-
 /// One persisted phase output.
 #[derive(Debug, Clone)]
 #[allow(clippy::large_enum_variant)] // heap payloads dominate (see approx_bytes); boxing would only hide the inline part
 pub enum PhaseArtifact {
-    /// Step 1.
-    Ring(RingArtifact),
-    /// Step 2.
-    Shortcut(ShortcutArtifact),
-    /// Step 3a.
-    Mapping(MappingArtifact),
-    /// Step 3b.
-    Opening(OpeningArtifact),
-    /// Step 4.
-    Pdn(PdnArtifact),
+    /// Step 1: the realized ring plus the basis that proved it.
+    Ring(RingOutcome),
+    /// Step 2 (empty when Step 2 was disabled).
+    Shortcut(ShortcutPlan),
+    /// Step 3a: the mapped plan before any ring was opened.
+    Mapping(MappingPlan),
+    /// Step 3b: the plan after the opening pass, and what it did.
+    Opening((MappingPlan, OpeningStats)),
+    /// Step 4 (`None` when Step 4 was disabled).
+    Pdn(Option<PdnDesign>),
 }
 
 impl PhaseArtifact {
@@ -255,14 +221,13 @@ impl PhaseArtifact {
     pub fn approx_bytes(&self) -> usize {
         let base = std::mem::size_of::<Self>();
         base + match self {
-            PhaseArtifact::Ring(a) => {
+            PhaseArtifact::Ring(ring) => {
                 // order + position_of + one L-route per edge.
-                a.cycle.len() * 96 + a.basis.as_ref().map_or(0, Basis::approx_bytes)
+                ring.cycle.len() * 96 + ring.basis.as_ref().map_or(0, Basis::approx_bytes)
             }
-            PhaseArtifact::Shortcut(a) => a.plan.shortcuts.len() * std::mem::size_of::<Shortcut>(),
-            PhaseArtifact::Mapping(a) => plan_bytes(&a.plan),
-            PhaseArtifact::Opening(a) => plan_bytes(&a.plan),
-            PhaseArtifact::Pdn(a) => a.pdn.as_ref().map_or(0, |p| {
+            PhaseArtifact::Shortcut(plan) => plan.shortcuts.len() * std::mem::size_of::<Shortcut>(),
+            PhaseArtifact::Mapping(plan) | PhaseArtifact::Opening((plan, _)) => plan_bytes(plan),
+            PhaseArtifact::Pdn(pdn) => pdn.as_ref().map_or(0, |p| {
                 p.sender_loss_db.len() * 32 + p.trees.len() * 40 + p.crossed_waveguides.len() * 8
             }),
         }
@@ -301,8 +266,8 @@ pub trait ArtifactStore {
     fn evict_artifact(&self, phase: PhaseId, key: u64);
 }
 
-/// A plain in-memory [`ArtifactStore`] (unbounded; tests and CLI use —
-/// the engine's byte-budgeted cache is the production store).
+/// A plain in-memory [`ArtifactStore`] (unbounded; used by tests — the
+/// engine's byte-budgeted cache is the production store).
 #[derive(Debug, Default)]
 pub struct MemoryArtifactStore {
     map: Mutex<HashMap<(PhaseId, u64), PhaseArtifact>>,
@@ -355,8 +320,10 @@ pub struct IncrementalReport {
     pub misses: Vec<PhaseId>,
     /// Whether the recomputed ring MILP was offered a warm basis.
     pub ring_warm_offered: bool,
-    /// Whether an artifact-assembled design failed its audit and the
-    /// request was re-run as a cold synthesis.
+    /// Whether the request was finished without the store: an
+    /// artifact-assembled design failed its audit and was re-run as a
+    /// cold synthesis, or the fallback chain took over after a
+    /// degradable failure.
     pub fell_back_cold: bool,
 }
 
@@ -370,6 +337,47 @@ impl IncrementalReport {
     pub fn reused(&self, phase: PhaseId) -> bool {
         self.hits.contains(&phase)
     }
+}
+
+/// The store side of the step walk ([`Synthesizer::synthesize_incremental`]):
+/// where each phase is replayed from and persisted to, under which keys.
+pub(crate) struct Replay<'a> {
+    store: &'a dyn ArtifactStore,
+    keys: PhaseKeys,
+    pub(crate) warm_hint: Option<&'a Basis>,
+    report: &'a mut IncrementalReport,
+}
+
+/// Runs one phase of the step walk. With no `replay`, `compute` runs
+/// directly. With one, the phase's artifact is replayed from the store
+/// when it is there; otherwise `compute` runs and its result is
+/// persisted for the next edit.
+pub(crate) fn replay_phase<T: Clone>(
+    replay: &mut Option<Replay<'_>>,
+    phase: PhaseId,
+    unwrap: fn(PhaseArtifact) -> Option<T>,
+    wrap: fn(T) -> PhaseArtifact,
+    compute: impl FnOnce() -> Result<T, SynthesisError>,
+) -> Result<T, SynthesisError> {
+    let Some(r) = replay else {
+        return compute();
+    };
+    let key = r.keys.of(phase);
+    if let Some(value) = r.store.get_artifact(phase, key).and_then(unwrap) {
+        xring_obs::counter("incremental.phase_hits", 1);
+        xring_obs::counter(phase.hit_counter(), 1);
+        r.report.hits.push(phase);
+        return Ok(value);
+    }
+    xring_obs::counter("incremental.phase_misses", 1);
+    xring_obs::counter(phase.miss_counter(), 1);
+    r.report.misses.push(phase);
+    if phase == PhaseId::Ring {
+        r.report.ring_warm_offered = r.warm_hint.is_some();
+    }
+    let value = compute()?;
+    r.store.put_artifact(phase, key, wrap(value.clone()));
+    Ok(value)
 }
 
 impl Synthesizer {
@@ -392,7 +400,9 @@ impl Synthesizer {
     /// If the audit rejects a design built from cached artifacts, the
     /// artifacts are evicted and the request falls back to a cold
     /// [`Synthesizer::synthesize`] (reported via
-    /// [`IncrementalReport::fell_back_cold`]).
+    /// [`IncrementalReport::fell_back_cold`]). Any other failure is the
+    /// exact step of the [`DegradationPolicy`] chain, which continues
+    /// from there exactly as in [`Synthesizer::synthesize`].
     ///
     /// # Errors
     ///
@@ -412,256 +422,48 @@ impl Synthesizer {
             report.misses = PhaseId::ALL.to_vec();
             return self.synthesize(net).map(|d| (d, report));
         }
+        let keys = PhaseKeys::compute(net, self.options());
         // A corrupt artifact can make assembly panic (e.g. a cached ring
         // realized on a different floorplan leaves the layout internally
         // inconsistent). Contain the panic and treat it as an audit
         // rejection so the cold fallback below still protects the caller.
-        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.incremental_attempt(net, store, warm_hint, &mut report)
+        let exact = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let replay = Replay {
+                store,
+                keys,
+                warm_hint,
+                report: &mut report,
+            };
+            self.walk(net, &Attempt::requested(self), Some(replay))
         }))
         .unwrap_or_else(|_| {
             Err(SynthesisError::AuditFailed {
                 summary: "incremental assembly panicked (corrupt artifact?)".to_owned(),
             })
         });
-        match attempt {
-            Ok(design) => Ok((design, report)),
-            Err(err) => {
-                // A design assembled from cached artifacts that fails its
-                // audit may be the cache's fault, not the spec's: evict
-                // the artifacts involved and prove it with a cold run.
-                let assembled_from_cache = !report.hits.is_empty();
-                if assembled_from_cache && matches!(err, SynthesisError::AuditFailed { .. }) {
-                    let keys = PhaseKeys::compute(net, self.options());
-                    for phase in PhaseId::ALL {
-                        store.evict_artifact(phase, keys.of(phase));
-                    }
-                    xring_obs::counter("incremental.fallbacks", 1);
-                    report.fell_back_cold = true;
-                    report.hits.clear();
-                    report.misses = PhaseId::ALL.to_vec();
-                    return self.synthesize(net).map(|d| (d, report));
-                }
-                // The incremental attempt only ever runs the exact
-                // pipeline; under an `Allow` policy a degradable failure
-                // (deadline expiry, MILP trouble) must still reach the
-                // fallback chain, exactly as a plain `synthesize` would.
-                if self.options().degradation == DegradationPolicy::Allow
-                    && crate::synth::degradable(&err)
-                {
-                    report.fell_back_cold = true;
-                    report.hits.clear();
-                    report.misses = PhaseId::ALL.to_vec();
-                    return self.synthesize(net).map(|d| (d, report));
-                }
-                Err(err)
+        let err = match exact {
+            Ok(design) => return Ok((design, report)),
+            Err(err) => err,
+        };
+        let cache_suspect =
+            !report.hits.is_empty() && matches!(err, SynthesisError::AuditFailed { .. });
+        // Whatever finishes the request from here runs without the store.
+        report.fell_back_cold = true;
+        report.hits.clear();
+        report.misses = PhaseId::ALL.to_vec();
+        let design = if cache_suspect {
+            // A design assembled from cached artifacts that fails its
+            // audit may be the cache's fault, not the spec's: evict the
+            // artifacts involved and prove it with a cold run.
+            for phase in PhaseId::ALL {
+                store.evict_artifact(phase, keys.of(phase));
             }
-        }
-    }
-
-    /// One incremental assembly pass: replay clean phases, recompute
-    /// dirty ones, audit the result.
-    fn incremental_attempt(
-        &self,
-        net: &NetworkSpec,
-        store: &dyn ArtifactStore,
-        warm_hint: Option<&Basis>,
-        report: &mut IncrementalReport,
-    ) -> Result<XRingDesign, SynthesisError> {
-        let _span = xring_obs::span("synth-incremental");
-        let t0 = Instant::now();
-        let o = self.options();
-        let keys = PhaseKeys::compute(net, o);
-        let deadline = o.deadline.map(|budget| t0 + budget);
-        let check_deadline = || match deadline {
-            Some(d) if Instant::now() >= d => Err(SynthesisError::DeadlineExceeded),
-            _ => Ok(()),
-        };
-        // Replays `phase` from the store when its artifact is there;
-        // otherwise computes it and persists it for the next edit.
-        fn replay<T: Clone>(
-            store: &dyn ArtifactStore,
-            (phase, key): (PhaseId, u64),
-            report: &mut IncrementalReport,
-            unwrap: fn(PhaseArtifact) -> Option<T>,
-            wrap: fn(T) -> PhaseArtifact,
-            compute: impl FnOnce(&mut IncrementalReport) -> Result<T, SynthesisError>,
-        ) -> Result<T, SynthesisError> {
-            if let Some(value) = store.get_artifact(phase, key).and_then(unwrap) {
-                xring_obs::counter("incremental.phase_hits", 1);
-                xring_obs::counter(phase.hit_counter(), 1);
-                report.hits.push(phase);
-                return Ok(value);
-            }
-            xring_obs::counter("incremental.phase_misses", 1);
-            xring_obs::counter(phase.miss_counter(), 1);
-            report.misses.push(phase);
-            let value = compute(report)?;
-            store.put_artifact(phase, key, wrap(value.clone()));
-            Ok(value)
-        }
-
-        // Step 1: ring construction.
-        check_deadline()?;
-        let ring = replay(
-            store,
-            (PhaseId::Ring, keys.ring),
-            report,
-            |a| match a {
-                PhaseArtifact::Ring(a) => Some(a),
-                _ => None,
-            },
-            PhaseArtifact::Ring,
-            |report| {
-                report.ring_warm_offered = warm_hint.is_some();
-                let _s = xring_obs::span("ring-milp");
-                let build = |warm: Option<&Basis>| {
-                    RingBuilder::new()
-                        .with_algorithm(o.ring_algorithm)
-                        .with_deadline(deadline)
-                        .with_lp_backend(o.lp_backend)
-                        .with_solver_threads(o.solver_threads)
-                        .with_pricing(o.pricing)
-                        .with_factorization(o.factorization)
-                        .with_warm_basis(warm.cloned())
-                        .build(net)
-                };
-                let outcome = match build(warm_hint) {
-                    // A hint from another floorplan can steer the solver
-                    // to an invalid result; the hint only buys speed, so
-                    // any failure but the deadline re-solves cold.
-                    Err(e) if warm_hint.is_some() && e != SynthesisError::DeadlineExceeded => {
-                        xring_obs::counter("incremental.warm_cold_retries", 1);
-                        build(None)?
-                    }
-                    outcome => outcome?,
-                };
-                Ok(RingArtifact {
-                    cycle: outcome.cycle,
-                    stats: outcome.stats,
-                    basis: outcome.basis,
-                })
-            },
-        )?;
-
-        // Step 2: shortcuts.
-        check_deadline()?;
-        let shortcuts = replay(
-            store,
-            (PhaseId::Shortcut, keys.shortcut),
-            report,
-            |a| match a {
-                PhaseArtifact::Shortcut(a) => Some(a.plan),
-                _ => None,
-            },
-            |plan| PhaseArtifact::Shortcut(ShortcutArtifact { plan }),
-            |_| {
-                Ok(if o.shortcuts {
-                    let _s = xring_obs::span("shortcut");
-                    plan_shortcuts(net, &ring.cycle)
-                } else {
-                    ShortcutPlan::empty()
-                })
-            },
-        )?;
-
-        // Step 3a: mapping. The budget check precedes the cache: a spec
-        // whose spares exhaust the wavelength budget fails identically
-        // hot or cold.
-        check_deadline()?;
-        let effective_wavelengths = o.max_wavelengths.saturating_sub(o.spares.k_wavelengths);
-        if o.spares.k_wavelengths > 0 && effective_wavelengths == 0 {
-            return Err(SynthesisError::WavelengthBudgetExceeded {
-                max_wavelengths: o.max_wavelengths,
-                max_waveguides: o.max_waveguides,
-            });
-        }
-        let mapped = replay(
-            store,
-            (PhaseId::Mapping, keys.mapping),
-            report,
-            |a| match a {
-                PhaseArtifact::Mapping(a) => Some(a.plan),
-                _ => None,
-            },
-            |plan| PhaseArtifact::Mapping(MappingArtifact { plan }),
-            |_| {
-                let _s = xring_obs::span("mapping");
-                crate::mapping::map_signals_with_traffic(
-                    net,
-                    &ring.cycle,
-                    &shortcuts,
-                    &o.traffic,
-                    effective_wavelengths,
-                    o.max_waveguides,
-                )
-            },
-        )?;
-
-        // Step 3b: openings.
-        check_deadline()?;
-        let (plan, opening_stats) = replay(
-            store,
-            (PhaseId::Opening, keys.opening),
-            report,
-            |a| match a {
-                PhaseArtifact::Opening(a) => Some((a.plan, a.stats)),
-                _ => None,
-            },
-            |(plan, stats)| PhaseArtifact::Opening(OpeningArtifact { plan, stats }),
-            |_| {
-                let mut plan = mapped;
-                let stats = if o.openings {
-                    let _s = xring_obs::span("opening");
-                    open_rings(&ring.cycle, &mut plan, effective_wavelengths)
-                } else {
-                    OpeningStats::default()
-                };
-                Ok((plan, stats))
-            },
-        )?;
-
-        // Step 4: PDN.
-        check_deadline()?;
-        let pdn = replay(
-            store,
-            (PhaseId::Pdn, keys.pdn),
-            report,
-            |a| match a {
-                PhaseArtifact::Pdn(a) => Some(a.pdn),
-                _ => None,
-            },
-            |pdn| PhaseArtifact::Pdn(PdnArtifact { pdn }),
-            |_| {
-                Ok(o.pdn.then(|| {
-                    let _s = xring_obs::span("pdn");
-                    design_pdn(net, &ring.cycle, &plan, &shortcuts, &o.loss, o.laser)
-                }))
-            },
-        )?;
-
-        // Assembly, audit and (with spares) survivability verification
-        // run exactly as in a cold synthesis.
-        let layout = {
-            let _s = xring_obs::span("realize");
-            realize(net, &ring.cycle, &shortcuts, &plan, pdn.as_ref(), o.spacing)
-        };
-        let design = XRingDesign {
-            net: net.clone(),
-            cycle: ring.cycle,
-            shortcuts,
-            plan,
-            pdn,
-            layout,
-            ring_stats: ring.stats,
-            opening_stats,
-            elapsed: t0.elapsed(),
-            provenance: Provenance::default(),
-        };
-
-        xring_obs::record_hist("synth.incremental.wall_us", t0.elapsed().as_micros() as u64);
-
-        self.release(design, crate::design::DegradationLevel::Exact, None)
+            xring_obs::counter("incremental.fallbacks", 1);
+            self.synthesize(net)
+        } else {
+            self.degrade(net, err)
+        }?;
+        Ok((design, report))
     }
 }
 
@@ -669,6 +471,7 @@ impl Synthesizer {
 mod tests {
     use super::*;
     use crate::netspec::NodeId;
+    use crate::ring::RingBuilder;
     use crate::traffic::Traffic;
     use xring_geom::Point;
 
@@ -836,10 +639,9 @@ mod tests {
         store.put_artifact(
             PhaseId::Ring,
             keys.ring,
-            PhaseArtifact::Ring(RingArtifact {
-                cycle: wrong.cycle,
-                stats: wrong.stats,
+            PhaseArtifact::Ring(RingOutcome {
                 basis: None,
+                ..wrong
             }),
         );
         let (design, report) = synth
@@ -888,9 +690,7 @@ mod tests {
         store.put_artifact(
             PhaseId::Shortcut,
             7,
-            PhaseArtifact::Shortcut(ShortcutArtifact {
-                plan: ShortcutPlan::empty(),
-            }),
+            PhaseArtifact::Shortcut(ShortcutPlan::empty()),
         );
         assert_eq!(store.len(), 1);
         assert!(matches!(

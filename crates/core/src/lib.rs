@@ -14,9 +14,11 @@
 //! 4. [`pdn`] — a crossing-free binary-splitter-tree power distribution
 //!    network threaded through the openings (Sec. III-D).
 //!
-//! [`synth::Synthesizer`] drives the whole flow; [`layout`] holds the
-//! realized-layout model and the loss/crosstalk/power evaluation engine
-//! shared with the baseline routers.
+//! [`synth::Synthesizer`] drives the whole flow through one step walk,
+//! which [`incremental`] lets replay phases from an artifact store;
+//! [`layout`] holds the realized-layout model and the
+//! loss/crosstalk/power evaluation engine shared with the baseline
+//! routers.
 //!
 //! # Example
 //!
@@ -66,9 +68,8 @@ pub use fault::{
     DeviceFault, FaultAudit, RepairSummary, SpareConfig, SurvivabilityReport,
 };
 pub use incremental::{
-    fnv1a64, ArtifactStore, IncrementalReport, MappingArtifact, MemoryArtifactStore,
-    OpeningArtifact, PdnArtifact, PhaseArtifact, PhaseId, PhaseKeys, RingArtifact,
-    ShortcutArtifact,
+    fnv1a64, ArtifactStore, IncrementalReport, MemoryArtifactStore, PhaseArtifact, PhaseId,
+    PhaseKeys,
 };
 pub use layout::{Hop, LayoutModel, NoiseSource, Station, Waveguide};
 pub use mapping::{map_signals, map_signals_with_traffic, MappingPlan, RouteKind, SignalRoute};

@@ -3,8 +3,9 @@
 use crate::design::{realize, DegradationLevel, Provenance, RingSpacing, XRingDesign};
 use crate::error::SynthesisError;
 use crate::fault::SpareConfig;
+use crate::incremental::{replay_phase, PhaseArtifact, PhaseId, Replay};
 use crate::netspec::NetworkSpec;
-use crate::opening::open_rings;
+use crate::opening::{open_rings, OpeningStats};
 use crate::options::{
     option_table, positive, Flag, DESIGN, MAPPING, NON_SEMANTIC, OPENING, PDN, RING, SHORTCUT,
 };
@@ -14,7 +15,7 @@ use crate::shortcut::{plan_shortcuts, ShortcutPlan};
 use crate::traffic::Traffic;
 use std::time::{Duration, Instant};
 use xring_geom::Point;
-use xring_milp::{FactorizationKind, LpBackendKind, PricingKind};
+use xring_milp::{Basis, FactorizationKind, LpBackendKind, PricingKind};
 use xring_phot::LossParams;
 
 /// Seed of the deterministic objective perturbation used by the
@@ -234,78 +235,78 @@ impl Synthesizer {
     /// wavelength budget exhaustion, audit rejection) once the policy's
     /// chain is exhausted.
     pub fn synthesize(&self, net: &NetworkSpec) -> Result<XRingDesign, SynthesisError> {
-        match self.options.degradation {
-            DegradationPolicy::Forbid => self.synthesize_attempt(net, &Attempt::requested(self)),
-            DegradationPolicy::ForceHeuristic => self.synthesize_attempt(
-                net,
-                &Attempt {
-                    algorithm: RingAlgorithm::Heuristic,
-                    perturbation: None,
-                    lp_backend: self.options.lp_backend,
-                    waive_deadline: false,
-                    level: DegradationLevel::Heuristic,
-                    reason: Some("forced by degradation policy".to_owned()),
-                },
-            ),
-            DegradationPolicy::Allow => {
-                let err = match self.synthesize_attempt(net, &Attempt::requested(self)) {
-                    Ok(design) => return Ok(design),
-                    Err(e) => e,
-                };
-                if !degradable(&err) {
-                    return Err(err);
-                }
-                // Retry the MILP with a perturbed objective — unless the
-                // deadline is already spent (a retry would just expire
-                // again) or the request never used the MILP.
-                if !matches!(err, SynthesisError::DeadlineExceeded)
-                    && self.options.ring_algorithm == RingAlgorithm::Milp
-                {
-                    xring_obs::counter("degradation.retries", 1);
-                    // The retry switches both the search path (perturbed
-                    // objective) and the LP kernel (dense reference
-                    // backend): a numerical failure is never replayed on
-                    // the kernel that produced it.
-                    let retry = Attempt {
-                        algorithm: RingAlgorithm::Milp,
-                        perturbation: Some(RETRY_PERTURBATION_SEED),
-                        lp_backend: LpBackendKind::Dense,
-                        waive_deadline: false,
-                        level: DegradationLevel::RetriedPerturbed,
-                        reason: Some(err.to_string()),
-                    };
-                    if let Ok(design) = self.synthesize_attempt(net, &retry) {
-                        return Ok(design);
-                    }
-                }
-                // Last resort: heuristic ring, deadline waived (the
-                // budget is spent; the heuristic is fast and bounded).
-                xring_obs::counter("degradation.heuristic_fallbacks", 1);
-                self.synthesize_attempt(
-                    net,
-                    &Attempt {
-                        algorithm: RingAlgorithm::Heuristic,
-                        perturbation: None,
-                        lp_backend: self.options.lp_backend,
-                        waive_deadline: true,
-                        level: DegradationLevel::Heuristic,
-                        reason: Some(err.to_string()),
-                    },
-                )
-            }
+        if self.options.degradation == DegradationPolicy::ForceHeuristic {
+            let reason = "forced by degradation policy".to_owned();
+            let forced = Attempt {
+                waive_deadline: false,
+                ..Attempt::heuristic(self, reason)
+            };
+            return self.walk(net, &forced, None);
         }
+        self.walk(net, &Attempt::requested(self), None)
+            .or_else(|err| self.degrade(net, err))
     }
 
-    /// Runs the four pipeline steps once under `attempt`'s overrides,
-    /// audits the result, and stamps its provenance. A design that fails
-    /// its audit is discarded and reported as
-    /// [`SynthesisError::AuditFailed`].
-    fn synthesize_attempt(
+    /// Continues the fallback chain after its exact step failed with
+    /// `err`: under [`DegradationPolicy::Allow`] a degradable failure
+    /// retries the MILP with a perturbed objective (unless the deadline
+    /// is spent or the request never used the MILP), then builds the
+    /// heuristic ring; otherwise `err` surfaces.
+    pub(crate) fn degrade(
+        &self,
+        net: &NetworkSpec,
+        err: SynthesisError,
+    ) -> Result<XRingDesign, SynthesisError> {
+        if self.options.degradation != DegradationPolicy::Allow || !degradable(&err) {
+            return Err(err);
+        }
+        if !matches!(err, SynthesisError::DeadlineExceeded)
+            && self.options.ring_algorithm == RingAlgorithm::Milp
+        {
+            xring_obs::counter("degradation.retries", 1);
+            // The retry switches both the search path (perturbed
+            // objective) and the LP kernel (dense reference backend): a
+            // numerical failure is never replayed on the kernel that
+            // produced it.
+            let retry = Attempt {
+                algorithm: RingAlgorithm::Milp,
+                perturbation: Some(RETRY_PERTURBATION_SEED),
+                lp_backend: LpBackendKind::Dense,
+                waive_deadline: false,
+                level: DegradationLevel::RetriedPerturbed,
+                reason: Some(err.to_string()),
+            };
+            if let Ok(design) = self.walk(net, &retry, None) {
+                return Ok(design);
+            }
+        }
+        // Last resort: heuristic ring, deadline waived (the budget is
+        // spent; the heuristic is fast and bounded).
+        xring_obs::counter("degradation.heuristic_fallbacks", 1);
+        self.walk(net, &Attempt::heuristic(self, err.to_string()), None)
+    }
+
+    /// The pipeline's one step walk: runs the four steps once under
+    /// `attempt`'s overrides, audits the result and stamps its
+    /// provenance. A design that fails its audit is discarded and
+    /// reported as [`SynthesisError::AuditFailed`].
+    ///
+    /// With no `replay` every phase runs directly: a cold synthesis.
+    /// With one, each phase is replayed from its store by the phase's
+    /// key when the artifact is there, and persisted back when it is
+    /// recomputed (see [`crate::incremental`]).
+    pub(crate) fn walk(
         &self,
         net: &NetworkSpec,
         attempt: &Attempt,
+        mut replay: Option<Replay<'_>>,
     ) -> Result<XRingDesign, SynthesisError> {
-        let _span = xring_obs::span_labelled("synth", attempt.level.as_str());
+        let incremental = replay.is_some();
+        let _span = if incremental {
+            xring_obs::span("synth-incremental")
+        } else {
+            xring_obs::span_labelled("synth", attempt.level.as_str())
+        };
         let t0 = Instant::now();
         let o = &self.options;
         let deadline = if attempt.waive_deadline {
@@ -317,34 +318,70 @@ impl Synthesizer {
             Some(d) if Instant::now() >= d => Err(SynthesisError::DeadlineExceeded),
             _ => Ok(()),
         };
+        let warm_hint = replay.as_ref().and_then(|r| r.warm_hint);
 
         // Step 1: ring construction.
         check_deadline()?;
-        let ring = {
-            let _s = xring_obs::span("ring-milp");
-            RingBuilder::new()
-                .with_algorithm(attempt.algorithm)
-                .with_deadline(deadline)
-                .with_objective_perturbation(attempt.perturbation)
-                .with_lp_backend(attempt.lp_backend)
-                .with_solver_threads(o.solver_threads)
-                .with_pricing(o.pricing)
-                .with_factorization(o.factorization)
-                .build(net)?
-        };
+        let ring = replay_phase(
+            &mut replay,
+            PhaseId::Ring,
+            |a| match a {
+                PhaseArtifact::Ring(ring) => Some(ring),
+                _ => None,
+            },
+            PhaseArtifact::Ring,
+            || {
+                let _s = xring_obs::span("ring-milp");
+                let build = |warm: Option<&Basis>| {
+                    RingBuilder::new()
+                        .with_algorithm(attempt.algorithm)
+                        .with_deadline(deadline)
+                        .with_objective_perturbation(attempt.perturbation)
+                        .with_lp_backend(attempt.lp_backend)
+                        .with_solver_threads(o.solver_threads)
+                        .with_pricing(o.pricing)
+                        .with_factorization(o.factorization)
+                        .with_warm_basis(warm.cloned())
+                        .build(net)
+                };
+                match build(warm_hint) {
+                    // A hint from another floorplan can steer the solver
+                    // to an invalid result; the hint only buys speed, so
+                    // any failure but the deadline re-solves cold.
+                    Err(e) if warm_hint.is_some() && e != SynthesisError::DeadlineExceeded => {
+                        xring_obs::counter("incremental.warm_cold_retries", 1);
+                        build(None)
+                    }
+                    outcome => outcome,
+                }
+            },
+        )?;
 
         // Step 2: shortcuts.
         check_deadline()?;
-        let shortcuts = if o.shortcuts {
-            let _s = xring_obs::span("shortcut");
-            plan_shortcuts(net, &ring.cycle)
-        } else {
-            ShortcutPlan::empty()
-        };
+        let shortcuts = replay_phase(
+            &mut replay,
+            PhaseId::Shortcut,
+            |a| match a {
+                PhaseArtifact::Shortcut(plan) => Some(plan),
+                _ => None,
+            },
+            PhaseArtifact::Shortcut,
+            || {
+                Ok(if o.shortcuts {
+                    let _s = xring_obs::span("shortcut");
+                    plan_shortcuts(net, &ring.cycle)
+                } else {
+                    ShortcutPlan::empty()
+                })
+            },
+        )?;
 
-        // Step 3: mapping + openings. Spare wavelengths are reserved by
-        // mapping into a reduced budget: the top `k_wavelengths` channels
-        // stay dark until a fault repair claims them.
+        // Step 3a: mapping. Spare wavelengths are reserved by mapping
+        // into a reduced budget: the top `k_wavelengths` channels stay
+        // dark until a fault repair claims them. The budget check
+        // precedes any replay, so such a spec fails identically with or
+        // without a store.
         check_deadline()?;
         let effective_wavelengths = o.max_wavelengths.saturating_sub(o.spares.k_wavelengths);
         if o.spares.k_wavelengths > 0 && effective_wavelengths == 0 {
@@ -353,30 +390,66 @@ impl Synthesizer {
                 max_waveguides: o.max_waveguides,
             });
         }
-        let mut plan = {
-            let _s = xring_obs::span("mapping");
-            crate::mapping::map_signals_with_traffic(
-                net,
-                &ring.cycle,
-                &shortcuts,
-                &o.traffic,
-                effective_wavelengths,
-                o.max_waveguides,
-            )?
-        };
-        let opening_stats = if o.openings {
-            let _s = xring_obs::span("opening");
-            open_rings(&ring.cycle, &mut plan, effective_wavelengths)
-        } else {
-            Default::default()
-        };
+        let mapped = replay_phase(
+            &mut replay,
+            PhaseId::Mapping,
+            |a| match a {
+                PhaseArtifact::Mapping(plan) => Some(plan),
+                _ => None,
+            },
+            PhaseArtifact::Mapping,
+            || {
+                let _s = xring_obs::span("mapping");
+                crate::mapping::map_signals_with_traffic(
+                    net,
+                    &ring.cycle,
+                    &shortcuts,
+                    &o.traffic,
+                    effective_wavelengths,
+                    o.max_waveguides,
+                )
+            },
+        )?;
+
+        // Step 3b: openings.
+        check_deadline()?;
+        let (plan, opening_stats) = replay_phase(
+            &mut replay,
+            PhaseId::Opening,
+            |a| match a {
+                PhaseArtifact::Opening(opened) => Some(opened),
+                _ => None,
+            },
+            PhaseArtifact::Opening,
+            || {
+                let mut plan = mapped;
+                let stats = if o.openings {
+                    let _s = xring_obs::span("opening");
+                    open_rings(&ring.cycle, &mut plan, effective_wavelengths)
+                } else {
+                    OpeningStats::default()
+                };
+                Ok((plan, stats))
+            },
+        )?;
 
         // Step 4: PDN.
         check_deadline()?;
-        let pdn = o.pdn.then(|| {
-            let _s = xring_obs::span("pdn");
-            design_pdn(net, &ring.cycle, &plan, &shortcuts, &o.loss, o.laser)
-        });
+        let pdn = replay_phase(
+            &mut replay,
+            PhaseId::Pdn,
+            |a| match a {
+                PhaseArtifact::Pdn(pdn) => Some(pdn),
+                _ => None,
+            },
+            PhaseArtifact::Pdn,
+            || {
+                Ok(o.pdn.then(|| {
+                    let _s = xring_obs::span("pdn");
+                    design_pdn(net, &ring.cycle, &plan, &shortcuts, &o.loss, o.laser)
+                }))
+            },
+        )?;
 
         let layout = {
             let _s = xring_obs::span("realize");
@@ -395,7 +468,12 @@ impl Synthesizer {
             provenance: Provenance::default(),
         };
 
-        xring_obs::record_hist("synth.wall_us", t0.elapsed().as_micros() as u64);
+        let wall_hist = if incremental {
+            "synth.incremental.wall_us"
+        } else {
+            "synth.wall_us"
+        };
+        xring_obs::record_hist(wall_hist, t0.elapsed().as_micros() as u64);
 
         self.release(design, attempt.level, attempt.reason.clone())
     }
@@ -441,7 +519,7 @@ impl Synthesizer {
 }
 
 /// One run of the pipeline within the fallback chain.
-struct Attempt {
+pub(crate) struct Attempt {
     algorithm: RingAlgorithm,
     perturbation: Option<u64>,
     lp_backend: LpBackendKind,
@@ -451,8 +529,8 @@ struct Attempt {
 }
 
 impl Attempt {
-    /// The as-requested attempt (no overrides).
-    fn requested(synth: &Synthesizer) -> Attempt {
+    /// The as-requested attempt (no overrides): the chain's exact step.
+    pub(crate) fn requested(synth: &Synthesizer) -> Attempt {
         Attempt {
             algorithm: synth.options.ring_algorithm,
             perturbation: None,
@@ -462,6 +540,17 @@ impl Attempt {
             reason: None,
         }
     }
+
+    /// The heuristic-ring step, deadline waived, recording `reason`.
+    fn heuristic(synth: &Synthesizer, reason: String) -> Attempt {
+        Attempt {
+            algorithm: RingAlgorithm::Heuristic,
+            waive_deadline: true,
+            level: DegradationLevel::Heuristic,
+            reason: Some(reason),
+            ..Attempt::requested(synth)
+        }
+    }
 }
 
 /// True when the fallback chain can recover from `e`: solver failures,
@@ -469,7 +558,7 @@ impl Attempt {
 /// recoverable; spec-level errors (too few nodes, duplicate positions,
 /// wavelength budget exhaustion) are not — a different ring cannot fix
 /// them honestly.
-pub(crate) fn degradable(e: &SynthesisError) -> bool {
+fn degradable(e: &SynthesisError) -> bool {
     matches!(
         e,
         SynthesisError::RingMilp(_)

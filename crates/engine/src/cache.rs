@@ -438,12 +438,13 @@ impl DesignCache {
                 ..
             }) => {
                 match artifact {
-                    PhaseArtifact::Ring(a) => a.basis = None,
-                    PhaseArtifact::Shortcut(a) => a.plan.shortcuts.clear(),
-                    PhaseArtifact::Mapping(a) => a.plan.routes.clear(),
-                    PhaseArtifact::Opening(a) => a.plan.routes.clear(),
-                    PhaseArtifact::Pdn(a) => {
-                        if let Some(p) = &mut a.pdn {
+                    PhaseArtifact::Ring(ring) => ring.basis = None,
+                    PhaseArtifact::Shortcut(plan) => plan.shortcuts.clear(),
+                    PhaseArtifact::Mapping(plan) | PhaseArtifact::Opening((plan, _)) => {
+                        plan.routes.clear()
+                    }
+                    PhaseArtifact::Pdn(pdn) => {
+                        if let Some(p) = pdn {
                             p.sender_loss_db.clear();
                         }
                     }
@@ -475,9 +476,9 @@ impl DesignCache {
         let mut inner = self.lock();
         let basis = match inner.map.get(&addr) {
             Some(Entry {
-                payload: Payload::Artifact(PhaseArtifact::Ring(a)),
+                payload: Payload::Artifact(PhaseArtifact::Ring(ring)),
                 ..
-            }) => a.basis.clone(),
+            }) => ring.basis.clone(),
             _ => None,
         };
         if basis.is_some() {
@@ -772,12 +773,12 @@ mod tests {
     }
 
     fn shortcut_artifact(n: usize) -> PhaseArtifact {
-        use xring_core::{RingBuilder, ShortcutArtifact};
+        use xring_core::RingBuilder;
         let net = NetworkSpec::psion_16();
         let ring = RingBuilder::new().build(&net).expect("ring");
         let mut plan = xring_core::plan_shortcuts(&net, &ring.cycle);
         plan.shortcuts.truncate(n);
-        PhaseArtifact::Shortcut(ShortcutArtifact { plan })
+        PhaseArtifact::Shortcut(plan)
     }
 
     #[test]
@@ -916,7 +917,7 @@ mod tests {
         cache.put_artifact(PhaseId::Shortcut, 3, shortcut_artifact(2));
         assert!(cache.corrupt_artifact(PhaseId::Shortcut, 3));
         match cache.get_artifact(PhaseId::Shortcut, 3) {
-            Some(PhaseArtifact::Shortcut(a)) => assert!(a.plan.shortcuts.is_empty()),
+            Some(PhaseArtifact::Shortcut(plan)) => assert!(plan.shortcuts.is_empty()),
             other => panic!("expected corrupted shortcut artifact, got {other:?}"),
         }
         assert!(!cache.corrupt_artifact(PhaseId::Ring, 3));

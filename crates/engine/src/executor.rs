@@ -6,7 +6,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Instant;
-use xring_core::{audit_report_bounds, SynthesisError, Synthesizer};
+use xring_core::{audit_report_bounds, SynthesisError, Synthesizer, XRingDesign};
+use xring_phot::RouterReport;
 
 use crate::cache::{canonical_key, DesignCache};
 use crate::job::{BatchResult, JobError, JobOutput, SynthesisJob};
@@ -256,12 +257,8 @@ impl Engine {
         let key = canonical_key(job);
         if let Some((design, report)) = self.cache.lookup(&key, &job.label) {
             return Ok(JobOutput {
-                label: job.label.clone(),
-                design,
-                report,
                 wall: t0.elapsed(),
-                cache_hit: true,
-                phases_reused: 0,
+                ..cached(job, design, report)
             });
         }
         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -278,24 +275,7 @@ impl Engine {
                 self.cache.as_ref(),
                 warm_hint.as_ref(),
             )?;
-            let design = Arc::new(design);
-            let report =
-                design.report(job.label.clone(), &job.loss, job.xtalk.as_ref(), &job.power);
-            let bounds = audit_report_bounds(&report);
-            if !bounds.passed {
-                return Err(JobError::Synthesis(SynthesisError::AuditFailed {
-                    summary: format!("{}: {}", bounds.invariant, bounds.detail),
-                }));
-            }
-            self.cache.insert(key, Arc::clone(&design), report.clone());
-            Ok(JobOutput {
-                label: job.label.clone(),
-                design,
-                report,
-                wall: Default::default(),
-                cache_hit: false,
-                phases_reused: inc.phases_reused(),
-            })
+            self.finish_fresh(key, job, design, inc.phases_reused())
         }))
         .unwrap_or_else(|p| Err(JobError::Panicked(panic_message(p.as_ref()))));
         result.map(|mut out| {
@@ -377,16 +357,29 @@ impl Engine {
         if let Some((design, report)) = self.cache.lookup(&key, &job.label) {
             #[cfg(feature = "fault-inject")]
             self.check_device_fault(index, attempt, &design, job)?;
-            return Ok(JobOutput {
-                label: job.label.clone(),
-                design,
-                report,
-                wall: Default::default(),
-                cache_hit: true,
-                phases_reused: 0,
-            });
+            return Ok(cached(job, design, report));
         }
-        let design = Arc::new(Synthesizer::new(job.options.clone()).synthesize(&job.net)?);
+        let design = Synthesizer::new(job.options.clone()).synthesize(&job.net)?;
+        let out = self.finish_fresh(key, job, design, 0)?;
+        // The design is good and cached; an injected device fault is an
+        // external event striking it afterwards, so it fails only this
+        // job, never the cache entry.
+        #[cfg(feature = "fault-inject")]
+        self.check_device_fault(index, attempt, &out.design, job)?;
+        Ok(out)
+    }
+
+    /// The tail every freshly synthesized design goes through, from a
+    /// batch job or a re-synthesis: re-check its provenance audit,
+    /// evaluate the job's report, bound-check it and cache the design
+    /// under `key`.
+    fn finish_fresh(
+        &self,
+        key: Vec<u8>,
+        job: &SynthesisJob,
+        design: XRingDesign,
+        phases_reused: usize,
+    ) -> Result<JobOutput, JobError> {
         // The synthesizer audited the design already; re-check here so a
         // design that somehow bypassed it (or a future code path that
         // forgets) can neither be cached nor returned.
@@ -395,6 +388,7 @@ impl Engine {
                 summary: design.provenance.audit.summary(),
             }));
         }
+        let design = Arc::new(design);
         let report = design.report(job.label.clone(), &job.loss, job.xtalk.as_ref(), &job.power);
         // The provenance audit evaluated physical bounds with the *core*
         // options; this job may evaluate under different loss/crosstalk
@@ -406,18 +400,13 @@ impl Engine {
             }));
         }
         self.cache.insert(key, Arc::clone(&design), report.clone());
-        // The design is good and cached; an injected device fault is an
-        // external event striking it afterwards, so it fails only this
-        // job, never the cache entry.
-        #[cfg(feature = "fault-inject")]
-        self.check_device_fault(index, attempt, &design, job)?;
         Ok(JobOutput {
             label: job.label.clone(),
             design,
             report,
             wall: Default::default(),
             cache_hit: false,
-            phases_reused: 0,
+            phases_reused,
         })
     }
 
@@ -493,6 +482,18 @@ impl Engine {
                 summary: format!("injected device fault {fault}: {}", audit.report.summary()),
             }))
         }
+    }
+}
+
+/// The output of a whole-design cache hit for `job`.
+fn cached(job: &SynthesisJob, design: Arc<XRingDesign>, report: RouterReport) -> JobOutput {
+    JobOutput {
+        label: job.label.clone(),
+        design,
+        report,
+        wall: Default::default(),
+        cache_hit: true,
+        phases_reused: 0,
     }
 }
 

@@ -5,6 +5,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use xring_core::{DegradationLevel, DegradationPolicy, NetworkSpec, SynthesisOptions, Synthesizer};
 use xring_engine::{BatchResult, Engine, EngineEvent, EventSink, JobError, SynthesisJob};
+use xring_obs::{RequestCtx, RequestId};
 
 fn sample_jobs() -> Vec<SynthesisJob> {
     let proton = NetworkSpec::proton_8();
@@ -155,6 +156,45 @@ fn a_deadline_degraded_design_is_never_cached() {
     let exact = engine.resynthesize(&rushed, &calm).expect("synthesizes");
     assert!(!exact.cache_hit);
     assert_eq!(exact.design.provenance.degradation, DegradationLevel::Exact);
+}
+
+#[test]
+fn a_rushed_resynthesis_runs_the_exact_step_once() {
+    // Under `Allow`, a failed incremental attempt is the chain's exact
+    // step: the fallback continues after it instead of starting the
+    // exact pipeline again with a fresh deadline.
+    let net = NetworkSpec::irregular(16, 8_000, 3).expect("valid");
+    let options = SynthesisOptions::with_wavelengths(8).with_degradation(DegradationPolicy::Allow);
+    let rushed = SynthesisJob::new("rushed", net, options).with_deadline(Duration::from_nanos(1));
+
+    let ctx = RequestCtx::new(RequestId::mint(0x5eed, 1, 0));
+    let scope = ctx.attach();
+    let out = Engine::new()
+        .with_workers(1)
+        .resynthesize(&rushed, &rushed)
+        .expect("degrades");
+    drop(scope);
+    let trace = ctx.finish();
+
+    assert_eq!(
+        out.design.provenance.degradation,
+        DegradationLevel::Heuristic
+    );
+    let incremental = trace
+        .spans
+        .iter()
+        .find(|s| s.name == "synth-incremental")
+        .expect("the incremental attempt is traced");
+    let exact_reruns = trace
+        .spans
+        .iter()
+        .filter(|s| s.name == "synth" && s.label.as_deref() == Some("exact"))
+        .filter(|s| s.id > incremental.id)
+        .count();
+    assert_eq!(
+        exact_reruns, 0,
+        "the exact step ran again after the incremental attempt"
+    );
 }
 
 #[test]

@@ -148,6 +148,9 @@ mod tests {
 
     #[test]
     fn append_keeps_table_order_and_zero_rows() {
+        // `t.mirrored` forwards to the global recorder; serialize with
+        // the test above, whose trace window would otherwise count it.
+        let _lock = crate::test_guard();
         let c = Counters::<Row>::new();
         c.add(Row::Mirrored, 5);
         let mut trace = Trace::default();

@@ -17,7 +17,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use xring::core::{
-    NetworkSpec, RingAlgorithm, RingBuilder, SpareConfig, SynthesisOptions, Synthesizer, Traffic,
+    MemoryArtifactStore, NetworkSpec, RingAlgorithm, RingBuilder, SpareConfig, SynthesisOptions,
+    Synthesizer, Traffic,
 };
 use xring::engine::{Engine, SynthesisJob};
 use xring::obs::{RequestCtx, RequestId, Trace};
@@ -121,6 +122,7 @@ proton_8 wl8                   1       1       0      29       0       0       0
 psion_16 wl16                  1       1       0     190       0       0       2       0      59       7       2    15    7264
 psion_32 wl16                  1       1       0     837       4       0       5       0     339      15       2    15   35170
 irr16 wl8                     45      45       0     139      44      44       2       0      68       6       1    14   27842
+irr16 wl8 drop-0 edit          0       0       0       0       0       0       0       0       0       0       0     7    5292  reused 2/5
 irr64 ring                    35      35       0    5097      37      34       9       1       0       0       0     2  280621
 irr128 s1 knn3-heur            0       0       0       0       0       0       0       0    1376      58      12    37    5806
 irr128 s2 knn3-heur            0       0       0       0       0       0       0       1    1319      58      10    22    5487
@@ -148,6 +150,29 @@ fn fixture_work_matches_the_golden_counters() {
             SynthesisOptions::with_wavelengths(wl),
         ));
     }
+
+    // An incremental edit: the store is seeded outside the capture, then
+    // dropping demand 0 replays ring and shortcut and recomputes the rest.
+    let net = NetworkSpec::irregular(16, 8_000, 5).expect("irregular");
+    let options = SynthesisOptions::with_wavelengths(8);
+    let store = MemoryArtifactStore::new();
+    Synthesizer::new(options.clone())
+        .synthesize_incremental(&net, &store, None)
+        .expect("seed run");
+    let mut pairs = options.traffic.pairs(&net);
+    pairs.remove(0);
+    let edited = Synthesizer::new(SynthesisOptions {
+        traffic: Traffic::Custom(pairs),
+        ..options
+    });
+    let ((design, report), trace, allocs) = capture(|| {
+        edited
+            .synthesize_incremental(&net, &store, None)
+            .expect("edit synthesizes")
+    });
+    assert!(design.provenance.audit.is_clean());
+    let outcome = format!("reused {}/5", report.phases_reused());
+    rows.push(row("irr16 wl8 drop-0 edit", &trace, Some(allocs), &outcome));
 
     // The 64-node ring MILP: the deepest branch-and-bound tree pinned.
     let net = NetworkSpec::irregular(64, 20_000, 5).expect("irregular");

@@ -17,7 +17,7 @@
 //!    byte-identical result.
 
 use xring::core::{NetworkSpec, SynthesisOptions, Traffic};
-use xring::engine::{Engine, SynthesisJob};
+use xring::engine::{Engine, JobOutput, SynthesisJob};
 use xring::obs;
 
 /// The pinned edit-loop fixture: the 16-node irregular placement with
@@ -35,6 +35,17 @@ fn fixture() -> (SynthesisJob, SynthesisJob) {
     )
 }
 
+/// A cold synthesis of `job`: one batch job on a fresh engine, which
+/// runs the pipeline with no artifact store at all.
+fn cold(job: &SynthesisJob) -> JobOutput {
+    Engine::new()
+        .with_workers(1)
+        .run_batch(vec![job.clone()])
+        .outcomes
+        .remove(0)
+        .expect("pinned edit workload is feasible")
+}
+
 #[test]
 fn incremental_edit_is_byte_identical_to_cold_synthesis() {
     // Serialized with the traced test below: spans this test emits while
@@ -42,12 +53,9 @@ fn incremental_edit_is_byte_identical_to_cold_synthesis() {
     let _lock = obs::test_guard();
     let (base, edited) = fixture();
 
-    // Cold reference: a fresh engine synthesizes the edited spec with
-    // nothing cached.
-    let cold = Engine::new()
-        .with_workers(1)
-        .resynthesize(&edited, &edited)
-        .expect("pinned edit workload is feasible");
+    // Cold reference: a fresh engine synthesizes the edited spec as a
+    // batch job, with nothing cached.
+    let cold = cold(&edited);
     assert!(!cold.cache_hit);
     assert_eq!(cold.phases_reused, 0, "fresh engine has nothing to reuse");
 
@@ -107,10 +115,7 @@ fn edit_recomputes_only_the_dirty_suffix_of_the_phase_dag() {
     // The edit is cheaper in work, not only in wall time: it solves no
     // LP at all, where a cold synthesis of the same spec runs the MILP.
     obs::start();
-    Engine::new()
-        .with_workers(1)
-        .resynthesize(&edited, &edited)
-        .expect("pinned edit workload is feasible");
+    cold(&edited);
     let cold = obs::finish();
     for counter in ["milp.lp_solves", "simplex.pivots"] {
         assert_eq!(
@@ -168,13 +173,9 @@ fn corrupted_artifact_mid_edit_falls_back_to_cold_synthesis() {
     );
     assert!(out.design.provenance.audit.is_clean());
 
-    let cold = Engine::new()
-        .with_workers(1)
-        .resynthesize(&edited, &edited)
-        .expect("pinned edit workload is feasible");
     assert_eq!(
         out.design.describe(),
-        cold.design.describe(),
+        cold(&edited).design.describe(),
         "the fallback result must match an honest cold synthesis"
     );
 }
