@@ -12,8 +12,9 @@
 
 use crate::netspec::NodeId;
 use std::time::Duration;
+use xring_phot::units::UM_PER_CM;
 use xring_phot::{
-    insertion_loss_db, total_laser_power_w, CrosstalkParams, LossParams, NoiseLedger, PathElement,
+    total_laser_power_w, CrosstalkParams, LossParams, NoiseLedger, PathElement,
     PerWavelengthDemand, PowerParams, RouterReport, SignalId, Wavelength,
 };
 
@@ -127,6 +128,34 @@ pub struct LayoutModel {
 /// Power floor below which noise streams are abandoned (dB rel.).
 const NOISE_FLOOR_DB: f64 = -140.0;
 
+/// The station indices one hop walks, from [`LayoutModel::walk`].
+struct HopWalk {
+    /// The index yielded next; `None` once `to` has been yielded.
+    next: Option<StationIdx>,
+    to: StationIdx,
+    /// Station count of the waveguide: a closed hop wraps there, an open
+    /// one ends at `to` before it.
+    n: usize,
+    /// Indices still allowed before `to` must have been reached.
+    left: usize,
+}
+
+impl Iterator for HopWalk {
+    type Item = StationIdx;
+
+    fn next(&mut self) -> Option<StationIdx> {
+        let i = self.next?;
+        if i == self.to {
+            self.next = None;
+        } else {
+            self.left -= 1;
+            assert!(self.left > 0, "hop does not reach target station");
+            self.next = Some(if i + 1 == self.n { 0 } else { i + 1 });
+        }
+        Some(i)
+    }
+}
+
 impl LayoutModel {
     /// An empty layout.
     pub fn new() -> Self {
@@ -135,25 +164,30 @@ impl LayoutModel {
 
     /// Iterates the station indices strictly between `from` and `to` on
     /// waveguide `w` (wrapping when closed), then `to` itself.
-    fn walk(&self, w: WaveguideIdx, from: StationIdx, to: StationIdx) -> Vec<StationIdx> {
+    ///
+    /// # Panics
+    ///
+    /// On an open waveguide unless `from < to`; on a closed one once a
+    /// full lap has passed without reaching `to`.
+    fn walk(&self, w: WaveguideIdx, from: StationIdx, to: StationIdx) -> HopWalk {
         let wg = &self.waveguides[w];
         let n = wg.stations.len();
-        let mut out = Vec::new();
         if wg.closed {
-            let mut i = (from + 1) % n;
-            loop {
-                out.push(i);
-                if i == to {
-                    break;
-                }
-                i = (i + 1) % n;
-                assert!(out.len() <= n, "hop does not reach target station");
+            HopWalk {
+                next: Some((from + 1) % n),
+                to,
+                n,
+                left: n,
             }
         } else {
             assert!(from < to, "open waveguide hops must go forward");
-            out.extend(from + 1..=to);
+            HopWalk {
+                next: Some(from + 1),
+                to,
+                n,
+                left: to - from,
+            }
         }
-        out
     }
 
     /// Structural validation of the whole layout: every hop starts at a
@@ -296,6 +330,63 @@ impl LayoutModel {
             }
         }
         trace
+    }
+
+    /// The insertion loss of signal `id` in dB, without building its
+    /// trace: the terms [`xring_phot::insertion_loss_db`] sums over
+    /// [`trace`](Self::trace), added in the same order, so the result is
+    /// bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// Like [`trace`](Self::trace).
+    pub fn insertion_loss_db(&self, id: SignalId, loss: &LossParams) -> f64 {
+        let sig = &self.signals[id.0 as usize];
+        let mut il = 0.0;
+        let last_hop = sig.hops.len() - 1;
+        for (h, hop) in sig.hops.iter().enumerate() {
+            let stations = &self.waveguides[hop.waveguide].stations;
+            for si in self.walk(hop.waveguide, hop.from_station, hop.to_station) {
+                let at_target = si == hop.to_station;
+                match &stations[si] {
+                    Station::Segment { length_um, bends } => {
+                        il += loss.propagation_db_per_cm * (*length_um as f64 / UM_PER_CM);
+                        for _ in 0..*bends {
+                            il += loss.bend_db;
+                        }
+                    }
+                    Station::NodeTap { drops, .. } => {
+                        if !at_target {
+                            for (wl, other) in drops {
+                                debug_assert!(
+                                    *wl != sig.wavelength,
+                                    "signal {id} passes a same-wavelength drop of {other}"
+                                );
+                                il += loss.through_db;
+                            }
+                        }
+                    }
+                    Station::SenderTap { .. } => {}
+                    Station::Crossing { through_mrrs, .. } => {
+                        if !at_target {
+                            il += loss.crossing_db;
+                            for _ in 0..*through_mrrs {
+                                il += loss.through_db;
+                            }
+                        }
+                    }
+                    Station::Opening => {
+                        panic!("signal {id} routed across an opening");
+                    }
+                }
+            }
+            // The receiver drop and its detector, or a CSE transfer drop.
+            il += loss.drop_db;
+            if h == last_hop {
+                il += loss.photodetector_db;
+            }
+        }
+        il
     }
 
     /// Propagates all first-order noise and returns the ledger.
@@ -474,12 +565,12 @@ impl LayoutModel {
         let mut wavelengths: Vec<Wavelength> = Vec::new();
 
         for (i, sig) in self.signals.iter().enumerate() {
-            let trace = self.trace(SignalId(i as u32));
-            let il = insertion_loss_db(&trace, loss);
+            let id = SignalId(i as u32);
+            let il = self.insertion_loss_db(id, loss);
             ils.push(il);
             if il > worst_il {
                 worst_il = il;
-                worst_stats = TraceStats::of(&trace);
+                worst_stats = TraceStats::of(&self.trace(id));
             }
             demand.register(sig.wavelength, il + sig.pdn_loss_db);
             if !wavelengths.contains(&sig.wavelength) {

@@ -14,7 +14,8 @@ use crate::job::{BatchResult, JobError, JobOutput, SynthesisJob};
 use crate::metrics::{BatchMetrics, EngineEvent, EventSink};
 
 /// A batch executor: a scoped worker pool sharing a [`DesignCache`] and
-/// an optional [`EventSink`].
+/// an optional [`EventSink`]. The calling thread is worker 0 and runs
+/// jobs itself, so a one-job batch spawns no thread.
 ///
 /// Determinism contract: for the same submitted jobs, the outcomes are
 /// identical (wall-clock fields aside) for any worker count — results are
@@ -118,7 +119,9 @@ impl Engine {
     }
 
     /// Runs `count` closures on the worker pool and returns their results
-    /// in index order. A panicking task becomes
+    /// in index order. The calling thread is worker 0 and runs tasks
+    /// itself; only `min(workers, count) - 1` scoped threads are spawned,
+    /// so a one-task call spawns none. A panicking task becomes
     /// [`JobError::Panicked`]; the worker survives and takes the next
     /// task. This is the generic substrate under
     /// [`run_batch`](Self::run_batch), exposed for callers (the bench
@@ -134,26 +137,29 @@ impl Engine {
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<Result<T, JobError>>>> =
             (0..count).map(|_| Mutex::new(None)).collect();
-        let workers = self.workers.min(count);
+        // Claims tasks until none is left.
+        let work = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= count {
+                break;
+            }
+            let result = catch_unwind(AssertUnwindSafe(|| task(i)))
+                .unwrap_or_else(|p| Err(JobError::Panicked(panic_message(p.as_ref()))));
+            *slots[i].lock().expect("result slot") = Some(result);
+        };
         // The caller may run under a request trace (the serve path); hand
-        // that request to every worker so per-job spans land in the same
-        // per-request span tree instead of vanishing across the pool.
+        // that request to every spawned worker so per-job spans land in the
+        // same per-request span tree instead of vanishing across the pool.
         let request = xring_obs::current_request();
         thread::scope(|s| {
-            for _ in 0..workers {
+            // The caller is worker 0, so a one-task batch spawns no thread.
+            for _ in 1..self.workers.min(count) {
                 s.spawn(|| {
                     let _req_scope = request.as_ref().map(|r| r.attach());
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= count {
-                            break;
-                        }
-                        let result = catch_unwind(AssertUnwindSafe(|| task(i)))
-                            .unwrap_or_else(|p| Err(JobError::Panicked(panic_message(p.as_ref()))));
-                        *slots[i].lock().expect("result slot") = Some(result);
-                    }
+                    work();
                 });
             }
+            work();
         });
         slots
             .into_iter()

@@ -10,7 +10,8 @@
 //! * [`SynthesisJob`] / [`BatchResult`] — the job model: one synthesis
 //!   plus its evaluation parameters in, one design + report (or a
 //!   [`JobError`]) out, in submission order.
-//! * [`Engine`] — a scoped worker pool over [`std::thread`]. Results are
+//! * [`Engine`] — a scoped worker pool over [`std::thread`] in which the
+//!   calling thread is worker 0, so a one-job batch spawns no thread. Results are
 //!   deterministic regardless of worker count; a panicking job becomes
 //!   [`JobError::Panicked`] instead of poisoning the batch; each job's
 //!   wall-clock [`deadline`](SynthesisJob::with_deadline) is threaded

@@ -289,3 +289,75 @@ fn events_cover_every_job_and_the_batch() {
         other => panic!("expected BatchFinished last, got {other:?}"),
     }
 }
+
+/// Records the thread that started each job. A job starting on any
+/// thread but `caller` waits (up to 10 s) until the caller has started
+/// one, so a spawned worker cannot drain a small batch before the caller
+/// claims its first job.
+struct ThreadSink {
+    caller: std::thread::ThreadId,
+    started: Mutex<Vec<std::thread::ThreadId>>,
+    caller_started: std::sync::Condvar,
+}
+
+impl ThreadSink {
+    fn new() -> Self {
+        ThreadSink {
+            caller: std::thread::current().id(),
+            started: Mutex::new(Vec::new()),
+            caller_started: std::sync::Condvar::new(),
+        }
+    }
+}
+
+impl EventSink for ThreadSink {
+    fn emit(&self, event: &EngineEvent) {
+        if let EngineEvent::JobStarted { .. } = event {
+            let me = std::thread::current().id();
+            let mut started = self.started.lock().expect("threads");
+            started.push(me);
+            if me == self.caller {
+                self.caller_started.notify_all();
+            } else {
+                let _ = self
+                    .caller_started
+                    .wait_timeout_while(started, Duration::from_secs(10), |s| {
+                        !s.contains(&self.caller)
+                    })
+                    .expect("threads");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_one_job_batch_runs_on_the_calling_thread() {
+    let sink = Arc::new(ThreadSink::new());
+    let engine = Engine::new().with_workers(4).with_sink(sink.clone());
+    let batch = engine.run_batch(sample_jobs().into_iter().take(1).collect());
+    assert_eq!(batch.metrics.succeeded, 1);
+    assert_eq!(*sink.started.lock().expect("threads"), vec![sink.caller]);
+}
+
+#[test]
+fn the_caller_is_one_of_the_batch_workers() {
+    let sink = Arc::new(ThreadSink::new());
+    let engine = Engine::new().with_workers(2).with_sink(sink.clone());
+    let jobs: Vec<SynthesisJob> = (4..9)
+        .map(|wl| {
+            SynthesisJob::new(
+                format!("proton/{wl}"),
+                NetworkSpec::proton_8(),
+                SynthesisOptions::with_wavelengths(wl),
+            )
+        })
+        .collect();
+    let batch = engine.run_batch(jobs);
+    assert_eq!(batch.metrics.succeeded, 5);
+    let mut threads = sink.started.lock().expect("threads").clone();
+    assert_eq!(threads.len(), 5);
+    assert!(threads.contains(&sink.caller), "the caller ran no job");
+    threads.sort_unstable_by_key(|t| format!("{t:?}"));
+    threads.dedup();
+    assert!(threads.len() <= 2, "{} threads ran 5 jobs", threads.len());
+}

@@ -10,8 +10,14 @@
 # uses the i-th seed, cycling through the list, and the side that runs
 # first alternates from pair to pair.
 # For each end-to-end metric of BENCHMARK.json it prints both sides'
-# median and quartiles and how many pairs each side won. Exits 1 if a run
-# is not correct or fails a request. Temporary files go under $TMPDIR.
+# median and quartiles, how many pairs each side won, and a verdict:
+#   gain   the change won at least 9 in 10 pairs, and its median beats the
+#          parent's by more than the parent's interquartile range;
+#   worse  the change's median is worse than the parent's by more than the
+#          metric's relative bound in BENCHMARK.json;
+#   flat   otherwise.
+# Exits 1 if a run is not correct or fails a request. Temporary files go
+# under $TMPDIR.
 set -eu
 
 if [ "$#" -lt 4 ]; then
@@ -26,7 +32,7 @@ shift 3
 cd "$(dirname "$0")"
 seconds=$(sed -n 's/.*"run_seconds": \([0-9]*\).*/\1/p' BENCHMARK.json)
 [ -n "$seconds" ] || { echo "perf-ab: no run_seconds in BENCHMARK.json" >&2; exit 1; }
-metrics=$(sed -n '/"end_to_end"/,/]/s/.*"name": "\([a-z0-9_]*\)".*"better": "\([a-z]*\)".*/\1:\2/p' BENCHMARK.json)
+metrics=$(sed -n '/"end_to_end"/,/]/s/.*"name": "\([a-z0-9_]*\)".*"better": "\([a-z]*\)".*"bound": \([0-9.]*\).*/\1:\2:\3/p' BENCHMARK.json)
 
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/perf-ab.XXXXXX")
 cleanup() {
@@ -77,18 +83,21 @@ value() {
     sed -n 's/.*"'"$2"'": {"value": \([^,}]*\).*/\1/p' "$1"
 }
 
-# stats: median and quartiles (linear interpolation) of stdin's numbers.
-stats() {
+# quartiles: first quartile, median and third quartile (linear
+# interpolation) of stdin's numbers, space-separated at full precision.
+quartiles() {
     sort -n | awk '{ v[NR] = $1 }
         function q(p,   h, f) { h = (NR - 1) * p + 1; f = int(h); return v[f] + (h - f) * (v[f + 1 < NR ? f + 1 : NR] - v[f]) }
-        END { printf "%.4g [%.4g, %.4g]", q(0.5), q(0.25), q(0.75) }'
+        END { printf "%.17g %.17g %.17g", q(0.25), q(0.5), q(0.75) }'
 }
 
 echo "workload $workload, $pairs pairs, $seconds s per run, seeds $*, parent $rev"
-printf '%-16s %-7s %-28s %-28s %s\n' metric better "parent median [q1, q3]" "change median [q1, q3]" "wins parent/change"
+printf '%-16s %-7s %-28s %-28s %-19s %s\n' metric better "parent median [q1, q3]" "change median [q1, q3]" "wins parent/change" verdict
 for entry in $metrics; do
     name=${entry%%:*}
-    better=${entry#*:}
+    rest=${entry#*:}
+    better=${rest%%:*}
+    bound=${rest#*:}
     parent_wins=0
     change_wins=0
     : >"$tmp/parent.values"
@@ -106,6 +115,16 @@ for entry in $metrics; do
         esac
         i=$((i + 1))
     done
-    printf '%-16s %-7s %-28s %-28s %d/%d\n' "$name" "$better" \
-        "$(stats <"$tmp/parent.values")" "$(stats <"$tmp/change.values")" "$parent_wins" "$change_wins"
+    parent_q=$(quartiles <"$tmp/parent.values")
+    change_q=$(quartiles <"$tmp/change.values")
+    awk -v q="$parent_q $change_q" -v name="$name" -v b="$better" -v bound="$bound" \
+        -v pw="$parent_wins" -v cw="$change_wins" -v n="$pairs" 'BEGIN {
+        split(q, v, " ")
+        p1 = v[1]; pm = v[2]; p3 = v[3]; c1 = v[4]; cm = v[5]; c3 = v[6]
+        lower = (b == "lower")
+        if (10 * cw >= 9 * n && (lower ? pm - cm : cm - pm) > p3 - p1) verdict = "gain"
+        else if (lower ? cm > pm * (1 + bound) : cm < pm * (1 - bound)) verdict = "worse"
+        else verdict = "flat"
+        printf "%-16s %-7s %-28s %-28s %-19s %s\n", name, b, sprintf("%.4g [%.4g, %.4g]", pm, p1, p3),
+            sprintf("%.4g [%.4g, %.4g]", cm, c1, c3), pw "/" cw, verdict }'
 done

@@ -202,20 +202,28 @@ fn overload_sheds_with_429_past_max_inflight() {
     .expect("daemon starts");
     let addr = server.addr();
 
-    // Occupy the single handler with a slow batch: distinct cold
-    // irregular floorplans, serially on one engine worker.
+    // Occupy the single handler for at least 300 ms whatever the host's
+    // speed: one job whose exact ring MILP (56 irregular nodes, ~3k
+    // branch-and-bound nodes, ~12 s on a 2-core x86-64 host) cannot
+    // finish inside its deadline, which then degrades to the heuristic
+    // ring. The deadline is checked once per MILP node, so the handler is
+    // busy for the deadline plus one node and the fallback. Until the
+    // handler first parks on the rendezvous queue, the daemon sheds even
+    // this request, so retry a 429 briefly.
     let slow = std::thread::spawn(move || {
-        let jobs: Vec<String> = (0..6)
-            .map(|i| {
-                format!(
-                    "{{\"label\": \"slow-{i}\", \
-                     \"net\": {{\"irregular\": {{\"n\": 24, \"die_um\": 9000, \"seed\": {i}}}}}, \
-                     \"options\": {{\"max_wavelengths\": 8}}}}"
-                )
-            })
-            .collect();
-        let body = format!("{{\"jobs\": [{}]}}", jobs.join(","));
-        client::http_request(addr, "POST", "/batch", &body).expect("slow batch completes")
+        let body = "{\"jobs\": [{\"label\": \"slow\", \
+                    \"net\": {\"irregular\": {\"n\": 56, \"die_um\": 12000, \"seed\": 7}}, \
+                    \"options\": {\"max_wavelengths\": 32, \"deadline_ms\": 300, \
+                    \"degradation\": \"allow\"}}]}";
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        loop {
+            let resp =
+                client::http_request(addr, "POST", "/batch", body).expect("slow batch completes");
+            if resp.0 != 429 || std::time::Instant::now() >= deadline {
+                break resp;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
     });
 
     // /healthz bypasses admission, so it reports the saturation we are
@@ -241,6 +249,10 @@ fn overload_sheds_with_429_past_max_inflight() {
 
     let (status, body) = slow.join().expect("slow client");
     assert_eq!(status, 200, "{body}");
+    assert!(
+        body.contains("\"degradation\":\"heuristic\""),
+        "the exact ring finished inside the deadline: {body}"
+    );
 
     // Load gone: the daemon admits again. Recovery is eventually
     // consistent — with a rendezvous queue the handler must park back
