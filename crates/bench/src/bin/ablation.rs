@@ -1,8 +1,11 @@
-//! Runs the design-choice ablations (DESIGN.md E5–E7).
+//! Runs the design-choice ablations (DESIGN.md E5–E7), and after E7 the
+//! ring-MILP survey of EXPERIMENTS.md E12.
 //!
 //! Run with: `cargo run --release -p xring-bench --bin ablation -- [shortcuts|pdn|ring|all]`
 
-use xring_bench::tables::{ablation_pdn, ablation_ring, ablation_shortcuts, print_sections};
+use xring_bench::tables::{
+    ablation_pdn, ablation_ring, ablation_shortcuts, print_ring_survey, print_sections,
+};
 use xring_engine::Engine;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -21,6 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if which == "ring" || which == "all" {
         println!("ABLATION E7 — Step 1 (ring-construction algorithm)\n");
         print_sections(&ablation_ring(&engine)?);
+        print_ring_survey()?;
     }
     Ok(())
 }

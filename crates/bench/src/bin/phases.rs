@@ -13,7 +13,7 @@ use xring_obs as obs;
 use xring_phot::{CrosstalkParams, LossParams, PowerParams};
 
 /// The phases reported, in pipeline order. `ring-milp` includes the MILP
-/// solve and sub-cycle merge; `evaluation` is the loss/crosstalk/power
+/// solve and the 2-SAT route assignment; `evaluation` is the loss/crosstalk/power
 /// report (the audit's internal evaluation is nested under `audit` and
 /// therefore not double-counted here — only top-level shares are shown).
 const PHASES: &[&str] = &[

@@ -511,6 +511,98 @@ pub fn ablation_ring(engine: &Engine) -> Result<Vec<(String, Vec<RouterReport>)>
         .collect())
 }
 
+/// The Step-1 survey of one floorplan set (EXPERIMENTS.md E12).
+#[derive(Debug, Clone, PartialEq)]
+pub struct RingSurveyRow {
+    /// Builds that returned an error.
+    pub failures: usize,
+    /// Rings whose 2-SAT route assignment fell back to the greedy one.
+    pub twosat_fallbacks: usize,
+    /// Residual ring crossings, summed over the set.
+    pub residual_crossings: usize,
+    /// Mean perimeter of the built rings in mm.
+    pub mean_perimeter_mm: f64,
+    /// Median and 90th-percentile (nearest rank) build wall in ms,
+    /// failed builds included.
+    pub wall_p50_p90_ms: (f64, f64),
+}
+
+/// Builds the default MILP ring of every floorplan, one at a time on the
+/// calling thread so the wall times do not compete.
+pub fn ring_survey(nets: &[NetworkSpec]) -> RingSurveyRow {
+    let mut row = RingSurveyRow {
+        failures: 0,
+        twosat_fallbacks: 0,
+        residual_crossings: 0,
+        mean_perimeter_mm: 0.0,
+        wall_p50_p90_ms: (0.0, 0.0),
+    };
+    let mut walls = Vec::with_capacity(nets.len());
+    for net in nets {
+        let t0 = Instant::now();
+        let built = RingBuilder::new().build(net);
+        walls.push(t0.elapsed().as_secs_f64() * 1e3);
+        let Ok(out) = built else {
+            row.failures += 1;
+            continue;
+        };
+        row.twosat_fallbacks += usize::from(out.stats.twosat_fallback);
+        row.residual_crossings += out.cycle.residual_crossings();
+        row.mean_perimeter_mm += out.cycle.perimeter() as f64 / 1e3;
+    }
+    row.mean_perimeter_mm /= (nets.len() - row.failures).max(1) as f64;
+    walls.sort_by(f64::total_cmp);
+    let rank = |q: f64| walls[((walls.len() as f64 * q).ceil() as usize).max(1) - 1];
+    row.wall_p50_p90_ms = (rank(0.5), rank(0.9));
+    row
+}
+
+/// Prints the E12 survey, the section after the E7 ablation: seeded
+/// 16-node (300, 8 mm die) and 32-node (40, 12 mm die) floorplans on the
+/// 100 µm grid, then the fixtures one by one.
+///
+/// # Errors
+///
+/// Propagates floorplan construction failures.
+pub fn print_ring_survey() -> Result<(), SynthesisError> {
+    let seeded = |n: usize, die_um: i64, count: u64| {
+        (1..=count)
+            .map(|seed| NetworkSpec::irregular(n, die_um, seed))
+            .collect::<Result<Vec<_>, _>>()
+    };
+    let sets = [
+        ("seeded N=16, 8 mm die", seeded(16, 8_000, 300)?),
+        ("seeded N=32, 12 mm die", seeded(32, 12_000, 40)?),
+        ("proton_8", vec![NetworkSpec::proton_8()]),
+        ("proton_16", vec![NetworkSpec::proton_16()]),
+        ("psion_16", vec![NetworkSpec::psion_16()]),
+        ("psion_32", vec![NetworkSpec::psion_32()]),
+        (
+            "irregular(64, 20 mm, 5)",
+            vec![NetworkSpec::irregular(64, 20_000, 5)?],
+        ),
+    ];
+    println!("== ring MILP survey (E12) ==");
+    println!(
+        "floorplans                 count  fail 2sat-fb residual  perim(mm)   p50(ms)   p90(ms)"
+    );
+    for (label, nets) in sets {
+        let r = ring_survey(&nets);
+        println!(
+            "{label:<26} {:>5} {:>5} {:>7} {:>8} {:>10.2} {:>9.2} {:>9.2}",
+            nets.len(),
+            r.failures,
+            r.twosat_fallbacks,
+            r.residual_crossings,
+            r.mean_perimeter_mm,
+            r.wall_p50_p90_ms.0,
+            r.wall_p50_p90_ms.1
+        );
+    }
+    println!();
+    Ok(())
+}
+
 /// Prints sections of rows in the paper's tabular style.
 pub fn print_sections(sections: &[(String, Vec<RouterReport>)]) {
     for (title, rows) in sections {
@@ -601,6 +693,24 @@ mod tests {
             assert!(
                 xring.total_power_w.expect("pdn") <= oring.total_power_w.expect("pdn"),
                 "{title}"
+            );
+        }
+    }
+
+    #[test]
+    fn ring_survey_counts_each_set() {
+        let proton = ring_survey(&[NetworkSpec::proton_8()]);
+        assert_eq!(proton.mean_perimeter_mm, 12.0);
+        assert_eq!(proton.wall_p50_p90_ms.0, proton.wall_p50_p90_ms.1);
+        let seeded: Vec<NetworkSpec> = (1..=3)
+            .map(|seed| NetworkSpec::irregular(8, 4_000, seed).expect("irregular"))
+            .collect();
+        let seeded = ring_survey(&seeded);
+        assert!(seeded.wall_p50_p90_ms.0 <= seeded.wall_p50_p90_ms.1);
+        for r in [proton, seeded] {
+            assert_eq!(
+                (r.failures, r.twosat_fallbacks, r.residual_crossings),
+                (0, 0, 0)
             );
         }
     }

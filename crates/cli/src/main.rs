@@ -13,7 +13,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 use xring_bench::tables::{
-    ablation_pdn, ablation_ring, ablation_shortcuts, print_sections, table1, table2, table3,
+    ablation_pdn, ablation_ring, ablation_shortcuts, print_ring_survey, print_sections, table1,
+    table2, table3,
 };
 use xring_core::{
     DegradationLevel, NetworkSpec, SpareConfig, SynthesisOptions, Synthesizer, Traffic,
@@ -213,6 +214,13 @@ fn run_ablation(which: &str, engine: &Engine) -> ExitCode {
                 eprintln!("error: {e}");
                 return ExitCode::FAILURE;
             }
+        }
+    }
+    // The ring ablation ends with the E12 ring-MILP survey.
+    if !matches!(which, "shortcuts" | "pdn") {
+        if let Err(e) = print_ring_survey() {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
         }
     }
     let cache = &engine.cache().counters;

@@ -57,7 +57,7 @@ pub enum Invariant {
     /// go undeclared: for an XRing design this also covers the
     /// shortcuts, which must not cross the ring and may cross only
     /// their declared CSE partner.
-    RingCrossingFree,
+    RingCrossingsDeclared,
     /// Every traffic demand is served by exactly one route; no route
     /// serves a demand outside the pattern.
     DemandsServedOnce,
@@ -77,7 +77,7 @@ impl Invariant {
     pub fn name(&self) -> &'static str {
         match self {
             Invariant::RingClosedCycle => "ring-closed-cycle",
-            Invariant::RingCrossingFree => "ring-crossing-free",
+            Invariant::RingCrossingsDeclared => "ring-crossings-declared",
             Invariant::DemandsServedOnce => "demands-served-once",
             Invariant::WavelengthConflictFree => "wavelength-conflict-free",
             Invariant::LayoutWellFormed => "layout-well-formed",
@@ -220,7 +220,10 @@ fn check_ring_closed(net: &NetworkSpec, cycle: &RingCycle) -> Result<(), String>
     Ok(())
 }
 
-fn check_ring_crossing_free(cycle: &RingCycle, shortcuts: &ShortcutPlan) -> Result<(), String> {
+fn check_ring_crossings_declared(
+    cycle: &RingCycle,
+    shortcuts: &ShortcutPlan,
+) -> Result<(), String> {
     // Re-count geometrically instead of trusting the cached counter.
     let n = cycle.len();
     let mut crossings = 0usize;
@@ -323,7 +326,7 @@ pub fn audit_structure(
 }
 
 /// [`audit_structure`] for a ring carrying Step-2 shortcuts, which the
-/// ring-crossing-free verdict also checks.
+/// ring-crossings-declared verdict also checks.
 fn audit_structure_with_shortcuts(
     net: &NetworkSpec,
     cycle: &RingCycle,
@@ -335,8 +338,8 @@ fn audit_structure_with_shortcuts(
     let mut report = AuditReport::empty();
     report.push(Invariant::RingClosedCycle, check_ring_closed(net, cycle));
     report.push(
-        Invariant::RingCrossingFree,
-        check_ring_crossing_free(cycle, shortcuts),
+        Invariant::RingCrossingsDeclared,
+        check_ring_crossings_declared(cycle, shortcuts),
     );
     report.push(
         Invariant::DemandsServedOnce,
@@ -444,15 +447,16 @@ mod tests {
         assert!(report.summary().contains("6 invariants hold"));
     }
 
-    /// A 16-node serpentine design: it selects shortcuts, among them
-    /// CSE-merged pairs.
+    /// A seeded 16-node design: it selects shortcuts, among them a
+    /// CSE-merged pair.
     fn design_with_shortcuts() -> XRingDesign {
+        let net = NetworkSpec::irregular(16, 8_000, 1).expect("valid floorplan");
         Synthesizer::new(SynthesisOptions::with_wavelengths(16))
-            .synthesize(&NetworkSpec::psion_16())
+            .synthesize(&net)
             .expect("synthesized")
     }
 
-    /// Audits `design` and returns the ring-crossing-free verdict, after
+    /// Audits `design` and returns the ring-crossings-declared verdict, after
     /// checking that the invariant set did not change.
     fn ring_crossing_verdict(design: &XRingDesign) -> Verdict {
         let report = audit_design(design, &Traffic::AllToAll, &LossParams::default());
@@ -460,7 +464,7 @@ mod tests {
         report
             .verdicts
             .into_iter()
-            .find(|v| v.invariant == Invariant::RingCrossingFree)
+            .find(|v| v.invariant == Invariant::RingCrossingsDeclared)
             .expect("ring verdict")
     }
 
@@ -649,7 +653,7 @@ mod tests {
     fn merge_with_empty_reports_is_a_no_op_in_both_directions() {
         let mut empty = AuditReport::empty();
         let full = AuditReport {
-            verdicts: vec![verdict(Invariant::RingCrossingFree, true, "")],
+            verdicts: vec![verdict(Invariant::RingCrossingsDeclared, true, "")],
         };
         empty.merge(full.clone());
         assert_eq!(empty, full);

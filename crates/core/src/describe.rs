@@ -38,8 +38,8 @@ impl XRingDesign {
         .expect("write");
         writeln!(
             w,
-            "  milp     : {} nodes, {} lazy cuts, {} sub-cycle merges",
-            self.ring_stats.milp_nodes, self.ring_stats.lazy_cuts, self.ring_stats.subcycles_merged
+            "  milp     : {} nodes, {} lazy cuts",
+            self.ring_stats.milp_nodes, self.ring_stats.lazy_cuts
         )
         .expect("write");
 

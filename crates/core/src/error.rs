@@ -33,8 +33,8 @@ pub enum SynthesisError {
     /// expired before the pipeline completed. Checked cooperatively
     /// between pipeline steps and inside the ring-construction MILP.
     DeadlineExceeded,
-    /// Ring construction broke down outside the MILP solver proper
-    /// (solution decoding or sub-cycle merging) — a structural failure
+    /// Ring construction broke down outside the MILP solver proper (the
+    /// solution did not decode to one Hamiltonian cycle) — a structural failure
     /// that the degradation chain can recover from heuristically.
     RingConstruction {
         /// What broke.

@@ -5,7 +5,7 @@
 //!
 //! 1. [`ring`] — ring waveguide construction: a modified-TSP MILP over
 //!    directed node-pair edges, with lazily separated geometric conflict
-//!    constraints and heuristic sub-cycle merging (Sec. III-A).
+//!    and subtour constraints (Sec. III-A).
 //! 2. [`shortcut`] — shortcuts between nodes suffering long ring detours,
 //!    with CSE merging of crossing shortcuts (Sec. III-B).
 //! 3. [`mapping`] + [`opening`] — #wl-capped wavelength assignment with

@@ -379,17 +379,17 @@ mod tests {
         use crate::synth::{SynthesisOptions, Synthesizer};
         use crate::traffic::Traffic;
         let positions = [
-            (3800, 500),
-            (3100, 2200),
-            (3000, 4600),
-            (2300, 4400),
-            (500, 5800),
-            (1700, 2400),
+            (3100, 1200),
+            (1500, 5200),
+            (1000, 1700),
+            (4300, 5400),
+            (3000, 4500),
+            (500, 3900),
         ];
         let net = NetworkSpec::new(positions.iter().map(|&(x, y)| Point::new(x, y)).collect())
             .expect("valid floorplan");
         let options = SynthesisOptions {
-            traffic: Traffic::Permutation { seed: 869_761_565 },
+            traffic: Traffic::Permutation { seed: 13 },
             ..SynthesisOptions::with_wavelengths(8)
         };
         let design = Synthesizer::new(options)

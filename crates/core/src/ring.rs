@@ -3,12 +3,13 @@
 //! Models the connection problem as a *modified travelling salesman*
 //! problem: find a minimum-length cycle visiting every node once such that
 //! the selected edges can be realized as L-shaped waveguides without
-//! crossings. The MILP uses constraints (1)–(3) and objective (4) of the
-//! paper; connectivity is deliberately **not** modelled (it would need
-//! exponentially many sub-tour constraints), and resulting sub-cycles are
-//! merged heuristically (Fig. 6(e)/(f)). Conflict constraints (3) are
-//! separated lazily instead of enumerated up front — an equivalent but
-//! much smaller formulation.
+//! crossings. The MILP holds the degree constraints (1) and objective (4)
+//! of the paper; everything else is separated lazily on integral
+//! candidates: the conflict constraints (3), and one subtour cut
+//! `Σ_{i,j∈S} x_ij ≤ |S|−1` per sub-cycle `S`, which for `|S| = 2` is
+//! exactly constraint (2). The solver therefore returns one Hamiltonian
+//! cycle of minimum length; the paper's heuristic sub-cycle merging
+//! (Fig. 6(e)/(f)) is not needed.
 //!
 //! After an order is found, a 2-SAT instance assigns one L-route option
 //! per edge so the realized ring is globally crossing-free.
@@ -100,16 +101,13 @@ pub struct RingStats {
     /// for the warm-start rate (only root and post-recovery solves are
     /// excluded).
     pub lp_warm_eligible: usize,
-    /// Lazy conflict constraints separated.
+    /// Lazy conflict and subtour constraints separated.
     pub lazy_cuts: usize,
-    /// Objective value of the MILP's optimal edge assignment — the total
-    /// Manhattan length *before* sub-cycle merging (0.0 for heuristic
-    /// algorithms). Backend-independent: alternate optimal assignments
-    /// can merge into different final tours, but this value must agree
-    /// across LP kernels.
+    /// Objective value of the MILP's optimal tour — its Manhattan length,
+    /// perturbed on a retry (0.0 for heuristic algorithms).
+    /// Backend-independent: alternate optimal tours may differ across LP
+    /// kernels, but this value must agree.
     pub milp_objective: f64,
-    /// Sub-cycles merged after optimization.
-    pub subcycles_merged: usize,
     /// True when the global 2-SAT option assignment was infeasible and a
     /// greedy crossing-minimizing fallback realized the geometry.
     pub twosat_fallback: bool,
@@ -544,8 +542,8 @@ impl RingBuilder {
     /// # Errors
     ///
     /// [`SynthesisError::RingMilp`] when the MILP solver fails
-    /// unrecoverably, [`SynthesisError::RingConstruction`] when solution
-    /// decoding or sub-cycle merging breaks down (the heuristic
+    /// unrecoverably, [`SynthesisError::RingConstruction`] when the
+    /// solution does not decode to one Hamiltonian cycle (the heuristic
     /// algorithms cannot fail).
     pub fn build(&self, net: &NetworkSpec) -> Result<RingOutcome, SynthesisError> {
         match self.algorithm {
@@ -611,12 +609,6 @@ impl RingBuilder {
             model.add_constraint(LinExpr::sum(outgoing), Relation::Eq, 1.0);
             model.add_constraint(LinExpr::sum(incoming), Relation::Eq, 1.0);
         }
-        // Constraint (2): no 2-cycles.
-        for i in 0..n {
-            for j in i + 1..n {
-                model.add_constraint(LinExpr::sum([v(i, j)?, v(j, i)?]), Relation::Le, 1.0);
-            }
-        }
         // Objective (4): total Manhattan length, optionally tilted by a
         // deterministic relative perturbation (degradation retry).
         let mut obj = LinExpr::new();
@@ -629,9 +621,46 @@ impl RingBuilder {
         }
         model.set_objective(obj);
 
-        // Warm start with the heuristic tour when it is conflict-free and
-        // the objective is exact (a perturbed retry wants a fresh search).
-        let tour = heuristic_tour(net);
+        // Lazy separation of the conflict constraints (3) and of one
+        // subtour cut per sub-cycle (constraint (2) when |S| = 2).
+        let separate = |values: &[f64]| {
+            let succ = successors(&var, values);
+            let Ok(cycles) = subcycles(&succ) else {
+                // Not an assignment; the decode below reports it.
+                return Vec::new();
+            };
+            let mut cuts = Vec::new();
+            for i1 in 0..n {
+                for i2 in i1 + 1..n {
+                    let (j1, j2) = (succ[i1], succ[i2]);
+                    if i1 == j2 || j1 == i2 || j1 == j2 {
+                        continue; // edges sharing a node never conflict
+                    }
+                    let c = classify_edge_pair(
+                        net.position(NodeId(i1 as u32)),
+                        net.position(NodeId(j1 as u32)),
+                        net.position(NodeId(i2 as u32)),
+                        net.position(NodeId(j2 as u32)),
+                    );
+                    if c.is_conflicting() {
+                        if let (Some(e1), Some(e2)) = (var[i1][j1], var[i2][j2]) {
+                            cuts.push((LinExpr::sum([e1, e2]), Relation::Le, 1.0));
+                        }
+                    }
+                }
+            }
+            if cycles.len() > 1 {
+                for cycle in &cycles {
+                    let inside = cycle.iter().flat_map(|&i| {
+                        let row = &var[i];
+                        cycle.iter().filter_map(move |&j| row[j])
+                    });
+                    cuts.push((LinExpr::sum(inside), Relation::Le, (cycle.len() - 1) as f64));
+                }
+            }
+            cuts
+        };
+
         let mut solver = BranchAndBound::new()
             .with_max_nodes(self.max_milp_nodes)
             .with_deadline(self.deadline)
@@ -642,59 +671,21 @@ impl RingBuilder {
         if let Some(basis) = &self.warm_basis {
             solver = solver.with_root_basis(basis.clone());
         }
-        if self.objective_perturbation.is_none() && tour_is_conflict_free(net, &tour) {
+        // Warm start with the heuristic tour when the separation accepts
+        // it and the objective is exact (a perturbed retry wants a fresh
+        // search).
+        if self.objective_perturbation.is_none() {
+            let tour = heuristic_tour(net);
             let mut values = vec![0.0f64; model.num_vars()];
             for k in 0..n {
                 let a = tour[k].index();
                 let b = tour[(k + 1) % n].index();
                 values[v(a, b)?.index()] = 1.0;
             }
-            solver = solver.with_incumbent(values, tour_length(net, &tour) as f64);
+            if separate(&values).is_empty() {
+                solver = solver.with_incumbent(values, tour_length(net, &tour) as f64);
+            }
         }
-
-        // Lazy separation of conflict constraints (3).
-        let net_clone = net.clone();
-        let var_snapshot: Vec<Vec<Option<VarId>>> = var.clone();
-        let separate = move |values: &[f64]| {
-            let mut selected: Vec<(usize, usize)> = Vec::new();
-            for i in 0..n {
-                for j in 0..n {
-                    if let Some(vid) = var_snapshot[i][j] {
-                        if values[vid.index()] > 0.5 {
-                            selected.push((i, j));
-                        }
-                    }
-                }
-            }
-            let mut cuts = Vec::new();
-            for a in 0..selected.len() {
-                for b in a + 1..selected.len() {
-                    let (i1, j1) = selected[a];
-                    let (i2, j2) = selected[b];
-                    if i1 == i2 || i1 == j2 || j1 == i2 || j1 == j2 {
-                        continue; // edges sharing a node never conflict
-                    }
-                    let c = classify_edge_pair(
-                        net_clone.position(NodeId(i1 as u32)),
-                        net_clone.position(NodeId(j1 as u32)),
-                        net_clone.position(NodeId(i2 as u32)),
-                        net_clone.position(NodeId(j2 as u32)),
-                    );
-                    if c.is_conflicting() {
-                        // Forbid both directed orientations of the
-                        // conflicting geometric pair at once. Selected
-                        // pairs always have i != j, so both variables
-                        // exist; an absent one (impossible by
-                        // construction) just skips the cut rather than
-                        // panicking the worker.
-                        if let (Some(e1), Some(e2)) = (var_snapshot[i1][j1], var_snapshot[i2][j2]) {
-                            cuts.push((LinExpr::sum([e1, e2]), Relation::Le, 1.0));
-                        }
-                    }
-                }
-            }
-            cuts
-        };
 
         // Attach the convergence collector only when someone can see
         // its output (a trace or a --solver-log sink); otherwise the
@@ -707,54 +698,17 @@ impl RingBuilder {
         };
         let convergence = collector.map(ConvergenceCollector::finish);
 
-        // Decode selected edges into successor pointers.
-        let mut succ = vec![usize::MAX; n];
-        for &(i, j) in &edges {
-            if solution.is_set(v(i, j)?) {
-                succ[i] = j;
-            }
-        }
-        if let Some(orphan) = (0..n).find(|&i| succ[i] == usize::MAX) {
+        let cycles = subcycles(&successors(&var, solution.values()))
+            .map_err(|detail| SynthesisError::RingConstruction { detail })?;
+        let [order] = cycles.as_slice() else {
             return Err(SynthesisError::RingConstruction {
-                detail: format!("node {orphan} has no outgoing edge in the MILP solution"),
+                detail: format!(
+                    "MILP solution decodes to {} sub-cycles, not one Hamiltonian cycle",
+                    cycles.len()
+                ),
             });
-        }
-        // Unless every node also has exactly one incoming edge, the
-        // sub-cycle walk below would never return to its start.
-        let mut entered = vec![false; n];
-        if let Some(&twice) = succ
-            .iter()
-            .find(|&&j| std::mem::replace(&mut entered[j], true))
-        {
-            return Err(SynthesisError::RingConstruction {
-                detail: format!("node {twice} has two incoming edges in the MILP solution"),
-            });
-        }
-
-        // Extract sub-cycles (Fig. 6(e)).
-        let mut cycles: Vec<Vec<usize>> = Vec::new();
-        let mut seen = vec![false; n];
-        for start in 0..n {
-            if seen[start] {
-                continue;
-            }
-            let mut cyc = vec![start];
-            seen[start] = true;
-            let mut cur = succ[start];
-            while cur != start {
-                seen[cur] = true;
-                cyc.push(cur);
-                cur = succ[cur];
-            }
-            cycles.push(cyc);
-        }
-
-        // Merge sub-cycles (Fig. 6(f)).
-        let merge_span = xring_obs::span("subcycle-merge");
-        let mut merged = 0usize;
-        let order = merge_cycles(net, &mut cycles, &mut merged)?;
-        xring_obs::counter("ring.subcycles_merged", merged as u64);
-        drop(merge_span);
+        };
+        let order = order.iter().map(|&i| NodeId(i as u32)).collect();
 
         let (cycle, fb) = RingCycle::from_order(net, order);
         let stats = RingStats {
@@ -764,7 +718,6 @@ impl RingBuilder {
             lp_warm_eligible: solution.stats().warm_eligible,
             lazy_cuts: solution.stats().lazy_constraints,
             milp_objective: solution.objective(),
-            subcycles_merged: merged,
             twosat_fallback: fb,
             convergence,
         };
@@ -776,31 +729,6 @@ impl RingBuilder {
     }
 }
 
-/// True when no pair of tour edges is geometrically conflicting.
-fn tour_is_conflict_free(net: &NetworkSpec, tour: &[NodeId]) -> bool {
-    let n = tour.len();
-    for a in 0..n {
-        for b in a + 1..n {
-            let (i1, j1) = (tour[a], tour[(a + 1) % n]);
-            let (i2, j2) = (tour[b], tour[(b + 1) % n]);
-            if i1 == i2 || i1 == j2 || j1 == i2 || j1 == j2 {
-                continue;
-            }
-            if classify_edge_pair(
-                net.position(i1),
-                net.position(j1),
-                net.position(i2),
-                net.position(j2),
-            )
-            .is_conflicting()
-            {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 /// Deterministic relative perturbation factor for the objective
 /// coefficient of edge `(i, j)` under `seed`: `1 + 1e-6 * u` with
 /// `u ∈ [0, 1)` drawn from a SplitMix64 stream keyed on the edge, so the
@@ -810,108 +738,59 @@ fn perturbation_factor(seed: u64, i: usize, j: usize) -> f64 {
     1.0 + 1.0e-6 * SplitMix64::new(seed ^ edge_key).next_f64()
 }
 
-/// Repeatedly combines the two cycles admitting the cheapest conflict-free
-/// 2-exchange until one cycle remains, then returns its node order.
-fn merge_cycles(
-    net: &NetworkSpec,
-    cycles: &mut Vec<Vec<usize>>,
-    merged: &mut usize,
-) -> Result<Vec<NodeId>, SynthesisError> {
-    if cycles.is_empty() {
-        return Err(SynthesisError::RingConstruction {
-            detail: "MILP solution decoded to zero cycles".to_owned(),
-        });
-    }
-    while cycles.len() > 1 {
-        // Current full edge set (for conflict checks of candidate edges).
-        let all_edges: Vec<(usize, usize)> = cycles
-            .iter()
-            .flat_map(|c| (0..c.len()).map(move |k| (c[k], c[(k + 1) % c.len()])))
-            .collect();
-
-        let mut best: Option<(i64, usize, usize, usize, usize, bool)> = None;
-        // Try merging cycle pairs (ca, cb) by replacing edge (a,b) in ca
-        // and (c,d) in cb with (a,d) and (c,b).
-        for ca in 0..cycles.len() {
-            for cb in ca + 1..cycles.len() {
-                for ea in 0..cycles[ca].len() {
-                    for eb in 0..cycles[cb].len() {
-                        let a = cycles[ca][ea];
-                        let b = cycles[ca][(ea + 1) % cycles[ca].len()];
-                        let c = cycles[cb][eb];
-                        let d = cycles[cb][(eb + 1) % cycles[cb].len()];
-                        let dist =
-                            |x: usize, y: usize| net.distance(NodeId(x as u32), NodeId(y as u32));
-                        let delta = dist(a, d) + dist(c, b) - dist(a, b) - dist(c, d);
-                        let free =
-                            edges_conflict_free(net, (a, d), (c, b), &all_edges, (a, b), (c, d));
-                        match &best {
-                            Some((bd, .., bfree)) => {
-                                // Prefer conflict-free merges; among equal
-                                // feasibility, prefer smaller delta.
-                                if (free && !bfree) || (free == *bfree && delta < *bd) {
-                                    best = Some((delta, ca, cb, ea, eb, free));
-                                }
-                            }
-                            None => best = Some((delta, ca, cb, ea, eb, free)),
-                        }
-                    }
-                }
-            }
-        }
-        let Some((_, ca, cb, ea, eb, _)) = best else {
-            return Err(SynthesisError::RingConstruction {
-                detail: "sub-cycle merge found no 2-exchange candidate".to_owned(),
-            });
-        };
-        // Stitch: ca = [.., a] ++ [d, .. rotate cb ..] ++ [.., back to ca]
-        let cyc_b = cycles.remove(cb);
-        let cyc_a = &mut cycles[ca];
-        let mut stitched = Vec::with_capacity(cyc_a.len() + cyc_b.len());
-        // Walk ca from position ea+1 ... around to ea (so it ends at a).
-        for k in 0..cyc_a.len() {
-            stitched.push(cyc_a[(ea + 1 + k) % cyc_a.len()]);
-        }
-        // stitched currently ends with a (element at ea). Insert cb
-        // starting at d (= eb+1) around to c (= eb).
-        for k in 0..cyc_b.len() {
-            stitched.push(cyc_b[(eb + 1 + k) % cyc_b.len()]);
-        }
-        *cyc_a = stitched;
-        *merged += 1;
-    }
-    Ok(cycles[0].iter().map(|&i| NodeId(i as u32)).collect())
+/// The successor of every node in the 0/1 edge selection `values`
+/// (`usize::MAX` for a node with no selected outgoing edge).
+fn successors(var: &[Vec<Option<VarId>>], values: &[f64]) -> Vec<usize> {
+    var.iter()
+        .map(|row| {
+            row.iter()
+                .position(|v| v.is_some_and(|v| values[v.index()] > 0.5))
+                .unwrap_or(usize::MAX)
+        })
+        .collect()
 }
 
-/// True if the two replacement edges are conflict-free against each other
-/// and against every retained edge.
-fn edges_conflict_free(
-    net: &NetworkSpec,
-    e1: (usize, usize),
-    e2: (usize, usize),
-    all_edges: &[(usize, usize)],
-    removed1: (usize, usize),
-    removed2: (usize, usize),
-) -> bool {
-    let pos = |i: usize| net.position(NodeId(i as u32));
-    let disjoint =
-        |x: (usize, usize), y: (usize, usize)| x.0 != y.0 && x.0 != y.1 && x.1 != y.0 && x.1 != y.1;
-    let conflicting = |x: (usize, usize), y: (usize, usize)| {
-        disjoint(x, y)
-            && classify_edge_pair(pos(x.0), pos(x.1), pos(y.0), pos(y.1)).is_conflicting()
-    };
-    if conflicting(e1, e2) {
-        return false;
+/// Splits a successor map into its cycles, each walked from its smallest
+/// node. Shared by the MILP's subtour separation and its final decode.
+///
+/// # Errors
+///
+/// A description of the first node without an outgoing edge or with two
+/// incoming edges: the map is then no permutation and the walk would not
+/// close.
+fn subcycles(succ: &[usize]) -> Result<Vec<Vec<usize>>, String> {
+    let n = succ.len();
+    if let Some(orphan) = (0..n).find(|&i| succ[i] >= n) {
+        return Err(format!(
+            "node {orphan} has no outgoing edge in the MILP solution"
+        ));
     }
-    for &e in all_edges {
-        if e == removed1 || e == removed2 {
+    let mut entered = vec![false; n];
+    if let Some(&twice) = succ
+        .iter()
+        .find(|&&j| std::mem::replace(&mut entered[j], true))
+    {
+        return Err(format!(
+            "node {twice} has two incoming edges in the MILP solution"
+        ));
+    }
+    let mut cycles = Vec::new();
+    let mut seen = vec![false; n];
+    for start in 0..n {
+        if seen[start] {
             continue;
         }
-        if conflicting(e1, e) || conflicting(e2, e) {
-            return false;
+        let mut cycle = vec![start];
+        seen[start] = true;
+        let mut cur = succ[start];
+        while cur != start {
+            seen[cur] = true;
+            cycle.push(cur);
+            cur = succ[cur];
         }
+        cycles.push(cycle);
     }
-    true
+    Ok(cycles)
 }
 
 #[cfg(test)]
@@ -960,18 +839,104 @@ mod tests {
             .build(&net)
             .expect("heuristic");
         assert_valid_cycle(&net, &milp.cycle);
-        // The MILP optimum is over crossing-free edge selections and may
-        // then pay extra length in sub-cycle merging; when no merge was
-        // needed, it must not lose to the (conflict-unchecked) heuristic
-        // by more than the conflict penalty — and with zero merges and a
-        // conflict-free heuristic incumbent, it must win outright.
-        if milp.stats.subcycles_merged == 0 {
+        // A heuristic ring without residual crossings has no conflicting
+        // edge pair, so its tour is feasible for the MILP, whose optimum
+        // cannot be longer.
+        if heur.cycle.residual_crossings() == 0 {
             assert!(
                 milp.cycle.perimeter() <= heur.cycle.perimeter(),
                 "milp {} vs heuristic {}",
                 milp.cycle.perimeter(),
                 heur.cycle.perimeter()
             );
+        }
+    }
+
+    /// True when no pair of tour edges is geometrically conflicting: the
+    /// reference for the MILP's lazy conflict separation.
+    fn tour_is_conflict_free(net: &NetworkSpec, tour: &[NodeId]) -> bool {
+        let n = tour.len();
+        for a in 0..n {
+            for b in a + 1..n {
+                let (i1, j1) = (tour[a], tour[(a + 1) % n]);
+                let (i2, j2) = (tour[b], tour[(b + 1) % n]);
+                if i1 == i2 || i1 == j2 || j1 == i2 || j1 == j2 {
+                    continue;
+                }
+                if classify_edge_pair(
+                    net.position(i1),
+                    net.position(j1),
+                    net.position(i2),
+                    net.position(j2),
+                )
+                .is_conflicting()
+                {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// The shortest tour without a pairwise-conflicting edge pair — the
+    /// MILP's feasible set — over every order that starts at node 0.
+    fn brute_force_minimum(net: &NetworkSpec) -> Option<i64> {
+        fn extend(net: &NetworkSpec, tour: &mut Vec<NodeId>, best: &mut Option<i64>) {
+            if tour.len() == net.len() {
+                let len = tour_length(net, tour);
+                if best.is_none_or(|b| len < b) && tour_is_conflict_free(net, tour) {
+                    *best = Some(len);
+                }
+                return;
+            }
+            for id in (1..net.len()).map(|i| NodeId(i as u32)) {
+                if !tour.contains(&id) {
+                    tour.push(id);
+                    extend(net, tour, best);
+                    tour.pop();
+                }
+            }
+        }
+        let mut best = None;
+        extend(net, &mut vec![NodeId(0)], &mut best);
+        best
+    }
+
+    #[test]
+    fn milp_ring_is_the_shortest_conflict_free_tour() {
+        let mut nets = Vec::new();
+        for n in 5..=8 {
+            for seed in 1..=12u64 {
+                let net = NetworkSpec::irregular(n, 4_000, seed).expect("irregular");
+                nets.push((format!("irregular {n} seed {seed}"), net));
+            }
+        }
+        // Two far-apart clusters: the assignment optimum is one cycle
+        // per cluster, so the solver has to cut it apart.
+        let clusters = [
+            (0, 0),
+            (1_200, 300),
+            (400, 1_500),
+            (1_100, 1_400),
+            (9_000, 200),
+            (10_300, 0),
+            (9_600, 1_100),
+            (10_200, 1_600),
+        ];
+        let clusters = NetworkSpec::new(clusters.iter().map(|&(x, y)| Point::new(x, y)).collect());
+        nets.push(("two clusters".to_owned(), clusters.expect("valid")));
+        for (name, net) in &nets {
+            let out = RingBuilder::new().build(net).expect("solved");
+            if name == "two clusters" {
+                assert!(out.stats.lazy_cuts > 0, "the assignment LP did not split");
+            }
+            assert_valid_cycle(net, &out.cycle);
+            assert_eq!(
+                Some(out.cycle.perimeter()),
+                brute_force_minimum(net),
+                "{name}"
+            );
+            assert_eq!(out.cycle.residual_crossings(), 0, "{name}");
         }
     }
 

@@ -39,13 +39,14 @@ proptest! {
     }
 
     #[test]
-    fn milp_ring_never_loses_to_heuristic_without_merges(net in arb_net()) {
+    fn milp_ring_never_loses_to_a_crossing_free_heuristic_ring(net in arb_net()) {
         let milp = RingBuilder::new().build(&net).expect("milp");
-        if milp.stats.subcycles_merged == 0 {
-            let heur = RingBuilder::new()
-                .with_algorithm(RingAlgorithm::Heuristic)
-                .build(&net)
-                .expect("heuristic");
+        let heur = RingBuilder::new()
+            .with_algorithm(RingAlgorithm::Heuristic)
+            .build(&net)
+            .expect("heuristic");
+        // Without residual crossings the heuristic tour is MILP-feasible.
+        if heur.cycle.residual_crossings() == 0 {
             prop_assert!(milp.cycle.perimeter() <= heur.cycle.perimeter());
         }
     }

@@ -7,9 +7,9 @@ use xring_serve::{client, ServeConfig, Server};
 #[test]
 fn shortcut_only_permutation_traffic_is_served() {
     let mut server = Server::start(ServeConfig::default()).expect("daemon starts");
-    let body = r#"{"net": {"positions": [[3800, 500], [3100, 2200], [3000, 4600],
-        [2300, 4400], [500, 5800], [1700, 2400]]},
-        "options": {"max_wavelengths": 8, "traffic": {"permutation": {"seed": 869761565}}}}"#;
+    let body = r#"{"net": {"positions": [[3100, 1200], [1500, 5200], [1000, 1700],
+        [4300, 5400], [3000, 4500], [500, 3900]]},
+        "options": {"max_wavelengths": 8, "traffic": {"permutation": {"seed": 13}}}}"#;
     let (status, reply) =
         client::http_request(server.addr(), "POST", "/synth", body).expect("request");
     assert_eq!(status, 200, "{reply}");

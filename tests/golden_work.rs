@@ -65,7 +65,6 @@ const COUNTERS: &[(&str, &str)] = &[
     ("simplex.pivots", "pivots"),
     ("simplex.refactorizations", "refac"),
     ("simplex.warm_starts", "warm"),
-    ("ring.subcycles_merged", "merged"),
     ("ring.twosat_fallback", "2sat-fb"),
     ("shortcut.candidates", "sc-cand"),
     ("shortcut.selected", "sc-sel"),
@@ -117,18 +116,18 @@ fn synth_row(fixture: &str, net: &NetworkSpec, options: SynthesisOptions) -> Str
 }
 
 const GOLDEN: &str = "
-fixture                    nodes     lps    cuts  pivots   refac    warm  merged 2sat-fb sc-cand  sc-sel     cse spans  allocs  outcome
-proton_8 wl8                   1       1       0      29       0       0       0       0       4       2       0    13    1308
-psion_16 wl16                  1       1       0     190       0       0       2       0      59       7       2    15    5211
-psion_32 wl16                  1       1       0     837       4       0       5       0     339      15       2    15   24091
-irr16 wl8                     45      45       0     139      44      44       2       0      68       6       1    14   25735
-irr16 wl8 drop-0 edit          0       0       0       0       0       0       0       0       0       0       0     7    3192  reused 2/5
-irr64 ring                    35      35       0    5097      37      34       9       1       0       0       0     2  280621
-irr128 s1 knn3-heur            0       0       0       0       0       0       0       0    1376      58      12    37    3279
-irr128 s2 knn3-heur            0       0       0       0       0       0       0       1    1319      58      10    22    3021
-irr128 s3 knn3-heur            0       0       0       0       0       0       0       0    1390      54       9    21    2982
-batch proton_8 x2              3       3       0      87       0       0       0       0      12       6       0    49       -  hits 3 misses 3
-fault-sweep proton_8           2       2       0      58       0       0       0       0       8       4       0   193       -  scenarios 191 margins 9/96 95/95
+fixture                    nodes     lps    cuts  pivots   refac    warm 2sat-fb sc-cand  sc-sel     cse spans  allocs  outcome
+proton_8 wl8                   1       1       0      21       0       0       0       4       2       0    12    1049
+psion_16 wl16                  2       2       8      80       1       1       0      74       6       0    12    4041
+psion_32 wl16                 50      50      84     675      50      49       0     384      16       2    14  112162
+irr16 wl8                      7       7      20      88       6       6       0      78       7       2    14    6304
+irr16 wl8 drop-0 edit          0       0       0       0       0       0       0       0       0       0     7    3076  reused 2/5
+irr64 ring                    71      71      82    8592      72      70       0       0       0       0     1  441423
+irr128 s1 knn3-heur            0       0       0       0       0       0       0    1376      58      12    37    3279
+irr128 s2 knn3-heur            0       0       0       0       0       0       1    1319      58      10    22    3021
+irr128 s3 knn3-heur            0       0       0       0       0       0       0    1390      54       9    21    2982
+batch proton_8 x2              3       3       0      63       0       0       0      12       6       0    46       -  hits 3 misses 3
+fault-sweep proton_8           2       2       0      42       0       0       0       8       4       0   191       -  scenarios 191 margins 9/96 95/95
 ";
 
 #[test]

@@ -1,11 +1,9 @@
 //! Backend differential acceptance at the ring-MILP level: the dense
 //! reference tableau and the revised bounded-variable simplex must find
-//! the same optimal edge-assignment objective on every tier-1 fixture.
-//! The *final tours* may differ — the MILP allows sub-cycles that a
-//! heuristic merges afterwards (paying extra length), and alternate
-//! optimal assignments merge into different rings — so only the MILP
-//! objective is compared here; random-LP agreement down to 1e-6 is
-//! covered by the seeded suite in `crates/milp/tests`.
+//! the same optimal tour length on every tier-1 fixture. The *final
+//! tours* may differ — alternate optimal tours are equally short — so
+//! only the MILP objective is compared here; random-LP agreement down to
+//! 1e-6 is covered by the seeded suite in `crates/milp/tests`.
 
 use xring::core::{LpBackendKind, NetworkSpec, RingBuilder};
 
