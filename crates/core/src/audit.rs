@@ -26,13 +26,13 @@
 
 use crate::design::XRingDesign;
 use crate::layout::LayoutModel;
-use crate::mapping::MappingPlan;
+use crate::mapping::{MappingPlan, RouteKind};
 use crate::netspec::{NetworkSpec, NodeId};
 use crate::ring::RingCycle;
 use crate::shortcut::ShortcutPlan;
 use crate::traffic::Traffic;
-use std::collections::HashSet;
 use std::fmt;
+use xring_geom::Point;
 use xring_phot::{LossParams, PowerParams, RouterReport};
 
 /// Loosest credible worst-case insertion loss, dB. A path losing more
@@ -214,7 +214,9 @@ fn check_ring_closed(net: &NetworkSpec, cycle: &RingCycle) -> Result<(), String>
             return Err(format!("edge {i} does not chain into edge {}", (i + 1) % n));
         }
     }
-    if cycle.perimeter() <= 0 {
+    // Summed from the routes, not read from the cycle's own prefix sum.
+    let perimeter: i64 = (0..n).map(|i| cycle.edge_route(i).length()).sum();
+    if perimeter <= 0 {
         return Err("ring has non-positive perimeter".to_owned());
     }
     Ok(())
@@ -226,14 +228,16 @@ fn check_ring_crossings_declared(
 ) -> Result<(), String> {
     // Re-count geometrically instead of trusting the cached counter.
     let n = cycle.len();
-    let mut crossings = 0usize;
-    for i in 0..n {
-        for j in i + 1..n {
-            if cycle.edge_route(i).crosses(cycle.edge_route(j)) {
-                crossings += 1;
-            }
-        }
-    }
+    let boxes: Vec<Extent> = (0..n)
+        .map(|i| {
+            let r = cycle.edge_route(i);
+            Extent::of(r.from(), r.to())
+        })
+        .collect();
+    let crossings = touching_extents(&boxes, n)
+        .into_iter()
+        .filter(|&(i, j)| cycle.edge_route(i).crosses(cycle.edge_route(j)))
+        .count();
     // Residual crossings are legitimate only when the cycle *declares*
     // them (the 2-SAT fallback on adversarial placements); the invariant
     // is that no crossing goes undeclared.
@@ -248,47 +252,202 @@ fn check_ring_crossings_declared(
 
 /// Step 2's contract (Sec. III-B): no shortcut properly crosses the
 /// ring, and two shortcuts cross only as each other's declared CSE
-/// partner. Re-derived by brute force over every segment pair, so it
-/// does not trust the planner's crossing index.
+/// partner. Re-derived from the segments themselves, so it does not
+/// trust the planner's crossing index. Reports the first violation in
+/// shortcut order: shortcut `i` against the ring, then against the
+/// shortcuts after it.
 fn check_shortcut_crossings(cycle: &RingCycle, shortcuts: &ShortcutPlan) -> Result<(), String> {
     let list = &shortcuts.shortcuts;
     if list.is_empty() {
         return Ok(());
     }
     let ring = cycle.polyline().segments();
-    for (i, s) in list.iter().enumerate() {
-        if s.route.proper_crossings_with(&ring) > 0 {
-            return Err(format!("shortcut {i} ({} - {}) crosses the ring", s.a, s.b));
-        }
-        for (j, t) in list.iter().enumerate().skip(i + 1) {
-            let partners = s.crossing_partner == Some(j) && t.crossing_partner == Some(i);
-            if !partners && s.route.crosses(&t.route) {
-                return Err(format!("shortcut {i} crosses non-partner shortcut {j}"));
+    // Extents `0..S` are the shortcuts, `S..` the ring segments.
+    let s = list.len();
+    let boxes: Vec<Extent> = list
+        .iter()
+        .map(|c| Extent::of(c.route.from(), c.route.to()))
+        .chain(ring.iter().map(|seg| Extent::of(seg.start(), seg.end())))
+        .collect();
+    // Per shortcut: whether it crosses the ring, and the first later
+    // non-partner shortcut it crosses.
+    let mut crosses_ring = vec![false; s];
+    let mut stranger = vec![usize::MAX; s];
+    for (i, j) in touching_extents(&boxes, s) {
+        let route = &list[i].route;
+        if j >= s {
+            crosses_ring[i] |= route.proper_crossings_with(std::slice::from_ref(&ring[j - s])) > 0;
+        } else {
+            let partners =
+                list[i].crossing_partner == Some(j) && list[j].crossing_partner == Some(i);
+            if !partners && route.crosses(&list[j].route) {
+                stranger[i] = stranger[i].min(j);
             }
+        }
+    }
+    for (i, c) in list.iter().enumerate() {
+        if crosses_ring[i] {
+            return Err(format!("shortcut {i} ({} - {}) crosses the ring", c.a, c.b));
+        }
+        if stranger[i] != usize::MAX {
+            return Err(format!(
+                "shortcut {i} crosses non-partner shortcut {}",
+                stranger[i]
+            ));
         }
     }
     Ok(())
 }
 
+/// The closed axis-aligned box spanned by two points.
+#[derive(Debug, Clone, Copy)]
+struct Extent {
+    x: (i64, i64),
+    y: (i64, i64),
+}
+
+impl Extent {
+    fn of(a: Point, b: Point) -> Self {
+        Extent {
+            x: (a.x.min(b.x), a.x.max(b.x)),
+            y: (a.y.min(b.y), a.y.max(b.y)),
+        }
+    }
+}
+
+/// Every index pair `(i, j)`, `i < j`, of extents that share a point and
+/// of which `i` is one of the first `probes` extents, in no particular
+/// order. (Extents from `probes` on are tested only against the probes.)
+/// An L-route or segment lies inside the extent of its endpoints, so
+/// only these pairs can cross. Sweeps the extents by left edge and keeps
+/// the active ones, those not yet ended left of the sweep line:
+/// O(N log N + N·A) for at most A active.
+fn touching_extents(boxes: &[Extent], probes: usize) -> Vec<(usize, usize)> {
+    let mut order: Vec<usize> = (0..boxes.len()).collect();
+    order.sort_unstable_by_key(|&k| boxes[k].x.0);
+    // Active probes, and active extents that are not probes.
+    let (mut active, mut passive): (Vec<usize>, Vec<usize>) = (Vec::new(), Vec::new());
+    let mut pairs = Vec::new();
+    for &k in &order {
+        let b = boxes[k];
+        active.retain(|&a| boxes[a].x.1 >= b.x.0);
+        passive.retain(|&a| boxes[a].x.1 >= b.x.0);
+        let probe = k < probes;
+        let others: &[usize] = if probe { &passive } else { &[] };
+        for &a in active.iter().chain(others) {
+            let other = boxes[a];
+            if other.y.0 <= b.y.1 && b.y.0 <= other.y.1 {
+                pairs.push((a.min(k), a.max(k)));
+            }
+        }
+        if probe {
+            active.push(k);
+        } else {
+            passive.push(k);
+        }
+    }
+    pairs
+}
+
+/// Every route serves a distinct, non-loop demand, and the routes serve
+/// exactly the demands in `expected`. A bad route is reported at its
+/// first position in plan order; missing and extra demands in sorted
+/// order.
 fn check_demands_served(plan: &MappingPlan, expected: &[(NodeId, NodeId)]) -> Result<(), String> {
-    let mut served: HashSet<(NodeId, NodeId)> = HashSet::with_capacity(plan.routes.len());
-    for r in &plan.routes {
-        if r.from == r.to {
-            return Err(format!("route {} -> {} is a self-loop", r.from, r.to));
-        }
-        if !served.insert((r.from, r.to)) {
-            return Err(format!("demand {} -> {} served twice", r.from, r.to));
+    let mut served: Vec<(NodeId, NodeId, usize)> = plan
+        .routes
+        .iter()
+        .enumerate()
+        .map(|(k, r)| (r.from, r.to, k))
+        .collect();
+    served.sort_unstable();
+    // The first route that is a self-loop or repeats an earlier demand.
+    let repeat = served
+        .windows(2)
+        .filter(|w| (w[0].0, w[0].1) == (w[1].0, w[1].1))
+        .map(|w| w[1].2);
+    let self_loop = plan.routes.iter().position(|r| r.from == r.to);
+    if let Some(r) = repeat.chain(self_loop).min().map(|k| &plan.routes[k]) {
+        return Err(match r.from == r.to {
+            true => format!("route {} -> {} is a self-loop", r.from, r.to),
+            false => format!("demand {} -> {} served twice", r.from, r.to),
+        });
+    }
+    let served: Vec<(NodeId, NodeId)> = served.into_iter().map(|(a, b, _)| (a, b)).collect();
+    let mut wanted = expected.to_vec();
+    wanted.sort_unstable();
+    wanted.dedup();
+    if let Some(d) = wanted.iter().find(|d| served.binary_search(d).is_err()) {
+        return Err(format!("demand {} -> {} not served", d.0, d.1));
+    }
+    if let Some(s) = served.iter().find(|s| wanted.binary_search(s).is_err()) {
+        return Err(format!("route {} -> {} serves no demand", s.0, s.1));
+    }
+    Ok(())
+}
+
+/// The wavelength-assignment check behind [`MappingPlan::validate`]:
+/// every lane is edge-disjoint, no arc passes its waveguide's opening,
+/// and every ring route is resident on the lane of its wavelength.
+///
+/// Each lane is walked backwards over one edge-owner array, so the first
+/// later arc sharing an edge with each arc is found in O(arc edges); the
+/// first failing arc in lane order is reported, against the first later
+/// arc it overlaps.
+pub(crate) fn check_wavelength_assignment(plan: &MappingPlan) -> Result<(), String> {
+    const FREE: usize = usize::MAX;
+    let edges = (plan.ring_waveguides.iter())
+        .flat_map(|w| &w.lanes)
+        .flat_map(|l| &l.arcs)
+        .flat_map(|a| a.edges.iter().map(|e| e + 1))
+        .max()
+        .unwrap_or(0);
+    // owner[e] during a lane's backward walk: the first arc after the
+    // current one that covers edge e.
+    let mut owner = vec![FREE; edges];
+    for (wi, wg) in plan.ring_waveguides.iter().enumerate() {
+        for (li, lane) in wg.lanes.iter().enumerate() {
+            // (arc, first later arc it overlaps or FREE), for the first
+            // arc in lane order that passes the opening or overlaps.
+            let mut first_bad: Option<(usize, usize)> = None;
+            for (ai, a) in lane.arcs.iter().enumerate().rev() {
+                let overlap = a.edges.iter().map(|&e| owner[e]).min().unwrap_or(FREE);
+                let passes_opening = wg.opening.is_some_and(|open| a.interior.contains(&open));
+                if passes_opening || overlap != FREE {
+                    first_bad = Some((ai, overlap));
+                }
+                for &e in &a.edges {
+                    owner[e] = ai;
+                }
+            }
+            for a in &lane.arcs {
+                for &e in &a.edges {
+                    owner[e] = FREE;
+                }
+            }
+            let Some((ai, bi)) = first_bad else {
+                continue;
+            };
+            let a = &lane.arcs[ai];
+            return Err(match wg.opening.filter(|open| a.interior.contains(open)) {
+                Some(open) => format!(
+                    "waveguide {wi} lane {li}: arc of signal {} passes opening {open}",
+                    a.signal
+                ),
+                None => format!(
+                    "waveguide {wi} lane {li}: signals {} and {} overlap",
+                    a.signal, lane.arcs[bi].signal
+                ),
+            });
         }
     }
-    let wanted: HashSet<(NodeId, NodeId)> = expected.iter().copied().collect();
-    for d in &wanted {
-        if !served.contains(d) {
-            return Err(format!("demand {} -> {} not served", d.0, d.1));
-        }
-    }
-    for s in &served {
-        if !wanted.contains(s) {
-            return Err(format!("route {} -> {} serves no demand", s.0, s.1));
+    for (si, r) in plan.routes.iter().enumerate() {
+        if let RouteKind::Ring { waveguide } = r.kind {
+            let wg = &plan.ring_waveguides[waveguide];
+            let li = r.wavelength.index() as usize;
+            if li >= wg.lanes.len() || !wg.lanes[li].arcs.iter().any(|a| a.signal == si) {
+                return Err(format!("signal {si} not resident on its lane"));
+            }
         }
     }
     Ok(())
@@ -506,6 +665,279 @@ mod tests {
         let v = ring_crossing_verdict(&d);
         assert!(!v.passed);
         assert!(v.detail.contains("non-partner"), "{}", v.detail);
+    }
+
+    /// The original lane check: every arc against every later arc of its
+    /// lane, edge list against edge list.
+    fn reference_validate(plan: &MappingPlan) -> Result<(), String> {
+        for (wi, wg) in plan.ring_waveguides.iter().enumerate() {
+            for (li, lane) in wg.lanes.iter().enumerate() {
+                for (ai, a) in lane.arcs.iter().enumerate() {
+                    if let Some(open) = wg.opening {
+                        if a.interior.contains(&open) {
+                            return Err(format!(
+                                "waveguide {wi} lane {li}: arc of signal {} passes opening {open}",
+                                a.signal
+                            ));
+                        }
+                    }
+                    for b in &lane.arcs[ai + 1..] {
+                        if a.edges.iter().any(|e| b.edges.contains(e)) {
+                            return Err(format!(
+                                "waveguide {wi} lane {li}: signals {} and {} overlap",
+                                a.signal, b.signal
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+        for (si, r) in plan.routes.iter().enumerate() {
+            if let RouteKind::Ring { waveguide } = r.kind {
+                let wg = &plan.ring_waveguides[waveguide];
+                let li = r.wavelength.index() as usize;
+                if li >= wg.lanes.len() || !wg.lanes[li].arcs.iter().any(|a| a.signal == si) {
+                    return Err(format!("signal {si} not resident on its lane"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The original crossing check: the ring recount and the shortcut
+    /// checks over every pair.
+    fn reference_crossings_declared(
+        cycle: &RingCycle,
+        shortcuts: &ShortcutPlan,
+    ) -> Result<(), String> {
+        let n = cycle.len();
+        let mut crossings = 0usize;
+        for i in 0..n {
+            for j in i + 1..n {
+                crossings += usize::from(cycle.edge_route(i).crosses(cycle.edge_route(j)));
+            }
+        }
+        if crossings != cycle.residual_crossings() {
+            return Err(format!(
+                "recounted {crossings} ring crossings, cycle claims {}",
+                cycle.residual_crossings()
+            ));
+        }
+        let list = &shortcuts.shortcuts;
+        let ring = cycle.polyline().segments();
+        for (i, s) in list.iter().enumerate() {
+            if s.route.proper_crossings_with(&ring) > 0 {
+                return Err(format!("shortcut {i} ({} - {}) crosses the ring", s.a, s.b));
+            }
+            for (j, t) in list.iter().enumerate().skip(i + 1) {
+                let partners = s.crossing_partner == Some(j) && t.crossing_partner == Some(i);
+                if !partners && s.route.crosses(&t.route) {
+                    return Err(format!("shortcut {i} crosses non-partner shortcut {j}"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Designs for the audit oracles: heuristic rings on every oracle
+    /// floorplan, 3-NN traffic on the large ones.
+    fn oracle_designs() -> Vec<(String, XRingDesign)> {
+        crate::netspec::oracle_floorplans()
+            .into_iter()
+            .map(|(name, net)| {
+                let options = SynthesisOptions {
+                    ring_algorithm: crate::ring::RingAlgorithm::Heuristic,
+                    traffic: match net.len() > 16 {
+                        true => Traffic::NearestNeighbors(3),
+                        false => Traffic::AllToAll,
+                    },
+                    ..SynthesisOptions::with_wavelengths(8)
+                };
+                let d = Synthesizer::new(options)
+                    .synthesize(&net)
+                    .expect("synthesized");
+                (name, d)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lane_check_matches_the_pairwise_reference_on_clean_and_corrupted_plans() {
+        let mut rng = crate::variation::SplitMix64::new(7);
+        let mut pick = |n: usize| (rng.next_u64() % n.max(1) as u64) as usize;
+        let mut failures = 0;
+        for (name, d) in oracle_designs() {
+            assert_eq!(d.plan.validate(), Ok(()), "{name}");
+            assert_eq!(reference_validate(&d.plan), Ok(()), "{name}");
+            for round in 0..24 {
+                let mut plan = d.plan.clone();
+                if plan.ring_waveguides.is_empty() {
+                    break;
+                }
+                let wi = pick(plan.ring_waveguides.len());
+                let li = pick(plan.ring_waveguides[wi].lanes.len());
+                let lane = &mut plan.ring_waveguides[wi].lanes[li];
+                let ai = pick(lane.arcs.len());
+                match round % 4 {
+                    // A copy of one arc elsewhere on its waveguide.
+                    0 | 1 => {
+                        let arc = lane.arcs[ai].clone();
+                        let wg = &mut plan.ring_waveguides[wi];
+                        let to = pick(wg.lanes.len());
+                        let at = pick(wg.lanes[to].arcs.len() + 1);
+                        wg.lanes[to].arcs.insert(at, arc);
+                    }
+                    // An opening inside one arc.
+                    2 => {
+                        let interior = lane.arcs[ai].interior.clone();
+                        if !interior.is_empty() {
+                            plan.ring_waveguides[wi].opening = Some(interior[pick(interior.len())]);
+                        }
+                    }
+                    // A dropped arc: its signal is no longer resident.
+                    _ => {
+                        lane.arcs.remove(ai);
+                    }
+                }
+                let got = plan.validate();
+                assert_eq!(got, reference_validate(&plan), "{name}, round {round}");
+                failures += usize::from(got.is_err());
+            }
+        }
+        assert!(failures > 100, "only {failures} corrupted plans failed");
+    }
+
+    #[test]
+    fn crossing_checks_match_the_all_pairs_reference() {
+        let mut failures = 0;
+        for (name, d) in oracle_designs() {
+            let check = |d: &XRingDesign| check_ring_crossings_declared(&d.cycle, &d.shortcuts);
+            assert_eq!(check(&d), Ok(()), "{name}");
+            assert_eq!(reference_crossings_declared(&d.cycle, &d.shortcuts), Ok(()));
+            // Corruptions: every shortcut routed the other way round, one
+            // shortcut at a time; each CSE pair undeclared; every shortcut
+            // moved onto the first one's corridor.
+            let mut variants = Vec::new();
+            for k in 0..d.shortcuts.shortcuts.len() {
+                let mut v = d.shortcuts.clone();
+                let r = v.shortcuts[k].route;
+                v.shortcuts[k].route = LRoute::new(r.from(), r.to(), r.option().flipped());
+                variants.push(v);
+                let mut v = d.shortcuts.clone();
+                v.shortcuts[k].crossing_partner = None;
+                variants.push(v);
+                let mut v = d.shortcuts.clone();
+                v.shortcuts[k].route = v.shortcuts[0].route;
+                variants.push(v);
+            }
+            for v in &variants {
+                let got = check_ring_crossings_declared(&d.cycle, v);
+                assert_eq!(got, reference_crossings_declared(&d.cycle, v), "{name}");
+                failures += usize::from(got.is_err());
+            }
+        }
+        assert!(failures > 50, "only {failures} corrupted plans failed");
+    }
+
+    #[test]
+    fn ring_recount_matches_the_all_pairs_reference() {
+        // Ring routes are private to the cycle; rebuild rings from orders
+        // that need the greedy fallback or leave crossings.
+        let mut residual = 0;
+        for (name, net) in crate::netspec::oracle_floorplans() {
+            for order in [
+                crate::heuristics::heuristic_tour(&net),
+                crate::heuristics::nearest_neighbor_tour(&net),
+                net.node_ids().collect(),
+            ] {
+                let (cycle, _) = RingCycle::from_order(&net, order);
+                let empty = ShortcutPlan::empty();
+                let got = check_ring_crossings_declared(&cycle, &empty);
+                assert_eq!(got, reference_crossings_declared(&cycle, &empty), "{name}");
+                residual += cycle.residual_crossings();
+            }
+        }
+        assert!(residual > 0, "no ring kept a crossing");
+    }
+
+    /// The original demand check over hash sets. Which of several
+    /// missing or extra demands it names depends on the set's iteration
+    /// order, so it is compared only on plans with one such error.
+    fn reference_demands_served(
+        plan: &MappingPlan,
+        expected: &[(NodeId, NodeId)],
+    ) -> Result<(), String> {
+        use std::collections::HashSet;
+        let mut served: HashSet<(NodeId, NodeId)> = HashSet::new();
+        for r in &plan.routes {
+            if r.from == r.to {
+                return Err(format!("route {} -> {} is a self-loop", r.from, r.to));
+            }
+            if !served.insert((r.from, r.to)) {
+                return Err(format!("demand {} -> {} served twice", r.from, r.to));
+            }
+        }
+        let wanted: HashSet<(NodeId, NodeId)> = expected.iter().copied().collect();
+        if let Some(d) = wanted.iter().find(|d| !served.contains(d)) {
+            return Err(format!("demand {} -> {} not served", d.0, d.1));
+        }
+        if let Some(s) = served.iter().find(|s| !wanted.contains(s)) {
+            return Err(format!("route {} -> {} serves no demand", s.0, s.1));
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn demand_check_matches_the_set_reference() {
+        let d = clean_design();
+        let expected = Traffic::AllToAll.pairs(&d.net);
+        let mut plans = Vec::new();
+        for k in [0, 7, 55] {
+            let mut plan = d.plan.clone();
+            plan.routes.remove(k);
+            plans.push((
+                plan,
+                format!(
+                    "demand {} -> {} not served",
+                    d.plan.routes[k].from, d.plan.routes[k].to
+                ),
+            ));
+            let mut plan = d.plan.clone();
+            plan.routes.push(d.plan.routes[k]);
+            plans.push((
+                plan,
+                format!(
+                    "demand {} -> {} served twice",
+                    d.plan.routes[k].from, d.plan.routes[k].to
+                ),
+            ));
+            let mut plan = d.plan.clone();
+            let r = d.plan.routes[k];
+            plan.routes[k].to = r.from;
+            plans.push((
+                plan,
+                format!("route {} -> {} is a self-loop", r.from, r.from),
+            ));
+        }
+        for (plan, want) in &plans {
+            assert_eq!(check_demands_served(plan, &expected), Err(want.clone()));
+            assert_eq!(reference_demands_served(plan, &expected), Err(want.clone()));
+        }
+        // Served twice is reported at the first repeat in plan order,
+        // even when a later self-loop exists.
+        let mut plan = d.plan.clone();
+        plan.routes.insert(3, d.plan.routes[1]);
+        plan.routes[9].to = plan.routes[9].from;
+        let err = check_demands_served(&plan, &expected).expect_err("must fail");
+        assert!(err.contains("served twice"), "{err}");
+        assert_eq!(reference_demands_served(&plan, &expected), Err(err));
+        // A route outside the pattern.
+        let sparse = &expected[1..];
+        let err = check_demands_served(&d.plan, sparse).expect_err("must fail");
+        let (a, b) = expected[0];
+        assert_eq!(err, format!("route {a} -> {b} serves no demand"));
+        assert_eq!(reference_demands_served(&d.plan, sparse), Err(err));
+        assert_eq!(check_demands_served(&d.plan, &expected), Ok(()));
     }
 
     #[test]

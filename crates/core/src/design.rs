@@ -10,7 +10,6 @@ use crate::opening::OpeningStats;
 use crate::pdn::{PdnDesign, SHORTCUT_GROUP};
 use crate::ring::{Direction, RingCycle, RingStats};
 use crate::shortcut::ShortcutPlan;
-use std::collections::HashMap;
 use std::time::Duration;
 use xring_phot::{CrosstalkParams, LossParams, PowerParams, RouterReport, SignalId, Wavelength};
 
@@ -149,15 +148,16 @@ pub fn realize(
     let perimeter = cycle.perimeter().max(1);
     let pair_spacing = spacing.spacing_um(n);
 
-    // Per-waveguide station index of each node's tap and sender.
-    let mut tap_idx: Vec<HashMap<u32, StationIdx>> = Vec::new();
-    let mut sender_idx: Vec<HashMap<u32, StationIdx>> = Vec::new();
+    // Per-waveguide station index of each node's tap and sender, indexed
+    // by node.
+    let mut tap_idx: Vec<Vec<StationIdx>> = Vec::with_capacity(plan.ring_waveguides.len());
+    let mut sender_idx: Vec<Vec<StationIdx>> = Vec::with_capacity(plan.ring_waveguides.len());
 
     // --- Ring waveguides. ---
     for (wi, wg) in plan.ring_waveguides.iter().enumerate() {
         let mut stations: Vec<Station> = Vec::with_capacity(3 * n + 2);
-        let mut taps = HashMap::new();
-        let mut senders = HashMap::new();
+        let mut taps = vec![StationIdx::MAX; n];
+        let mut senders = vec![StationIdx::MAX; n];
 
         // Receiver drops per position on this waveguide.
         let mut drops_at: Vec<Vec<(Wavelength, SignalId)>> = vec![Vec::new(); n];
@@ -179,7 +179,7 @@ pub fn realize(
 
         for (k, &pos) in seq.iter().enumerate() {
             let node = cycle.order()[pos];
-            taps.insert(node.0, stations.len());
+            taps[node.index()] = stations.len();
             stations.push(Station::NodeTap {
                 node,
                 drops: std::mem::take(&mut drops_at[pos]),
@@ -187,7 +187,7 @@ pub fn realize(
             if wg.opening == Some(pos) {
                 stations.push(Station::Opening);
             }
-            senders.insert(node.0, stations.len());
+            senders[node.index()] = stations.len();
             stations.push(Station::SenderTap { node });
             // Segment to the next node in travel order.
             let next_pos = seq[(k + 1) % n];
@@ -247,9 +247,11 @@ pub fn realize(
     }
 
     // --- Shortcut wires: two per corridor (forward a→b, reverse b→a). ---
-    // wire index maps: (shortcut, forward?) -> (waveguide idx, crossing station idx option)
-    let mut wire_of: HashMap<(usize, bool), usize> = HashMap::new();
-    let mut wire_crossing: HashMap<(usize, bool), StationIdx> = HashMap::new();
+    // Per wire, indexed by `wire(shortcut, forward)`: its waveguide index
+    // and the station index of its CSE crossing (if any).
+    let wire = |si: usize, forward: bool| 2 * si + usize::from(!forward);
+    let mut wire_of: Vec<usize> = Vec::with_capacity(2 * shortcuts.shortcuts.len());
+    let mut wire_crossing = vec![StationIdx::MAX; 2 * shortcuts.shortcuts.len()];
 
     for (si, s) in shortcuts.shortcuts.iter().enumerate() {
         for forward in [true, false] {
@@ -269,7 +271,7 @@ pub fn realize(
                         length_um: d1,
                         bends: b1,
                     });
-                    wire_crossing.insert((si, forward), stations.len());
+                    wire_crossing[wire(si, forward)] = stations.len();
                     stations.push(Station::Crossing {
                         injected: Vec::new(),
                         peer: None, // patched below
@@ -291,7 +293,7 @@ pub fn realize(
                 node: to_node,
                 drops: Vec::new(), // filled below
             });
-            wire_of.insert((si, forward), layout.waveguides.len());
+            wire_of.push(layout.waveguides.len());
             layout.waveguides.push(Waveguide {
                 closed: false,
                 stations,
@@ -306,10 +308,10 @@ pub fn realize(
                 continue; // handled from the lower index
             }
             for forward in [true, false] {
-                let wa = wire_of[&(si, forward)];
-                let wb = wire_of[&(pi, forward)];
-                let sa = wire_crossing[&(si, forward)];
-                let sb = wire_crossing[&(pi, forward)];
+                let wa = wire_of[wire(si, forward)];
+                let wb = wire_of[wire(pi, forward)];
+                let sa = wire_crossing[wire(si, forward)];
+                let sb = wire_crossing[wire(pi, forward)];
                 if let Station::Crossing { peer, .. } = &mut layout.waveguides[wa].stations[sa] {
                     *peer = Some((wb, sb));
                 }
@@ -331,13 +333,13 @@ pub fn realize(
             RouteKind::Ring { waveguide } => {
                 vec![Hop {
                     waveguide,
-                    from_station: sender_idx[waveguide][&route.from.0],
-                    to_station: tap_idx[waveguide][&route.to.0],
+                    from_station: sender_idx[waveguide][route.from.index()],
+                    to_station: tap_idx[waveguide][route.to.index()],
                 }]
             }
             RouteKind::ShortcutDirect { shortcut } => {
                 let forward = shortcuts.shortcuts[shortcut].a == route.from;
-                let w = wire_of[&(shortcut, forward)];
+                let w = wire_of[wire(shortcut, forward)];
                 let last = layout.waveguides[w].stations.len() - 1;
                 vec![Hop {
                     waveguide: w,
@@ -349,10 +351,10 @@ pub fn realize(
                 let fwd1 = shortcuts.shortcuts[enter].a == route.from;
                 let fwd2 = shortcuts.shortcuts[exit].b == route.to;
                 debug_assert_eq!(fwd1, fwd2, "CSE service must stay on same-parity wires");
-                let w1 = wire_of[&(enter, fwd1)];
-                let w2 = wire_of[&(exit, fwd2)];
-                let c1 = wire_crossing[&(enter, fwd1)];
-                let c2 = wire_crossing[&(exit, fwd2)];
+                let w1 = wire_of[wire(enter, fwd1)];
+                let w2 = wire_of[wire(exit, fwd2)];
+                let c1 = wire_crossing[wire(enter, fwd1)];
+                let c2 = wire_crossing[wire(exit, fwd2)];
                 let last = layout.waveguides[w2].stations.len() - 1;
                 vec![
                     Hop {

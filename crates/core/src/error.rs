@@ -19,6 +19,14 @@ pub enum SynthesisError {
         /// Indices of the colliding nodes.
         b: usize,
     },
+    /// An irregular floorplan asks for more nodes than its die has
+    /// distinct 100 µm grid cells, so no placement exists.
+    DieTooSmall {
+        /// How many nodes were requested.
+        nodes: usize,
+        /// Distinct node sites on the die.
+        cells: u64,
+    },
     /// The ring-construction MILP failed.
     RingMilp(SolveError),
     /// A signal could not be mapped within the wavelength budget.
@@ -72,6 +80,10 @@ impl fmt::Display for SynthesisError {
             SynthesisError::DuplicateNodePositions { a, b } => {
                 write!(f, "nodes {a} and {b} share the same position")
             }
+            SynthesisError::DieTooSmall { nodes, cells } => write!(
+                f,
+                "{nodes} nodes do not fit on the die's {cells} distinct 100 um sites"
+            ),
             SynthesisError::RingMilp(e) => write!(f, "ring-construction MILP failed: {e}"),
             SynthesisError::WavelengthBudgetExceeded {
                 max_wavelengths,
@@ -133,6 +145,8 @@ mod tests {
         assert!(SynthesisError::DuplicateNodePositions { a: 1, b: 4 }
             .to_string()
             .contains("1"));
+        let e = SynthesisError::DieTooSmall { nodes: 2, cells: 1 };
+        assert!(e.to_string().contains("2 nodes"), "{e}");
         let e = SynthesisError::WavelengthBudgetExceeded {
             max_wavelengths: 4,
             max_waveguides: 2,

@@ -5,24 +5,30 @@
 //! and for networks too large for exact solving.
 
 use crate::netspec::{NetworkSpec, NodeId};
+use xring_geom::Point;
 
 /// Builds a tour with the nearest-neighbour heuristic starting at node 0.
+///
+/// Each step scans a shrinking list of the unvisited node indices and
+/// moves to the closest one, ties going to the smaller index: O(N²) in
+/// all, with no per-step id iterator or distance closure.
 pub fn nearest_neighbor_tour(net: &NetworkSpec) -> Vec<NodeId> {
-    let n = net.len();
-    let mut visited = vec![false; n];
-    let mut tour = Vec::with_capacity(n);
-    let mut cur = NodeId(0);
-    visited[0] = true;
-    tour.push(cur);
-    for _ in 1..n {
-        let next = net
-            .node_ids()
-            .filter(|id| !visited[id.index()])
-            .min_by_key(|id| (net.distance(cur, *id), id.index()))
+    let positions = net.positions();
+    let mut unvisited: Vec<u32> = (1..positions.len() as u32).collect();
+    let mut tour = Vec::with_capacity(positions.len());
+    let mut cur = 0u32;
+    tour.push(NodeId(cur));
+    while !unvisited.is_empty() {
+        let here = positions[cur as usize];
+        // (distance, index) is a strict total order, so the scan order
+        // of `unvisited` (shuffled by `swap_remove`) cannot matter.
+        let (k, _) = unvisited
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &j)| (here.manhattan_distance(positions[j as usize]), j))
             .expect("unvisited node exists");
-        visited[next.index()] = true;
-        tour.push(next);
-        cur = next;
+        cur = unvisited.swap_remove(k);
+        tour.push(NodeId(cur));
     }
     tour
 }
@@ -39,30 +45,36 @@ pub fn tour_length(net: &NetworkSpec, tour: &[NodeId]) -> i64 {
 ///
 /// 2-opt reverses tour segments; for Manhattan metrics it untangles most
 /// crossings as a side effect, which also helps the geometric
-/// realizability of the resulting ring.
+/// realizability of the resulting ring. Moves are tried for every
+/// position pair `i < k` in order and taken as soon as they shorten the
+/// tour (first improvement). The node positions are kept in tour order
+/// beside the tour, and reversed with it, so a move test reads four
+/// points instead of looking up four nodes.
 pub fn two_opt(net: &NetworkSpec, tour: &mut [NodeId]) {
     let n = tour.len();
     if n < 4 {
         return;
     }
+    let mut at: Vec<Point> = tour.iter().map(|&id| net.position(id)).collect();
     let mut improved = true;
     while improved {
         improved = false;
         for i in 0..n - 1 {
-            for k in i + 1..n {
-                // Reversing tour[i+1..=k] replaces edges (i,i+1) and
-                // (k,k+1) with (i,k) and (i+1,k+1).
-                let a = tour[i];
-                let b = tour[(i + 1) % n];
-                let c = tour[k];
-                let d = tour[(k + 1) % n];
-                if (i + 1) % n == k || (k + 1) % n == i {
-                    continue;
-                }
-                let before = net.distance(a, b) + net.distance(c, d);
-                let after = net.distance(a, c) + net.distance(b, d);
+            // Reversing tour[i+1..=k] replaces edges (i,i+1) and
+            // (k,k+1) with (i,k) and (i+1,k+1). k = i+1 shares edge
+            // (i,i+1), and k = n−1 closes the tour back to i = 0: no move.
+            let a = at[i];
+            let mut ab = a.manhattan_distance(at[i + 1]);
+            let end = if i == 0 { n - 1 } else { n };
+            for k in i + 2..end {
+                let c = at[k];
+                let d = at[if k + 1 == n { 0 } else { k + 1 }];
+                let before = ab + c.manhattan_distance(d);
+                let after = a.manhattan_distance(c) + at[i + 1].manhattan_distance(d);
                 if after < before {
                     tour[i + 1..=k].reverse();
+                    at[i + 1..=k].reverse();
+                    ab = a.manhattan_distance(at[i + 1]);
                     improved = true;
                 }
             }
@@ -110,6 +122,84 @@ mod tests {
         for id in &tour {
             assert!(!seen[id.index()], "node visited twice");
             seen[id.index()] = true;
+        }
+    }
+
+    /// The original nearest-neighbour construction: filter the unvisited
+    /// ids and take the minimum (distance, index) key at every step.
+    fn reference_nearest_neighbor_tour(net: &NetworkSpec) -> Vec<NodeId> {
+        let mut visited = vec![false; net.len()];
+        let mut tour = vec![NodeId(0)];
+        visited[0] = true;
+        for _ in 1..net.len() {
+            let cur = tour[tour.len() - 1];
+            let next = net
+                .node_ids()
+                .filter(|id| !visited[id.index()])
+                .min_by_key(|id| (net.distance(cur, *id), id.index()))
+                .expect("unvisited node exists");
+            visited[next.index()] = true;
+            tour.push(next);
+        }
+        tour
+    }
+
+    #[test]
+    fn nn_tour_matches_the_reference() {
+        for (name, net) in crate::netspec::oracle_floorplans() {
+            assert_eq!(
+                nearest_neighbor_tour(&net),
+                reference_nearest_neighbor_tour(&net),
+                "{name}"
+            );
+        }
+    }
+
+    /// The original 2-opt pass: node ids and `net.distance` throughout.
+    fn reference_two_opt(net: &NetworkSpec, tour: &mut [NodeId]) {
+        let n = tour.len();
+        if n < 4 {
+            return;
+        }
+        let mut improved = true;
+        while improved {
+            improved = false;
+            for i in 0..n - 1 {
+                for k in i + 1..n {
+                    let a = tour[i];
+                    let b = tour[(i + 1) % n];
+                    let c = tour[k];
+                    let d = tour[(k + 1) % n];
+                    if (i + 1) % n == k || (k + 1) % n == i {
+                        continue;
+                    }
+                    let before = net.distance(a, b) + net.distance(c, d);
+                    let after = net.distance(a, c) + net.distance(b, d);
+                    if after < before {
+                        tour[i + 1..=k].reverse();
+                        improved = true;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_opt_matches_the_reference_move_for_move() {
+        for (name, net) in crate::netspec::oracle_floorplans() {
+            let starts = [
+                nearest_neighbor_tour(&net),
+                perimeter_tour(&net),
+                net.node_ids().collect(),
+                (0..net.len() as u32).rev().map(NodeId).collect(),
+            ];
+            for start in starts {
+                let mut got = start.clone();
+                two_opt(&net, &mut got);
+                let mut want = start;
+                reference_two_opt(&net, &mut want);
+                assert_eq!(got, want, "{name}");
+            }
         }
     }
 

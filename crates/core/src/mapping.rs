@@ -166,40 +166,9 @@ impl MappingPlan {
 
     /// Consistency check: every lane is edge-disjoint, every ring route
     /// points at a waveguide that holds its arc, and no arc passes an
-    /// opening. Used by tests and `debug_assert`s.
+    /// opening. Used by the audit, tests and `debug_assert`s.
     pub fn validate(&self) -> Result<(), String> {
-        for (wi, wg) in self.ring_waveguides.iter().enumerate() {
-            for (li, lane) in wg.lanes.iter().enumerate() {
-                for (ai, a) in lane.arcs.iter().enumerate() {
-                    if let Some(open) = wg.opening {
-                        if a.interior.contains(&open) {
-                            return Err(format!(
-                                "waveguide {wi} lane {li}: arc of signal {} passes opening {open}",
-                                a.signal
-                            ));
-                        }
-                    }
-                    for b in &lane.arcs[ai + 1..] {
-                        if a.edges.iter().any(|e| b.edges.contains(e)) {
-                            return Err(format!(
-                                "waveguide {wi} lane {li}: signals {} and {} overlap",
-                                a.signal, b.signal
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        for (si, r) in self.routes.iter().enumerate() {
-            if let RouteKind::Ring { waveguide } = r.kind {
-                let wg = &self.ring_waveguides[waveguide];
-                let li = r.wavelength.index() as usize;
-                if li >= wg.lanes.len() || !wg.lanes[li].arcs.iter().any(|a| a.signal == si) {
-                    return Err(format!("signal {si} not resident on its lane"));
-                }
-            }
-        }
-        Ok(())
+        crate::audit::check_wavelength_assignment(self)
     }
 }
 

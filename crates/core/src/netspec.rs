@@ -121,7 +121,9 @@ impl NetworkSpec {
     ///
     /// # Errors
     ///
-    /// As for [`new`](Self::new).
+    /// [`SynthesisError::DieTooSmall`] when the die has fewer than `n`
+    /// grid sites (re-drawing could then never finish); otherwise as for
+    /// [`new`](Self::new).
     pub fn irregular(n: usize, die_um: i64, seed: u64) -> Result<Self, SynthesisError> {
         // Small xorshift so the crate needs no RNG dependency.
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
@@ -132,6 +134,12 @@ impl NetworkSpec {
             state
         };
         let cells = (die_um / 100).max(1) as u64;
+        if n as u64 > cells.saturating_mul(cells) {
+            return Err(SynthesisError::DieTooSmall {
+                nodes: n,
+                cells: cells.saturating_mul(cells),
+            });
+        }
         let mut positions: Vec<Point> = Vec::with_capacity(n);
         while positions.len() < n {
             let x = (next() % cells) as i64 * 100;
@@ -202,6 +210,35 @@ impl NetworkSpec {
     }
 }
 
+/// Floorplans the kernel oracle tests compare each fast kernel with its
+/// reference on: seeded irregular placements of 5–8, 16, 64 and 128
+/// nodes (small dies make dense ones, whose nodes share coordinates),
+/// and grids, whose equal distances and aligned edges exercise the index
+/// tie-breaks and the closed-box boundaries.
+#[cfg(test)]
+pub(crate) fn oracle_floorplans() -> Vec<(String, NetworkSpec)> {
+    let mut nets = Vec::new();
+    for seed in 1..=3u64 {
+        for (n, die_um) in [
+            (5, 600),
+            (6, 1_000),
+            (7, 1_000),
+            (8, 1_500),
+            (16, 2_500),
+            (64, 8_000),
+            (128, 28_000),
+        ] {
+            let net = NetworkSpec::irregular(n, die_um, seed).expect("irregular");
+            nets.push((format!("irregular {n}/{die_um} seed {seed}"), net));
+        }
+    }
+    for (rows, cols) in [(2, 2), (3, 3), (2, 5), (4, 4), (8, 8), (12, 12)] {
+        let net = NetworkSpec::regular_grid(rows, cols, 1_000).expect("grid");
+        nets.push((format!("grid {rows}x{cols}"), net));
+    }
+    nets
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,6 +289,33 @@ mod tests {
         assert_eq!(a, b);
         let c = NetworkSpec::irregular(12, 10_000, 43).expect("valid");
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn irregular_rejects_more_nodes_than_die_sites() {
+        // Run on a thread so that a placement that never finishes fails
+        // the test instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            // A 100 µm die has one site; a 300 µm die has nine.
+            let got = [(2, 100), (10, 300), (9, 300)]
+                .map(|(n, die_um)| NetworkSpec::irregular(n, die_um, 1).map(|net| net.len()));
+            let _ = tx.send(got);
+        });
+        let got = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("placement finishes");
+        assert_eq!(
+            got,
+            [
+                Err(SynthesisError::DieTooSmall { nodes: 2, cells: 1 }),
+                Err(SynthesisError::DieTooSmall {
+                    nodes: 10,
+                    cells: 9
+                }),
+                Ok(9),
+            ]
+        );
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub fn design_pdn(
     let mut design = PdnDesign::default();
     let mut roots: Vec<(PdnGroup, Point)> = Vec::new();
     // Leaf losses per tree, merged after the distribution stage is known.
-    let mut tree_leaf_losses: Vec<(PdnGroup, BTreeMap<u32, LeafCost>)> = Vec::new();
+    let mut tree_leaf_losses: Vec<(PdnGroup, Vec<(u32, LeafCost)>)> = Vec::new();
 
     // Shortcut senders sit at node positions that already host ring
     // senders, and are supplied through the same openings; they join the
@@ -129,27 +129,28 @@ pub fn design_pdn(
         // transmission direction.
         let start = opening.unwrap_or(0);
         let n = cycle.len();
-        let mut ordered: Vec<(NodeId, Point)> = Vec::new();
+        let (mut nodes, mut points) = (Vec::new(), Vec::new());
         for k in 0..n {
             let pos = match direction {
                 Direction::Cw => (start + k) % n,
                 Direction::Ccw => (start + n - k % n) % n,
             };
             let node = cycle.order()[pos];
-            if sender_nodes.contains(&node.0) {
-                ordered.push((node, net.position(node)));
+            if sender_nodes.binary_search(&node.0).is_ok() {
+                nodes.push(node.0);
+                points.push(net.position(node));
             }
         }
-        let (leaf_loss, depth, length, root) = build_tree(&ordered, loss);
+        let (leaf_loss, depth, length, root) = build_tree(&points, loss);
         design.trees.push(PdnTree {
             group,
             depth,
-            leaves: ordered.len(),
+            leaves: nodes.len(),
             length_um: length,
         });
         design.total_length_um += length;
         roots.push((group, root));
-        tree_leaf_losses.push((group, leaf_loss));
+        tree_leaf_losses.push((group, nodes.into_iter().zip(leaf_loss).collect()));
         if opening.is_none() && group != SHORTCUT_GROUP {
             design.crossed_waveguides.push(group);
         }
@@ -165,11 +166,7 @@ pub fn design_pdn(
     // Waveguide lengths still follow the geometric binary pairing.
     let mut dist_loss: BTreeMap<PdnGroup, f64> = BTreeMap::new();
     if !roots.is_empty() {
-        let items: Vec<(NodeId, Point)> = roots
-            .iter()
-            .enumerate()
-            .map(|(k, (_, p))| (NodeId(k as u32), *p))
-            .collect();
+        let items: Vec<Point> = roots.iter().map(|(_, p)| *p).collect();
         let (per_root, depth, length, super_root) = build_tree(&items, loss);
         design.total_length_um += length;
         let lead = laser.manhattan_distance(super_root);
@@ -178,7 +175,7 @@ pub fn design_pdn(
         let even_split_db =
             10.0 * (roots.len() as f64).log10() + depth as f64 * loss.splitter_excess_db;
         for (k, (group, _)) in roots.iter().enumerate() {
-            let cost = per_root.get(&(k as u32)).copied().unwrap_or_default();
+            let cost = per_root[k];
             dist_loss.insert(*group, even_split_db + cost.propagation_db + lead_db);
         }
     }
@@ -189,7 +186,7 @@ pub fn design_pdn(
             let total = base + c.total_db(loss);
             design.sender_loss_db.insert((group, node), total);
             // Shortcut senders draw from ring tree 0's leaves.
-            if group == 0 && shortcut_nodes.contains(&node) {
+            if group == 0 && shortcut_nodes.binary_search(&node).is_ok() {
                 design.sender_loss_db.insert((SHORTCUT_GROUP, node), total);
             }
         }
@@ -214,55 +211,46 @@ impl LeafCost {
 }
 
 /// Builds a complete binary splitter tree over ordered leaves. Returns
-/// `(per-leaf cost, depth, total waveguide length, root position)`.
-fn build_tree(
-    leaves: &[(NodeId, Point)],
-    loss: &LossParams,
-) -> (BTreeMap<u32, LeafCost>, usize, i64, Point) {
+/// `(per-leaf cost in leaf order, depth, total waveguide length, root
+/// position)`.
+///
+/// Every tree node covers a contiguous range of leaves, so one flat cost
+/// array is updated in place range by range; each leaf's propagation sum
+/// adds the same terms in the same order as a per-node map merge would.
+fn build_tree(leaves: &[Point], loss: &LossParams) -> (Vec<LeafCost>, usize, i64, Point) {
     assert!(!leaves.is_empty(), "tree needs at least one leaf");
-    // Each level entry: (position, accumulated cost per leaf under it).
-    let mut level: Vec<(Point, BTreeMap<u32, LeafCost>)> = leaves
-        .iter()
-        .map(|(n, p)| (*p, BTreeMap::from([(n.0, LeafCost::default())])))
-        .collect();
+    let mut costs = vec![LeafCost::default(); leaves.len()];
+    // Each level entry: (position, first leaf under it). An entry's
+    // leaves end where the next entry's begin.
+    let mut level: Vec<(Point, usize)> = leaves.iter().enumerate().map(|(k, p)| (*p, k)).collect();
+    let mut next: Vec<(Point, usize)> = Vec::with_capacity(level.len() / 2 + 1);
     let mut depth = 0usize;
     let mut total_len = 0i64;
     while level.len() > 1 {
         depth += 1;
-        let mut next: Vec<(Point, BTreeMap<u32, LeafCost>)> =
-            Vec::with_capacity(level.len() / 2 + 1);
-        let mut iter = level.into_iter();
-        while let Some(a) = iter.next() {
-            match iter.next() {
-                Some(b) => {
-                    let mid = Point::new((a.0.x + b.0.x) / 2, (a.0.y + b.0.y) / 2);
-                    let mut merged = BTreeMap::new();
-                    for (pos, map) in [a, b] {
-                        let d = mid.manhattan_distance(pos);
-                        total_len += d;
-                        let prop = loss.propagation_db_per_cm * (d as f64 / 10_000.0);
-                        for (leaf, c) in map {
-                            merged.insert(
-                                leaf,
-                                LeafCost {
-                                    splits: c.splits + 1,
-                                    propagation_db: c.propagation_db + prop,
-                                },
-                            );
-                        }
-                    }
-                    next.push((mid, merged));
-                }
-                None => {
-                    // Odd leftover: promoted without a split.
-                    next.push(a);
+        next.clear();
+        for (k, pair) in level.chunks(2).enumerate() {
+            let [(a, first), (b, split)] = *pair else {
+                // Odd leftover: promoted without a split.
+                next.push(pair[0]);
+                continue;
+            };
+            let end = level.get(2 * k + 2).map_or(leaves.len(), |e| e.1);
+            let mid = Point::new((a.x + b.x) / 2, (a.y + b.y) / 2);
+            for (pos, range) in [(a, first..split), (b, split..end)] {
+                let d = mid.manhattan_distance(pos);
+                total_len += d;
+                let prop = loss.propagation_db_per_cm * (d as f64 / 10_000.0);
+                for c in &mut costs[range] {
+                    c.splits += 1;
+                    c.propagation_db += prop;
                 }
             }
+            next.push((mid, first));
         }
-        level = next;
+        std::mem::swap(&mut level, &mut next);
     }
-    let (root, costs) = level.pop().expect("root exists");
-    (costs, depth, total_len, root)
+    (costs, depth, total_len, level[0].0)
 }
 
 #[cfg(test)]
@@ -304,11 +292,88 @@ mod tests {
         }
     }
 
+    /// The original tree builder: one map of leaf costs per tree node,
+    /// merged pairwise level by level. Leaves are keyed by their index.
+    fn reference_build_tree(
+        leaves: &[Point],
+        loss: &LossParams,
+    ) -> (BTreeMap<u32, LeafCost>, usize, i64, Point) {
+        let mut level: Vec<(Point, BTreeMap<u32, LeafCost>)> = leaves
+            .iter()
+            .enumerate()
+            .map(|(k, p)| (*p, BTreeMap::from([(k as u32, LeafCost::default())])))
+            .collect();
+        let mut depth = 0usize;
+        let mut total_len = 0i64;
+        while level.len() > 1 {
+            depth += 1;
+            let mut next = Vec::new();
+            let mut iter = level.into_iter();
+            while let Some(a) = iter.next() {
+                let Some(b) = iter.next() else {
+                    next.push(a);
+                    continue;
+                };
+                let mid = Point::new((a.0.x + b.0.x) / 2, (a.0.y + b.0.y) / 2);
+                let mut merged = BTreeMap::new();
+                for (pos, map) in [a, b] {
+                    let d = mid.manhattan_distance(pos);
+                    total_len += d;
+                    let prop = loss.propagation_db_per_cm * (d as f64 / 10_000.0);
+                    for (leaf, c) in map {
+                        let splits = c.splits + 1;
+                        let propagation_db = c.propagation_db + prop;
+                        merged.insert(
+                            leaf,
+                            LeafCost {
+                                splits,
+                                propagation_db,
+                            },
+                        );
+                    }
+                }
+                next.push((mid, merged));
+            }
+            level = next;
+        }
+        let (root, costs) = level.pop().expect("root exists");
+        (costs, depth, total_len, root)
+    }
+
+    #[test]
+    fn flat_tree_matches_the_map_merge_reference_bit_for_bit() {
+        let loss = LossParams {
+            propagation_db_per_cm: 0.274_1,
+            ..LossParams::default()
+        };
+        let mut leaf_sets: Vec<Vec<Point>> = Vec::new();
+        for (_, net) in crate::netspec::oracle_floorplans() {
+            let points = net.positions();
+            for len in [1, 2, 3, 5, 7, 8, 9, 31, 33, points.len()] {
+                leaf_sets.push(points[..len.min(points.len())].to_vec());
+            }
+        }
+        for leaves in &leaf_sets {
+            let (costs, depth, len, root) = build_tree(leaves, &loss);
+            let (want, want_depth, want_len, want_root) = reference_build_tree(leaves, &loss);
+            assert_eq!((depth, len, root), (want_depth, want_len, want_root));
+            assert_eq!(costs.len(), want.len());
+            for (k, c) in costs.iter().enumerate() {
+                let w = want[&(k as u32)];
+                assert_eq!(c.splits, w.splits, "leaf {k} of {}", leaves.len());
+                assert_eq!(
+                    c.propagation_db.to_bits(),
+                    w.propagation_db.to_bits(),
+                    "leaf {k} of {}",
+                    leaves.len()
+                );
+            }
+        }
+    }
+
     #[test]
     fn tree_depth_is_logarithmic() {
-        let leaves: Vec<(NodeId, Point)> = (0..16)
-            .map(|i| (NodeId(i), Point::new(i as i64 * 1_000, 0)))
-            .collect();
+        let leaves: Vec<Point> = (0..16).map(|i| Point::new(i * 1_000, 0)).collect();
         let (losses, depth, len, _) = build_tree(&leaves, &LossParams::default());
         assert_eq!(depth, 4); // ceil(log2 16)
         assert_eq!(losses.len(), 16);
@@ -316,7 +381,7 @@ mod tests {
         // Every leaf passes exactly 4 splitters in a perfect tree:
         // loss >= 4 * 3.01 dB.
         let lp = LossParams::default();
-        for c in losses.values() {
+        for c in &losses {
             assert_eq!(c.splits, 4);
             assert!(c.total_db(&lp) >= 4.0 * 3.0, "leaf loss too small");
         }
@@ -324,10 +389,8 @@ mod tests {
 
     #[test]
     fn odd_leaf_counts_work() {
-        for count in [1u32, 3, 5, 7, 9] {
-            let leaves: Vec<(NodeId, Point)> = (0..count)
-                .map(|i| (NodeId(i), Point::new(i as i64 * 500, 0)))
-                .collect();
+        for count in [1i64, 3, 5, 7, 9] {
+            let leaves: Vec<Point> = (0..count).map(|i| Point::new(i * 500, 0)).collect();
             let (losses, depth, _, _) = build_tree(&leaves, &LossParams::default());
             assert_eq!(losses.len(), count as usize);
             assert_eq!(depth, (count as f64).log2().ceil() as usize);
@@ -407,17 +470,13 @@ mod tests {
 
     #[test]
     fn more_senders_mean_more_loss() {
-        let small: Vec<(NodeId, Point)> = (0..4)
-            .map(|i| (NodeId(i), Point::new(i as i64 * 1_000, 0)))
-            .collect();
-        let big: Vec<(NodeId, Point)> = (0..32)
-            .map(|i| (NodeId(i), Point::new(i as i64 * 1_000, 0)))
-            .collect();
+        let small: Vec<Point> = (0..4).map(|i| Point::new(i * 1_000, 0)).collect();
+        let big: Vec<Point> = (0..32).map(|i| Point::new(i * 1_000, 0)).collect();
         let p = LossParams::default();
         let (ls, _, _, _) = build_tree(&small, &p);
         let (lb, _, _, _) = build_tree(&big, &p);
-        let max_small = ls.values().map(|c| c.total_db(&p)).fold(0.0, f64::max);
-        let max_big = lb.values().map(|c| c.total_db(&p)).fold(0.0, f64::max);
+        let max_small = ls.iter().map(|c| c.total_db(&p)).fold(0.0, f64::max);
+        let max_big = lb.iter().map(|c| c.total_db(&p)).fold(0.0, f64::max);
         assert!(max_big > max_small);
     }
 }

@@ -126,6 +126,9 @@ pub struct RingCycle {
     order: Vec<NodeId>,
     position_of: Vec<usize>,
     routes: Vec<LRoute>,
+    /// `offset[p]`: clockwise ring length from position 0 to position
+    /// `p`; `offset[len()]` is the perimeter.
+    offset: Vec<i64>,
     /// Residual crossings between ring edges (0 unless the 2-SAT fallback
     /// was taken).
     residual_crossings: usize,
@@ -142,20 +145,24 @@ impl RingCycle {
         let endpoints: Vec<(Point, Point)> = (0..n)
             .map(|i| (net.position(order[i]), net.position(order[(i + 1) % n])))
             .collect();
+        // Edges whose closed endpoint boxes are disjoint cannot cross
+        // under any option, so only the overlapping pairs can add
+        // clauses, constrain the fallback or cross.
+        let pairs = overlapping_box_pairs(&endpoints);
 
         // 2-SAT: variable i == true  <=>  edge i routes VerticalFirst.
-        // The clause order fixes which satisfying assignment is found.
+        // The clause order fixes which satisfying assignment is found:
+        // pairs come in (i, j) order, as in an all-pairs loop.
         let mut sat = TwoSat::new(n);
-        for i in 0..n {
-            for j in i + 1..n {
-                let (a1, a2) = endpoints[i];
-                let (b1, b2) = endpoints[j];
-                let pair = classify_edge_pair(a1, a2, b1, b2);
-                for (oi, oa) in RouteOption::BOTH.into_iter().enumerate() {
-                    for (oj, ob) in RouteOption::BOTH.into_iter().enumerate() {
-                        if pair.crosses(oa, ob) {
-                            sat.forbid_pair(i, oi == 1, j, oj == 1);
-                        }
+        for &(i, j) in &pairs {
+            let (i, j) = (i as usize, j as usize);
+            let (a1, a2) = endpoints[i];
+            let (b1, b2) = endpoints[j];
+            let pair = classify_edge_pair(a1, a2, b1, b2);
+            for (oi, oa) in RouteOption::BOTH.into_iter().enumerate() {
+                for (oj, ob) in RouteOption::BOTH.into_iter().enumerate() {
+                    if pair.crosses(oa, ob) {
+                        sat.forbid_pair(i, oi == 1, j, oj == 1);
                     }
                 }
             }
@@ -174,18 +181,26 @@ impl RingCycle {
                     .collect();
                 (opts, false)
             }
-            None => (greedy_options(&endpoints), true),
+            None => (greedy_options(&endpoints, &pairs), true),
         };
         xring_obs::counter("ring.twosat_fallback", u64::from(fallback));
 
         let routes: Vec<LRoute> = (0..n)
             .map(|i| LRoute::new(endpoints[i].0, endpoints[i].1, options[i]))
             .collect();
-        let residual_crossings = count_crossings(&routes);
+        let residual_crossings = pairs
+            .iter()
+            .filter(|&&(i, j)| routes[i as usize].crosses(&routes[j as usize]))
+            .count();
 
         let mut position_of = vec![usize::MAX; net.len()];
         for (pos, id) in order.iter().enumerate() {
             position_of[id.index()] = pos;
+        }
+        let mut offset = Vec::with_capacity(n + 1);
+        offset.push(0);
+        for r in &routes {
+            offset.push(offset[offset.len() - 1] + r.length());
         }
 
         (
@@ -193,6 +208,7 @@ impl RingCycle {
                 order,
                 position_of,
                 routes,
+                offset,
                 residual_crossings,
             },
             fallback,
@@ -241,7 +257,7 @@ impl RingCycle {
 
     /// Total ring perimeter in µm.
     pub fn perimeter(&self) -> i64 {
-        self.routes.iter().map(LRoute::length).sum()
+        self.offset[self.len()]
     }
 
     /// Residual crossings between ring edges (0 in the normal case).
@@ -286,22 +302,17 @@ impl RingCycle {
     /// Panics if `from == to`, like [`arc_edges`](Self::arc_edges).
     pub fn arc_length(&self, from: usize, to: usize, dir: Direction) -> i64 {
         assert_ne!(from, to, "degenerate arc");
-        // Walk the same edges as `arc_edges` without collecting them.
-        let n = self.len();
-        let (mut p, mut len) = (from, 0);
-        while p != to {
-            match dir {
-                Direction::Cw => {
-                    len += self.edge_length(p);
-                    p = (p + 1) % n;
-                }
-                Direction::Ccw => {
-                    p = (p + n - 1) % n;
-                    len += self.edge_length(p);
-                }
-            }
+        // A counter-clockwise arc covers the clockwise arc's edges from
+        // `to` back to `from`.
+        let (from, to) = match dir {
+            Direction::Cw => (from, to),
+            Direction::Ccw => (to, from),
+        };
+        if from < to {
+            self.offset[to] - self.offset[from]
+        } else {
+            self.perimeter() - (self.offset[from] - self.offset[to])
         }
-        len
     }
 
     /// The interior cycle positions strictly between `from` and `to` when
@@ -375,17 +386,28 @@ impl RingCycle {
     }
 }
 
-fn greedy_options(endpoints: &[(Point, Point)]) -> Vec<RouteOption> {
+/// Greedy crossing-minimizing options: edge by edge, the option that
+/// crosses the fewest earlier edges, ties to `HorizontalFirst`. Only
+/// the box-overlapping `pairs` can cross.
+fn greedy_options(endpoints: &[(Point, Point)], pairs: &[(u32, u32)]) -> Vec<RouteOption> {
     let n = endpoints.len();
+    // (j, i) for every overlapping pair i < j, grouped by the later edge.
+    let mut by_later: Vec<(u32, u32)> = pairs.iter().map(|&(i, j)| (j, i)).collect();
+    by_later.sort_unstable();
     let mut options = vec![RouteOption::HorizontalFirst; n];
+    let mut rest = &by_later[..];
     for i in 0..n {
+        let split = rest.partition_point(|&(j, _)| j as usize == i);
+        let (earlier, later) = rest.split_at(split);
+        rest = later;
         let mut best = (usize::MAX, RouteOption::HorizontalFirst);
         for opt in RouteOption::BOTH {
             let ri = LRoute::new(endpoints[i].0, endpoints[i].1, opt);
-            let crossings = (0..i)
-                .filter(|&j| {
-                    let rj = LRoute::new(endpoints[j].0, endpoints[j].1, options[j]);
-                    ri.crosses(&rj)
+            let crossings = earlier
+                .iter()
+                .filter(|&&(_, j)| {
+                    let (a, b) = endpoints[j as usize];
+                    ri.crosses(&LRoute::new(a, b, options[j as usize]))
                 })
                 .count();
             if crossings < best.0 {
@@ -397,16 +419,33 @@ fn greedy_options(endpoints: &[(Point, Point)]) -> Vec<RouteOption> {
     options
 }
 
-fn count_crossings(routes: &[LRoute]) -> usize {
-    let mut count = 0;
-    for i in 0..routes.len() {
-        for j in i + 1..routes.len() {
-            if routes[i].crosses(&routes[j]) {
-                count += 1;
+/// The index pairs `(i, j)`, `i < j`, of the segments whose closed
+/// endpoint boxes overlap, in lexicographic order. A sweep over the boxes
+/// sorted by min x compares each box only with the boxes that start
+/// within its x extent, so the cost is O(N log N + K) for K overlapping
+/// x extents instead of N(N−1)/2 box tests.
+fn overlapping_box_pairs(segments: &[(Point, Point)]) -> Vec<(u32, u32)> {
+    let boxes: Vec<[i64; 4]> = segments
+        .iter()
+        .map(|&(a, b)| [a.x.min(b.x), a.x.max(b.x), a.y.min(b.y), a.y.max(b.y)])
+        .collect();
+    let mut by_min_x: Vec<u32> = (0..boxes.len() as u32).collect();
+    by_min_x.sort_unstable_by_key(|&i| boxes[i as usize][0]);
+    let mut pairs = Vec::new();
+    for (k, &i) in by_min_x.iter().enumerate() {
+        let [_, max_x, min_y, max_y] = boxes[i as usize];
+        for &j in &by_min_x[k + 1..] {
+            let other = boxes[j as usize];
+            if other[0] > max_x {
+                break; // every later box starts further right
+            }
+            if other[2] <= max_y && min_y <= other[3] {
+                pairs.push((i.min(j), i.max(j)));
             }
         }
     }
-    count
+    pairs.sort_unstable();
+    pairs
 }
 
 /// Builds the ring (Step 1).
@@ -997,6 +1036,97 @@ mod tests {
         }
     }
 
+    /// The original arc length: walk the arc edge by edge.
+    fn reference_arc_length(c: &RingCycle, from: usize, to: usize, dir: Direction) -> i64 {
+        let n = c.len();
+        let (mut p, mut len) = (from, 0);
+        while p != to {
+            match dir {
+                Direction::Cw => {
+                    len += c.edge_length(p);
+                    p = (p + 1) % n;
+                }
+                Direction::Ccw => {
+                    p = (p + n - 1) % n;
+                    len += c.edge_length(p);
+                }
+            }
+        }
+        len
+    }
+
+    #[test]
+    fn arc_length_matches_the_edge_walk() {
+        for (name, net) in crate::netspec::oracle_floorplans() {
+            let (c, _) = RingCycle::from_order(&net, heuristic_tour(&net));
+            let summed: i64 = (0..c.len()).map(|e| c.edge_length(e)).sum();
+            assert_eq!(c.perimeter(), summed, "{name}");
+            for from in 0..c.len() {
+                for to in (0..c.len()).filter(|&to| to != from) {
+                    for dir in [Direction::Cw, Direction::Ccw] {
+                        assert_eq!(
+                            c.arc_length(from, to, dir),
+                            reference_arc_length(&c, from, to, dir),
+                            "{name}: {from} -> {to} {dir:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// All pairs `i < j` whose closed boxes share a point, in (i, j) order.
+    fn reference_box_pairs(segments: &[(Point, Point)]) -> Vec<(u32, u32)> {
+        let overlap = |a: i64, b: i64, c: i64, d: i64| a.min(b) <= c.max(d) && c.min(d) <= a.max(b);
+        let mut pairs = Vec::new();
+        for (i, &(a1, a2)) in segments.iter().enumerate() {
+            for (j, &(b1, b2)) in segments.iter().enumerate().skip(i + 1) {
+                if overlap(a1.x, a2.x, b1.x, b2.x) && overlap(a1.y, a2.y, b1.y, b2.y) {
+                    pairs.push((i as u32, j as u32));
+                }
+            }
+        }
+        pairs
+    }
+
+    #[test]
+    fn box_sweep_matches_the_all_pairs_reference() {
+        let p = Point::new;
+        // Boxes that touch only on a boundary: at equal min x, where one
+        // box ends exactly where another starts, at a corner, along a
+        // degenerate (zero-width or zero-height) box; and ones one unit
+        // apart.
+        let touching = vec![
+            (p(0, 0), p(10, 10)),
+            (p(10, 20), p(20, 10)),
+            (p(0, 11), p(0, 30)),
+            (p(20, 0), p(30, 5)),
+            (p(10, 0), p(10, 0)),
+            (p(0, -5), p(-10, 0)),
+            (p(31, 5), p(40, 5)),
+            (p(-10, 30), p(0, 30)),
+            (p(0, 0), p(10, 10)),
+        ];
+        assert_eq!(
+            overlapping_box_pairs(&touching),
+            reference_box_pairs(&touching)
+        );
+        assert!(overlapping_box_pairs(&touching).contains(&(0, 1)));
+        for (name, net) in crate::netspec::oracle_floorplans() {
+            for tour in [heuristic_tour(&net), perimeter_tour(&net)] {
+                let n = tour.len();
+                let edges: Vec<(Point, Point)> = (0..n)
+                    .map(|i| (net.position(tour[i]), net.position(tour[(i + 1) % n])))
+                    .collect();
+                assert_eq!(
+                    overlapping_box_pairs(&edges),
+                    reference_box_pairs(&edges),
+                    "{name}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn interior_positions_excludes_endpoints() {
         let net = NetworkSpec::proton_8();
@@ -1113,6 +1243,7 @@ mod tests {
                 nets.push((format!("irregular {n}/{die_um} seed {seed}"), net));
             }
         }
+        nets.extend(crate::netspec::oracle_floorplans());
         type Tour = fn(&NetworkSpec) -> Vec<NodeId>;
         let orders: [(&str, Tour); 3] = [
             ("heuristic", heuristic_tour),

@@ -16,13 +16,13 @@
 //! nearest ring crossing in its direction. Those four nearest crossings
 //! per node ([`Reach`]) are read once per request from a crossing index
 //! of the ring polyline, built in O(N log N); a pair's route option is
-//! then two comparisons. Each pair's ring distance is O(1) from an
-//! edge-length prefix sum. Greedy selection is O(C log C + C·S) for C
-//! candidates and S selected shortcuts; a per-node flag skips pairs with
-//! a used endpoint in O(1).
+//! then two comparisons. Each pair's ring distance is O(1) from the
+//! ring's edge-length prefix sum ([`RingCycle::arc_length`]). Greedy
+//! selection is O(C log C + C·S) for C candidates and S selected
+//! shortcuts; a per-node flag skips pairs with a used endpoint in O(1).
 
 use crate::netspec::{NetworkSpec, NodeId};
-use crate::ring::RingCycle;
+use crate::ring::{Direction, RingCycle};
 use xring_geom::{LRoute, Point, Reach, RouteOption};
 
 /// A selected shortcut between two nodes.
@@ -103,21 +103,14 @@ struct Candidate {
 
 /// Collects every node pair with a ring-avoiding L-route and a positive
 /// gain, in pair order. The ring is indexed once, each node's ray reach
-/// is read from the index once, and ring distances come from a prefix sum
-/// over the edge lengths (costs in the module doc).
+/// is read from the index once, and ring distances come from the ring's
+/// prefix sum over the edge lengths (costs in the module doc).
 fn candidates(net: &NetworkSpec, cycle: &RingCycle) -> Vec<Candidate> {
     let ring = cycle.polyline().crossing_index();
     let n = net.len() as u32;
     let reach: Vec<Reach> = (0..n)
         .map(|i| ring.reach(net.position(NodeId(i))))
         .collect();
-    // offset[p]: clockwise ring distance from position 0 to position p.
-    let mut offset = Vec::with_capacity(cycle.len());
-    let mut perimeter = 0i64;
-    for e in 0..cycle.len() {
-        offset.push(perimeter);
-        perimeter += cycle.edge_length(e);
-    }
     let mut candidates = Vec::new();
     for i in 0..n {
         for j in i + 1..n {
@@ -130,9 +123,9 @@ fn candidates(net: &NetworkSpec, cycle: &RingCycle) -> Vec<Candidate> {
                 continue;
             };
             let length = pa.manhattan_distance(pb);
-            let d = offset[cycle.position_of(b)] - offset[cycle.position_of(a)];
-            let cw = if d >= 0 { d } else { d + perimeter };
-            let gain = cw.min(perimeter - cw) - length;
+            let (from, to) = (cycle.position_of(a), cycle.position_of(b));
+            let cw = cycle.arc_length(from, to, Direction::Cw);
+            let gain = cw.min(cycle.perimeter() - cw) - length;
             if gain > 0 {
                 candidates.push(Candidate {
                     a,
@@ -149,26 +142,32 @@ fn candidates(net: &NetworkSpec, cycle: &RingCycle) -> Vec<Candidate> {
 
 /// Greedy selection by descending gain (CSE merges included) over a
 /// network of `nodes` nodes.
-fn select(mut candidates: Vec<Candidate>, nodes: usize) -> ShortcutPlan {
+fn select(candidates: Vec<Candidate>, nodes: usize) -> ShortcutPlan {
     let _select_span = xring_obs::span("shortcut-select");
-    candidates.sort_by_key(|c| (std::cmp::Reverse(c.gain_um), c.a, c.b));
+    // Sort the keys with candidate indices, not the candidates. Each pair
+    // appears once, so the keys are unique and an unstable sort gives the
+    // same order as a stable one.
+    let mut order: Vec<_> = candidates
+        .iter()
+        .enumerate()
+        .map(|(k, c)| (std::cmp::Reverse(c.gain_um), c.a, c.b, k))
+        .collect();
+    order.sort_unstable();
     // used[node]: the node already joins a selected shortcut.
     let mut used = vec![false; nodes];
     let mut plan = ShortcutPlan::empty();
-    for c in candidates {
+    for &(.., k) in &order {
+        let c = &candidates[k];
         if used[c.a.index()] || used[c.b.index()] {
             continue; // at most one shortcut per node
         }
-        // Count crossings with already selected shortcuts.
-        let crossing_with: Vec<usize> = plan
-            .shortcuts
-            .iter()
-            .enumerate()
+        // The first two already selected shortcuts it crosses: a second
+        // crossing already rules it out.
+        let mut crossing_with = (plan.shortcuts.iter().enumerate())
             .filter(|(_, s)| c.route.crosses(&s.route))
-            .map(|(k, _)| k)
-            .collect();
-        match crossing_with.as_slice() {
-            [] => {
+            .map(|(k, _)| k);
+        match (crossing_with.next(), crossing_with.next()) {
+            (None, _) => {
                 plan.shortcuts.push(Shortcut {
                     a: c.a,
                     b: c.b,
@@ -179,8 +178,7 @@ fn select(mut candidates: Vec<Candidate>, nodes: usize) -> ShortcutPlan {
                     crossing_at_um: None,
                 });
             }
-            [k] => {
-                let k = *k;
+            (Some(k), None) => {
                 if plan.shortcuts[k].crossing_partner.is_some() {
                     continue; // partner already has a crossing
                 }
@@ -263,7 +261,76 @@ fn distance_along(route: &LRoute, p: Point) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::{Direction, RingBuilder};
+    use crate::ring::{Direction, RingAlgorithm, RingBuilder};
+
+    /// The original greedy selection: a stable sort of the candidates
+    /// themselves, and every crossing with the selected shortcuts listed.
+    fn reference_select(mut candidates: Vec<Candidate>, nodes: usize) -> ShortcutPlan {
+        candidates.sort_by_key(|c| (std::cmp::Reverse(c.gain_um), c.a, c.b));
+        let mut used = vec![false; nodes];
+        let mut plan = ShortcutPlan::empty();
+        for c in candidates {
+            if used[c.a.index()] || used[c.b.index()] {
+                continue;
+            }
+            let crossing_with: Vec<usize> = (plan.shortcuts.iter().enumerate())
+                .filter(|(_, s)| c.route.crosses(&s.route))
+                .map(|(k, _)| k)
+                .collect();
+            let (partner, at) = match crossing_with.as_slice() {
+                [] => (None, None),
+                &[k] => {
+                    if plan.shortcuts[k].crossing_partner.is_some() {
+                        continue;
+                    }
+                    let Some((at_new, at_old)) =
+                        single_crossing(&c.route, &plan.shortcuts[k].route)
+                    else {
+                        continue;
+                    };
+                    let new_idx = plan.shortcuts.len();
+                    plan.shortcuts[k].crossing_partner = Some(new_idx);
+                    plan.shortcuts[k].crossing_at_um = Some(at_old);
+                    (Some(k), Some(at_new))
+                }
+                _ => continue,
+            };
+            plan.shortcuts.push(Shortcut {
+                a: c.a,
+                b: c.b,
+                route: c.route,
+                length_um: c.length_um,
+                gain_um: c.gain_um,
+                crossing_partner: partner,
+                crossing_at_um: at,
+            });
+            used[c.a.index()] = true;
+            used[c.b.index()] = true;
+        }
+        plan
+    }
+
+    #[test]
+    fn selection_matches_the_stable_sort_reference() {
+        let mut merges = 0;
+        for (name, net) in crate::netspec::oracle_floorplans() {
+            for algorithm in [RingAlgorithm::Heuristic, RingAlgorithm::Perimeter] {
+                let ring = RingBuilder::new()
+                    .with_algorithm(algorithm)
+                    .build(&net)
+                    .expect("ring");
+                let got = select(candidates(&net, &ring.cycle), net.len());
+                let want = reference_select(candidates(&net, &ring.cycle), net.len());
+                assert_eq!(got, want, "{name}, {algorithm:?} ring");
+                merges += got
+                    .shortcuts
+                    .iter()
+                    .filter(|s| s.crossing_partner.is_some())
+                    .count();
+            }
+        }
+        assert!(merges > 0, "no CSE merge exercised");
+    }
 
     #[test]
     fn no_shortcuts_on_a_square() {

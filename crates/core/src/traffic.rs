@@ -9,6 +9,7 @@
 
 use crate::netspec::{NetworkSpec, NodeId};
 use crate::variation::SplitMix64;
+use std::collections::BinaryHeap;
 
 /// Which `(source, destination)` pairs communicate.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -61,21 +62,36 @@ impl Traffic {
                 out
             }
             Traffic::NearestNeighbors(k) => {
-                let take = (*k).min(net.len().saturating_sub(1));
-                let mut out = Vec::with_capacity(net.len() * take);
-                let mut others = Vec::with_capacity(net.len());
-                for a in net.node_ids() {
-                    others.clear();
-                    others.extend(net.node_ids().filter(|b| *b != a));
-                    // (distance, index) is a strict total order, so selecting
-                    // the `take` smallest and sorting only those equals a
-                    // full sort truncated to `take`.
-                    let key = |b: &NodeId| (net.distance(a, *b), b.index());
-                    if take < others.len() {
-                        others.select_nth_unstable_by_key(take, key);
+                let positions = net.positions();
+                let take = (*k).min(positions.len().saturating_sub(1));
+                if take == 0 {
+                    return Vec::new();
+                }
+                let mut out = Vec::with_capacity(positions.len() * take);
+                // The `take` smallest (distance, index) keys seen so far,
+                // as a max-heap. The keys are a strict total order, so the
+                // selected set and its sorted order equal a full sort
+                // truncated to `take`.
+                let mut nearest: BinaryHeap<(i64, u32)> = BinaryHeap::with_capacity(take + 1);
+                for (a, &pa) in positions.iter().enumerate() {
+                    for (b, &pb) in positions.iter().enumerate() {
+                        if b == a {
+                            continue;
+                        }
+                        let key = (pa.manhattan_distance(pb), b as u32);
+                        if nearest.len() < take {
+                            nearest.push(key);
+                        } else if let Some(mut worst) = nearest.peek_mut() {
+                            if key < *worst {
+                                *worst = key;
+                            }
+                        }
                     }
-                    others[..take].sort_unstable_by_key(key);
-                    out.extend(others[..take].iter().map(|&b| (a, b)));
+                    let mut keys = std::mem::take(&mut nearest).into_sorted_vec();
+                    out.extend(keys.iter().map(|&(_, b)| (NodeId(a as u32), NodeId(b))));
+                    // Hand the allocation back to the heap for the next node.
+                    keys.clear();
+                    nearest = BinaryHeap::from(keys);
                 }
                 out
             }
@@ -200,7 +216,7 @@ mod tests {
 
     #[test]
     fn nearest_neighbors_matches_the_full_sort_reference() {
-        // The pre-selection implementation: sort every peer, keep `k`.
+        // The original implementation: sort every peer, keep `k`.
         let reference = |net: &NetworkSpec, k: usize| {
             let mut out = Vec::new();
             for a in net.node_ids() {
@@ -211,20 +227,24 @@ mod tests {
             out
         };
         // Regular grids tie on distance everywhere; irregular nets rarely.
-        let mut nets = vec![NetworkSpec::proton_8(), NetworkSpec::psion_16()];
-        for (rows, cols) in [(2, 2), (3, 5), (8, 8)] {
-            nets.push(NetworkSpec::regular_grid(rows, cols, 1_000).expect("grid"));
-        }
+        let mut nets = crate::netspec::oracle_floorplans();
+        nets.push(("proton_8".to_owned(), NetworkSpec::proton_8()));
+        nets.push(("psion_16".to_owned(), NetworkSpec::psion_16()));
+        nets.push((
+            "grid 3x5".to_owned(),
+            NetworkSpec::regular_grid(3, 5, 1_000).expect("grid"),
+        ));
         for seed in 1..=3 {
-            for (n, die_um) in [(5, 1_000), (24, 3_000), (128, 28_000)] {
-                nets.push(NetworkSpec::irregular(n, die_um, seed).expect("irregular"));
+            for (n, die_um) in [(5, 1_000), (24, 3_000)] {
+                let net = NetworkSpec::irregular(n, die_um, seed).expect("irregular");
+                nets.push((format!("irregular {n}/{die_um} seed {seed}"), net));
             }
         }
-        for net in &nets {
+        for (name, net) in nets {
             let n = net.len();
-            for k in [0, 1, 3, n - 1, n, n + 5] {
-                let got = Traffic::NearestNeighbors(k).pairs(net);
-                assert_eq!(got, reference(net, k), "{n} nodes, k = {k}");
+            for k in [0, 1, 2, 3, n / 2, n - 1, n, n + 5] {
+                let got = Traffic::NearestNeighbors(k).pairs(&net);
+                assert_eq!(got, reference(&net, k), "{name}, k = {k}");
             }
         }
     }

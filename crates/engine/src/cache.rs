@@ -304,32 +304,51 @@ impl DesignCache {
     /// The entry is validated before it is served: a design whose audit
     /// is not clean or whose layout no longer self-validates is *evicted*
     /// and the lookup counts as a miss, so the caller re-synthesizes and
-    /// re-inserts a good entry.
+    /// re-inserts a good entry. Validation runs outside the lock, on the
+    /// entry's `Arc`, so concurrent lookups do not queue behind it.
     pub fn lookup(&self, key: &[u8], label: &str) -> Option<(Arc<XRingDesign>, RouterReport)> {
-        let mut inner = self.lock();
-        match inner.map.get(key) {
-            Some(Entry {
-                payload: Payload::Design { design, report },
-                ..
-            }) if entry_is_intact(design) => {
-                self.counters.add(CacheCounter::Hits, 1);
-                let design = Arc::clone(design);
-                let mut report = report.clone();
-                report.label = label.to_owned();
-                inner.bump(key);
-                Some((design, report))
-            }
-            Some(_) => {
-                inner.remove(key);
-                self.counters.add(CacheCounter::Evictions, 1);
-                self.counters.add(CacheCounter::Misses, 1);
-                None
-            }
-            None => {
-                self.counters.add(CacheCounter::Misses, 1);
-                None
-            }
+        let (design, mut report) = self.snapshot(key)?;
+        if !entry_is_intact(&design) {
+            self.evict_if_current(key, &design);
+            return None;
         }
+        self.counters.add(CacheCounter::Hits, 1);
+        report.label = label.to_owned();
+        Some((design, report))
+    }
+
+    /// The design entry at `key`, cloned under the lock with its recency
+    /// bumped; a miss is counted when there is none.
+    fn snapshot(&self, key: &[u8]) -> Option<(Arc<XRingDesign>, RouterReport)> {
+        let mut inner = self.lock();
+        let Some(Entry {
+            payload: Payload::Design { design, report },
+            ..
+        }) = inner.map.get(key)
+        else {
+            self.counters.add(CacheCounter::Misses, 1);
+            return None;
+        };
+        let found = (Arc::clone(design), report.clone());
+        inner.bump(key);
+        Some(found)
+    }
+
+    /// Evicts the entry at `key` after `stale` failed validation, unless
+    /// the slot meanwhile holds another design (a concurrent lookup
+    /// evicted it and a fresh one was inserted). Counts the miss either
+    /// way.
+    fn evict_if_current(&self, key: &[u8], stale: &Arc<XRingDesign>) {
+        let mut inner = self.lock();
+        let current = matches!(
+            inner.map.get(key),
+            Some(Entry { payload: Payload::Design { design, .. }, .. }) if Arc::ptr_eq(design, stale)
+        );
+        if current {
+            inner.remove(key);
+            self.counters.add(CacheCounter::Evictions, 1);
+        }
+        self.counters.add(CacheCounter::Misses, 1);
     }
 
     /// Stores a freshly synthesized design. Concurrent duplicate inserts
@@ -671,6 +690,29 @@ mod tests {
         cache.insert(key.clone(), design, report);
         assert!(cache.lookup(&key, "j").is_some());
         assert_eq!(cache.counters.get(CacheCounter::Evictions), 1);
+    }
+
+    #[test]
+    fn a_stale_failed_check_does_not_evict_a_fresh_entry() {
+        let cache = DesignCache::new();
+        let j = job("j", 4);
+        let (key, design, report) = synthesized(&j);
+        cache.insert(key.clone(), Arc::clone(&design), report.clone());
+        assert!(cache.corrupt(&key));
+        // Two lookups race on the corrupted entry: both take it...
+        let (stale, _) = cache.snapshot(&key).expect("corrupted entry present");
+        let (other, _) = cache.snapshot(&key).expect("corrupted entry present");
+        assert!(!entry_is_intact(&stale));
+        // ...the second evicts it, and a fresh design is re-inserted...
+        cache.evict_if_current(&key, &other);
+        assert_eq!(cache.len(), 0);
+        cache.insert(key.clone(), Arc::clone(&design), report);
+        // ...so the first one's late eviction must leave the fresh entry.
+        cache.evict_if_current(&key, &stale);
+        assert_eq!(cache.len(), 1, "fresh entry evicted by a stale check");
+        assert_eq!(cache.counters.get(CacheCounter::Evictions), 1);
+        let (served, _) = cache.lookup(&key, "j").expect("fresh entry served");
+        assert!(Arc::ptr_eq(&served, &design));
     }
 
     #[test]

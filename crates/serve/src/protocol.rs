@@ -172,12 +172,6 @@ fn job_from_json(
         obj.get("net")
             .ok_or_else(|| ProtocolError::bad_request("bad_request", "missing \"net\""))?,
     )?;
-    if net.len() > MAX_NODES {
-        return Err(ProtocolError::unprocessable(
-            "network_too_large",
-            format!("{} nodes exceeds the limit of {MAX_NODES}", net.len()),
-        ));
-    }
     let mut options = SynthesisOptions {
         deadline: defaults.deadline,
         degradation: defaults.degradation,
@@ -224,6 +218,7 @@ fn net_from_json(v: &Json) -> Result<NetworkSpec, ProtocolError> {
             let cols = require_usize(body, "cols", "grid")?;
             let pitch = require_i64(body, "pitch_um", "grid")?;
             check_keys(body, &["rows", "cols", "pitch_um"], "grid")?;
+            check_node_count(rows.checked_mul(cols))?;
             NetworkSpec::regular_grid(rows, cols, pitch)
                 .map_err(|e| ProtocolError::unprocessable("invalid_network", e.to_string()))
         }
@@ -231,6 +226,7 @@ fn net_from_json(v: &Json) -> Result<NetworkSpec, ProtocolError> {
             let arr = body.as_arr().ok_or_else(|| {
                 ProtocolError::bad_request("bad_request", "\"positions\" must be an array")
             })?;
+            check_node_count(Some(arr.len()))?;
             let mut points = Vec::with_capacity(arr.len());
             for (i, p) in arr.iter().enumerate() {
                 let pair = p.as_arr().filter(|a| a.len() == 2).ok_or_else(|| {
@@ -251,12 +247,29 @@ fn net_from_json(v: &Json) -> Result<NetworkSpec, ProtocolError> {
             let die = require_i64(body, "die_um", "irregular")?;
             let seed = require_usize(body, "seed", "irregular")? as u64;
             check_keys(body, &["n", "die_um", "seed"], "irregular")?;
+            check_node_count(Some(n))?;
             NetworkSpec::irregular(n, die, seed)
                 .map_err(|e| ProtocolError::unprocessable("invalid_network", e.to_string()))
         }
         other => Err(ProtocolError::bad_request(
             "bad_request",
             format!("unknown net kind \"{other}\""),
+        )),
+    }
+}
+
+/// Rejects a network of `nodes` nodes (`None`: the count overflows)
+/// above [`MAX_NODES`]. Checked on the request, before the network is
+/// built, so an oversized request costs no allocation or placement work.
+fn check_node_count(nodes: Option<usize>) -> Result<(), ProtocolError> {
+    match nodes {
+        Some(n) if n <= MAX_NODES => Ok(()),
+        n => Err(ProtocolError::unprocessable(
+            "network_too_large",
+            match n {
+                Some(n) => format!("{n} nodes exceeds the limit of {MAX_NODES}"),
+                None => format!("more than {MAX_NODES} nodes (the count overflows)"),
+            },
         )),
     }
 }
@@ -673,6 +686,58 @@ mod tests {
             assert_eq!(err.code, code, "body: {body}");
             assert!(err.status == 400 || err.status == 422);
         }
+    }
+
+    /// Parses `body` on its own thread; fails the test if parsing does
+    /// not finish within 10 s, instead of hanging the test run.
+    fn parse_within_deadline(body: &str) -> Result<SynthesisJob, ProtocolError> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let owned = body.to_owned();
+        std::thread::spawn(move || {
+            let _ = tx.send(parse_synth(&owned, &defaults(), 0));
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|e| panic!("parsing did not finish ({e}): {body}"))
+    }
+
+    #[test]
+    fn impossible_or_oversized_networks_are_rejected_before_they_are_built() {
+        let too_large = format!(
+            r#"{{"net": {{"positions": [{}]}}}}"#,
+            (0..=MAX_NODES)
+                .map(|i| format!("[{i}, 0]"))
+                .collect::<Vec<_>>()
+                .join(",")
+        );
+        let cases = [
+            // One 100 µm site cannot hold two distinct nodes: placement
+            // used to re-draw forever.
+            (
+                r#"{"net":{"irregular":{"n":2,"die_um":100,"seed":1}},"options":{"max_wavelengths":8}}"#.to_owned(),
+                "invalid_network",
+            ),
+            (
+                r#"{"net": {"irregular": {"n": 100000, "die_um": 100000000, "seed": 1}}}"#
+                    .to_owned(),
+                "network_too_large",
+            ),
+            // 2^62 nodes: used to reach the grid's allocation unchecked.
+            (
+                r#"{"net": {"grid": {"rows": 2147483648, "cols": 2147483648, "pitch_um": 1}}}"#
+                    .to_owned(),
+                "network_too_large",
+            ),
+            (too_large, "network_too_large"),
+        ];
+        for (body, code) in &cases {
+            let err = parse_within_deadline(body).expect_err("must be rejected");
+            assert_eq!((err.status, err.code), (422, *code), "{}", err.message);
+        }
+        let at_limit = r#"{"net": {"grid": {"rows": 16, "cols": 16, "pitch_um": 1000}}}"#;
+        assert_eq!(
+            parse_within_deadline(at_limit).map(|j| j.net.len()),
+            Ok(256)
+        );
     }
 
     #[test]

@@ -16,6 +16,9 @@
 #   worse  the change's median is worse than the parent's by more than the
 #          metric's relative bound in BENCHMARK.json;
 #   flat   otherwise.
+# Then it runs one `--trace 1` run per side on the first seed, which
+# replays each request layer by layer, and prints every per-layer metric
+# of BENCHMARK.json as parent -> change: where the time went.
 # Exits 1 if a run is not correct or fails a request. Temporary files go
 # under $TMPDIR.
 set -eu
@@ -33,6 +36,7 @@ cd "$(dirname "$0")"
 seconds=$(sed -n 's/.*"run_seconds": \([0-9]*\).*/\1/p' BENCHMARK.json)
 [ -n "$seconds" ] || { echo "perf-ab: no run_seconds in BENCHMARK.json" >&2; exit 1; }
 metrics=$(sed -n '/"end_to_end"/,/]/s/.*"name": "\([a-z0-9_]*\)".*"better": "\([a-z]*\)".*"bound": \([0-9.]*\).*/\1:\2:\3/p' BENCHMARK.json)
+layers=$(sed -n '/"per_layer"/,/]/s/.*"name": "\([a-z0-9_]*\)".*/\1/p' BENCHMARK.json)
 
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/perf-ab.XXXXXX")
 cleanup() {
@@ -52,10 +56,10 @@ CARGO_TARGET_DIR=perfbench/target cargo build --release --offline --quiet \
 parent_bin="$tmp/target/release/xring-perfbench"
 change_bin="perfbench/target/release/xring-perfbench"
 
-# run <side> <binary> <pair> <seed>: one run, its verdict line kept as
-# $tmp/<side>.<pair>.
+# run <side> <binary> <pair> <seed> [<trace>]: one run (`--trace 0`
+# unless given), its verdict line kept as $tmp/<side>.<pair>.
 run() {
-    "$2" --workload "$workload" --seed "$4" --seconds "$seconds" --trace 0 | tail -1 >"$tmp/$1.$3"
+    "$2" --workload "$workload" --seed "$4" --seconds "$seconds" --trace "${5:-0}" | tail -1 >"$tmp/$1.$3"
     if ! grep -q '"correct": true' "$tmp/$1.$3" || ! grep -q '"failed": 0[,}]' "$tmp/$1.$3"; then
         echo "perf-ab: $1 run $3 (seed $4) not correct or had failures: $(cat "$tmp/$1.$3")" >&2
         exit 1
@@ -127,4 +131,16 @@ for entry in $metrics; do
         else verdict = "flat"
         printf "%-16s %-7s %-28s %-28s %-19s %s\n", name, b, sprintf("%.4g [%.4g, %.4g]", pm, p1, p3),
             sprintf("%.4g [%.4g, %.4g]", cm, c1, c3), pw "/" cw, verdict }'
+done
+
+# One traced run per side on the first seed: the per-layer breakdown.
+echo "==> traced run per side, seed $1" >&2
+run parent "$parent_bin" trace "$1" 1
+run change "$change_bin" trace "$1" 1
+echo
+echo "per-layer means, one --trace 1 run per side, seed $1"
+printf '%-18s %s\n' metric "parent -> change"
+for name in $layers; do
+    awk -v name="$name" -v p="$(value "$tmp/parent.trace" "$name")" -v c="$(value "$tmp/change.trace" "$name")" \
+        'BEGIN { printf "%-18s %.4g -> %.4g\n", name, p, c }'
 done
