@@ -87,13 +87,7 @@ pub fn ornoc_map(_net: &NetworkSpec, cycle: &RingCycle, max_wavelengths: usize) 
         } else {
             Direction::Ccw
         };
-        let mk_arc = |dir: Direction, signal: usize| LaneArc {
-            signal,
-            from_pos: fa,
-            to_pos: fb,
-            edges: cycle.arc_edges(fa, fb, dir),
-            interior: cycle.interior_positions(fa, fb, dir),
-        };
+        let mk_arc = |dir: Direction, signal: usize| LaneArc::new(signal, fa, fb, dir, cycle.len());
         let signal = plan.routes.len();
 
         // Reuse pass: shorter direction first, then the long way around.
@@ -105,8 +99,8 @@ pub fn ornoc_map(_net: &NetworkSpec, cycle: &RingCycle, max_wavelengths: usize) 
                     continue;
                 }
                 for (li, lane) in wg.lanes.iter_mut().enumerate() {
-                    if lane.accepts(&arc.edges, &arc.interior, None) {
-                        lane.arcs.push(arc.clone());
+                    if lane.accepts(&arc, None) {
+                        lane.arcs.push(arc);
                         placed = Some((wi, li));
                         break 'reuse;
                     }

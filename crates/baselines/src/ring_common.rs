@@ -244,30 +244,22 @@ pub fn first_fit_map(
             } else {
                 Direction::Ccw
             };
-            let arc = LaneArc {
-                signal: plan.routes.len(),
-                from_pos: fa,
-                to_pos: fb,
-                edges: cycle.arc_edges(fa, fb, dir),
-                interior: cycle.interior_positions(fa, fb, dir),
-            };
+            let arc = LaneArc::new(plan.routes.len(), fa, fb, dir, cycle.len());
             let mut placed = None;
             'outer: for (wi, wg) in plan.ring_waveguides.iter_mut().enumerate() {
                 if wg.direction != dir {
                     continue;
                 }
                 for (li, lane) in wg.lanes.iter_mut().enumerate() {
-                    if lane.accepts(&arc.edges, &arc.interior, None) {
-                        lane.arcs.push(arc.clone());
+                    if lane.accepts(&arc, None) {
+                        lane.arcs.push(arc);
                         placed = Some((wi, li));
                         break 'outer;
                     }
                 }
                 if wg.lanes.len() < max_wavelengths {
                     let li = wg.lanes.len();
-                    wg.lanes.push(Lane {
-                        arcs: vec![arc.clone()],
-                    });
+                    wg.lanes.push(Lane { arcs: vec![arc] });
                     placed = Some((wi, li));
                     break 'outer;
                 }

@@ -399,7 +399,7 @@ pub(crate) fn check_wavelength_assignment(plan: &MappingPlan) -> Result<(), Stri
     let edges = (plan.ring_waveguides.iter())
         .flat_map(|w| &w.lanes)
         .flat_map(|l| &l.arcs)
-        .flat_map(|a| a.edges.iter().map(|e| e + 1))
+        .map(|a| a.ring_len)
         .max()
         .unwrap_or(0);
     // owner[e] during a lane's backward walk: the first arc after the
@@ -411,17 +411,17 @@ pub(crate) fn check_wavelength_assignment(plan: &MappingPlan) -> Result<(), Stri
             // arc in lane order that passes the opening or overlaps.
             let mut first_bad: Option<(usize, usize)> = None;
             for (ai, a) in lane.arcs.iter().enumerate().rev() {
-                let overlap = a.edges.iter().map(|&e| owner[e]).min().unwrap_or(FREE);
-                let passes_opening = wg.opening.is_some_and(|open| a.interior.contains(&open));
+                let overlap = a.edges().map(|e| owner[e]).min().unwrap_or(FREE);
+                let passes_opening = wg.opening.is_some_and(|open| a.passes(open));
                 if passes_opening || overlap != FREE {
                     first_bad = Some((ai, overlap));
                 }
-                for &e in &a.edges {
+                for e in a.edges() {
                     owner[e] = ai;
                 }
             }
             for a in &lane.arcs {
-                for &e in &a.edges {
+                for e in a.edges() {
                     owner[e] = FREE;
                 }
             }
@@ -429,7 +429,7 @@ pub(crate) fn check_wavelength_assignment(plan: &MappingPlan) -> Result<(), Stri
                 continue;
             };
             let a = &lane.arcs[ai];
-            return Err(match wg.opening.filter(|open| a.interior.contains(open)) {
+            return Err(match wg.opening.filter(|&open| a.passes(open)) {
                 Some(open) => format!(
                     "waveguide {wi} lane {li}: arc of signal {} passes opening {open}",
                     a.signal
@@ -588,6 +588,7 @@ pub fn audit_design(design: &XRingDesign, traffic: &Traffic, loss: &LossParams) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping::LaneArc;
     use crate::synth::{SynthesisOptions, Synthesizer};
     use xring_geom::{LRoute, Point, RouteOption};
 
@@ -668,13 +669,17 @@ mod tests {
     }
 
     /// The original lane check: every arc against every later arc of its
-    /// lane, edge list against edge list.
-    fn reference_validate(plan: &MappingPlan) -> Result<(), String> {
+    /// lane, edge list against edge list, with the lists from `cycle`.
+    fn reference_validate(plan: &MappingPlan, cycle: &RingCycle) -> Result<(), String> {
+        let edges = |a: &LaneArc| cycle.arc_edges(a.from_pos, a.to_pos, a.direction);
         for (wi, wg) in plan.ring_waveguides.iter().enumerate() {
             for (li, lane) in wg.lanes.iter().enumerate() {
                 for (ai, a) in lane.arcs.iter().enumerate() {
                     if let Some(open) = wg.opening {
-                        if a.interior.contains(&open) {
+                        if cycle
+                            .interior_positions(a.from_pos, a.to_pos, a.direction)
+                            .contains(&open)
+                        {
                             return Err(format!(
                                 "waveguide {wi} lane {li}: arc of signal {} passes opening {open}",
                                 a.signal
@@ -682,7 +687,7 @@ mod tests {
                         }
                     }
                     for b in &lane.arcs[ai + 1..] {
-                        if a.edges.iter().any(|e| b.edges.contains(e)) {
+                        if edges(a).iter().any(|e| edges(b).contains(e)) {
                             return Err(format!(
                                 "waveguide {wi} lane {li}: signals {} and {} overlap",
                                 a.signal, b.signal
@@ -768,7 +773,7 @@ mod tests {
         let mut failures = 0;
         for (name, d) in oracle_designs() {
             assert_eq!(d.plan.validate(), Ok(()), "{name}");
-            assert_eq!(reference_validate(&d.plan), Ok(()), "{name}");
+            assert_eq!(reference_validate(&d.plan, &d.cycle), Ok(()), "{name}");
             for round in 0..24 {
                 let mut plan = d.plan.clone();
                 if plan.ring_waveguides.is_empty() {
@@ -781,7 +786,7 @@ mod tests {
                 match round % 4 {
                     // A copy of one arc elsewhere on its waveguide.
                     0 | 1 => {
-                        let arc = lane.arcs[ai].clone();
+                        let arc = lane.arcs[ai];
                         let wg = &mut plan.ring_waveguides[wi];
                         let to = pick(wg.lanes.len());
                         let at = pick(wg.lanes[to].arcs.len() + 1);
@@ -789,7 +794,10 @@ mod tests {
                     }
                     // An opening inside one arc.
                     2 => {
-                        let interior = lane.arcs[ai].interior.clone();
+                        let a = lane.arcs[ai];
+                        let interior =
+                            d.cycle
+                                .interior_positions(a.from_pos, a.to_pos, a.direction);
                         if !interior.is_empty() {
                             plan.ring_waveguides[wi].opening = Some(interior[pick(interior.len())]);
                         }
@@ -800,7 +808,11 @@ mod tests {
                     }
                 }
                 let got = plan.validate();
-                assert_eq!(got, reference_validate(&plan), "{name}, round {round}");
+                assert_eq!(
+                    got,
+                    reference_validate(&plan, &d.cycle),
+                    "{name}, round {round}"
+                );
                 failures += usize::from(got.is_err());
             }
         }

@@ -363,8 +363,8 @@ fn apply_segment_break(
     let mut victims: Vec<LaneArc> = design.plan.ring_waveguides[waveguide]
         .lanes
         .iter()
-        .flat_map(|lane| lane.arcs.iter().filter(|a| a.edges.contains(&edge)))
-        .cloned()
+        .flat_map(|lane| lane.arcs.iter().filter(|a| a.covers(edge)))
+        .copied()
         .collect();
     if victims.is_empty() {
         // No arc crosses the broken segment: the break is physically
@@ -380,11 +380,11 @@ fn apply_segment_break(
 
     let mut plan = design.plan.clone();
     for lane in &mut plan.ring_waveguides[waveguide].lanes {
-        lane.arcs.retain(|a| !a.edges.contains(&edge));
+        lane.arcs.retain(|a| !a.covers(edge));
     }
     let dir = plan.ring_waveguides[waveguide].direction;
     // Longest-first, like the original best-fit mapping.
-    victims.sort_by_key(|a| std::cmp::Reverse(a.edges.len()));
+    victims.sort_by_key(|a| std::cmp::Reverse(a.len()));
     let base_waveguides = plan.ring_waveguides.len();
     let mut moves: Vec<(usize, usize)> = Vec::new(); // (signal, new waveguide)
     let mut dead: BTreeSet<usize> = BTreeSet::new();
@@ -461,8 +461,8 @@ fn place_displaced(
             continue;
         }
         for (li, lane) in wg.lanes.iter_mut().enumerate() {
-            if lane.accepts(&arc.edges, &arc.interior, wg.opening) {
-                lane.arcs.push(arc.clone());
+            if lane.accepts(arc, wg.opening) {
+                lane.arcs.push(*arc);
                 return Some((wi, li));
             }
         }
@@ -471,14 +471,10 @@ fn place_displaced(
         if wi == broken || wg.direction != dir || wg.lanes.len() >= options.max_wavelengths {
             continue;
         }
-        if let Some(open) = wg.opening {
-            if arc.interior.contains(&open) {
-                continue;
-            }
+        if wg.opening.is_some_and(|open| arc.passes(open)) {
+            continue;
         }
-        wg.lanes.push(Lane {
-            arcs: vec![arc.clone()],
-        });
+        wg.lanes.push(Lane { arcs: vec![*arc] });
         return Some((wi, wg.lanes.len() - 1));
     }
     if !options.spares.any() {
@@ -496,9 +492,7 @@ fn place_displaced(
         direction: dir,
         level,
         opening: None,
-        lanes: vec![Lane {
-            arcs: vec![arc.clone()],
-        }],
+        lanes: vec![Lane { arcs: vec![*arc] }],
     });
     Some((plan.ring_waveguides.len() - 1, 0))
 }

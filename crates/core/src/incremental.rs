@@ -239,10 +239,7 @@ fn plan_bytes(plan: &MappingPlan) -> usize {
     for wg in &plan.ring_waveguides {
         bytes += 64;
         for lane in &wg.lanes {
-            bytes += 24;
-            for arc in &lane.arcs {
-                bytes += 80 + (arc.edges.len() + arc.interior.len()) * 8;
-            }
+            bytes += 24 + lane.arcs.len() * std::mem::size_of::<crate::mapping::LaneArc>();
         }
     }
     bytes

@@ -35,11 +35,12 @@ pub fn open_rings(
     // their own opening pass in later iterations.
     let mut wi = 0;
     while wi < plan.ring_waveguides.len() {
-        // Count passing signals per cycle position.
+        // Count passing signals per cycle position: an arc passes the
+        // start of each of its edges but the first.
         let mut pass_count = vec![0usize; n];
         for lane in &plan.ring_waveguides[wi].lanes {
             for arc in &lane.arcs {
-                for &p in &arc.interior {
+                for p in arc.edges().skip(1) {
                     pass_count[p] += 1;
                 }
             }
@@ -56,8 +57,8 @@ pub fn open_rings(
             .flat_map(|(li, lane)| {
                 lane.arcs
                     .iter()
-                    .filter(|a| a.interior.contains(&candidate))
-                    .cloned()
+                    .filter(|a| a.passes(candidate))
+                    .copied()
                     .map(move |a| (wi, li, a))
             })
             .collect();
@@ -79,7 +80,7 @@ pub fn open_rings(
             placements
                 .iter()
                 .filter(|(pw, pl, _, _)| *pw == dwi && *pl == dli)
-                .all(|(_, _, parc, _)| parc.edges.iter().all(|e| !arc.edges.contains(e)))
+                .all(|(_, _, parc, _)| !parc.overlaps(arc))
         };
         let mut fresh_lane_counts: Vec<usize> = Vec::new(); // per fresh waveguide
         for (_, src_lane, arc) in &passers {
@@ -95,10 +96,8 @@ pub fn open_rings(
                     continue;
                 }
                 for (dli, dlane) in dwg.lanes.iter().enumerate() {
-                    if dlane.accepts(&arc.edges, &arc.interior, dwg.opening)
-                        && pending_fits(&placements, dwi, dli, arc)
-                    {
-                        let covered: usize = dlane.arcs.iter().map(|a| a.edges.len()).sum();
+                    if dlane.accepts(arc, dwg.opening) && pending_fits(&placements, dwi, dli, arc) {
+                        let covered: usize = dlane.arcs.iter().map(LaneArc::len).sum();
                         let better = match best {
                             None => true,
                             Some((bwi, _, bcov)) => dwi < bwi || (dwi == bwi && covered > bcov),
@@ -110,7 +109,7 @@ pub fn open_rings(
                 }
             }
             if let Some((dwi, dli, _)) = best {
-                placements.push((dwi, dli, arc.clone(), *src_lane));
+                placements.push((dwi, dli, *arc, *src_lane));
                 continue;
             }
             // Phase B: lanes of pending fresh waveguides.
@@ -119,7 +118,7 @@ pub fn open_rings(
                 let dwi = real_count + f;
                 for dli in 0..lane_count {
                     if pending_fits(&placements, dwi, dli, arc) {
-                        placements.push((dwi, dli, arc.clone(), *src_lane));
+                        placements.push((dwi, dli, *arc, *src_lane));
                         placed = true;
                         break;
                     }
@@ -152,7 +151,7 @@ pub fn open_rings(
                 }
             }
             if let Some((_, dwi, new_li)) = best_new {
-                placements.push((dwi, new_li, arc.clone(), *src_lane));
+                placements.push((dwi, new_li, *arc, *src_lane));
                 continue;
             }
             // Phase D: new lane on a fresh waveguide, else a brand-new
@@ -160,19 +159,14 @@ pub fn open_rings(
             let mut placed = false;
             for (f, lane_count) in fresh_lane_counts.iter_mut().enumerate() {
                 if *lane_count < max_wavelengths {
-                    placements.push((real_count + f, *lane_count, arc.clone(), *src_lane));
+                    placements.push((real_count + f, *lane_count, *arc, *src_lane));
                     *lane_count += 1;
                     placed = true;
                     break;
                 }
             }
             if !placed {
-                placements.push((
-                    real_count + fresh_lane_counts.len(),
-                    0,
-                    arc.clone(),
-                    *src_lane,
-                ));
+                placements.push((real_count + fresh_lane_counts.len(), 0, *arc, *src_lane));
                 fresh_lane_counts.push(1);
             }
         }
@@ -248,7 +242,7 @@ mod tests {
             if let Some(open) = wg.opening {
                 for lane in &wg.lanes {
                     for arc in &lane.arcs {
-                        assert!(!arc.interior.contains(&open), "arc still passes opening");
+                        assert!(!arc.passes(open), "arc still passes opening");
                     }
                 }
             }

@@ -265,41 +265,11 @@ impl RingCycle {
         self.residual_crossings
     }
 
-    /// The edges covered when travelling from cycle position `from` to
-    /// cycle position `to` in direction `dir`. Edge `i` connects
-    /// positions `i` and `i+1 (mod n)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from == to` (a signal never targets its own node).
-    pub fn arc_edges(&self, from: usize, to: usize, dir: Direction) -> Vec<usize> {
-        assert_ne!(from, to, "degenerate arc");
-        let n = self.len();
-        let mut edges = Vec::new();
-        match dir {
-            Direction::Cw => {
-                let mut p = from;
-                while p != to {
-                    edges.push(p);
-                    p = (p + 1) % n;
-                }
-            }
-            Direction::Ccw => {
-                let mut p = from;
-                while p != to {
-                    p = (p + n - 1) % n;
-                    edges.push(p);
-                }
-            }
-        }
-        edges
-    }
-
     /// Length in µm of the arc from `from` to `to` in direction `dir`.
     ///
     /// # Panics
     ///
-    /// Panics if `from == to`, like [`arc_edges`](Self::arc_edges).
+    /// Panics if `from == to` (a signal never targets its own node).
     pub fn arc_length(&self, from: usize, to: usize, dir: Direction) -> i64 {
         assert_ne!(from, to, "degenerate arc");
         // A counter-clockwise arc covers the clockwise arc's edges from
@@ -313,25 +283,6 @@ impl RingCycle {
         } else {
             self.perimeter() - (self.offset[from] - self.offset[to])
         }
-    }
-
-    /// The interior cycle positions strictly between `from` and `to` when
-    /// travelling in `dir` (nodes passed through).
-    pub fn interior_positions(&self, from: usize, to: usize, dir: Direction) -> Vec<usize> {
-        let n = self.len();
-        let mut out = Vec::new();
-        let mut p = from;
-        loop {
-            p = match dir {
-                Direction::Cw => (p + 1) % n,
-                Direction::Ccw => (p + n - 1) % n,
-            };
-            if p == to {
-                break;
-            }
-            out.push(p);
-        }
-        out
     }
 
     /// Number of 90° bends on edge `i` plus the junction turn entering
@@ -830,6 +781,61 @@ fn subcycles(succ: &[usize]) -> Result<Vec<Vec<usize>>, String> {
         cycles.push(cycle);
     }
     Ok(cycles)
+}
+
+/// Edge and position lists of an arc: the oracles that
+/// [`LaneArc`](crate::mapping::LaneArc)'s interval methods are tested
+/// against.
+#[cfg(test)]
+impl RingCycle {
+    /// The edges covered when travelling from cycle position `from` to
+    /// cycle position `to` in direction `dir`. Edge `i` connects
+    /// positions `i` and `i+1 (mod n)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from == to` (a signal never targets its own node).
+    pub(crate) fn arc_edges(&self, from: usize, to: usize, dir: Direction) -> Vec<usize> {
+        assert_ne!(from, to, "degenerate arc");
+        let n = self.len();
+        let mut edges = Vec::new();
+        match dir {
+            Direction::Cw => {
+                let mut p = from;
+                while p != to {
+                    edges.push(p);
+                    p = (p + 1) % n;
+                }
+            }
+            Direction::Ccw => {
+                let mut p = from;
+                while p != to {
+                    p = (p + n - 1) % n;
+                    edges.push(p);
+                }
+            }
+        }
+        edges
+    }
+
+    /// The interior cycle positions strictly between `from` and `to` when
+    /// travelling in `dir` (nodes passed through).
+    pub(crate) fn interior_positions(&self, from: usize, to: usize, dir: Direction) -> Vec<usize> {
+        let n = self.len();
+        let mut out = Vec::new();
+        let mut p = from;
+        loop {
+            p = match dir {
+                Direction::Cw => (p + 1) % n,
+                Direction::Ccw => (p + n - 1) % n,
+            };
+            if p == to {
+                break;
+            }
+            out.push(p);
+        }
+        out
+    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Property-based tests of the synthesis pipeline over random floorplans.
 
 use proptest::prelude::*;
+use xring_core::mapping::LaneArc;
 use xring_core::{
     map_signals, open_rings, plan_shortcuts, Direction, NetworkSpec, RingAlgorithm, RingBuilder,
     RouteKind, ShortcutPlan, SynthesisOptions, Synthesizer,
@@ -62,8 +63,8 @@ proptest! {
         for a in 0..n {
             for b in 0..n {
                 if a == b { continue; }
-                let cw = c.arc_edges(a, b, Direction::Cw);
-                let ccw = c.arc_edges(a, b, Direction::Ccw);
+                let cw: Vec<usize> = LaneArc::new(0, a, b, Direction::Cw, n).edges().collect();
+                let ccw: Vec<usize> = LaneArc::new(0, a, b, Direction::Ccw, n).edges().collect();
                 // Together the two directions cover every edge exactly once.
                 prop_assert_eq!(cw.len() + ccw.len(), n);
                 let mut all: Vec<usize> = cw.iter().chain(ccw.iter()).copied().collect();

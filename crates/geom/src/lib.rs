@@ -36,7 +36,7 @@ pub mod twosat;
 
 pub use conflict::{classify_edge_pair, EdgeConflict, OptionPairMatrix};
 pub use point::Point;
-pub use polyline::{CrossingIndex, Polyline, Reach};
+pub use polyline::{Polyline, Reach};
 pub use route::{LRoute, RouteOption};
 pub use segment::{Segment, SegmentIntersection};
 pub use twosat::{TwoSat, TwoSatSolution};

@@ -170,27 +170,62 @@ impl Polyline {
         count
     }
 
-    /// A sorted index over this polyline's segments that answers
-    /// proper-crossing queries by binary search (see [`CrossingIndex`]).
-    pub fn crossing_index(&self) -> CrossingIndex {
-        let mut index = CrossingIndex {
-            horizontal: Vec::new(),
-            vertical: Vec::new(),
-        };
+    /// How far each axis ray from each point of `points` runs before it
+    /// properly crosses this polyline, in order.
+    ///
+    /// Only perpendicular axis-aligned segments can cross properly:
+    /// collinear ones either overlap or touch at an endpoint. A segment
+    /// from `p` along an axis properly crosses a perpendicular segment of
+    /// the polyline when the crossing lies strictly inside both, so each
+    /// direction needs only the nearest such segment, strictly beyond
+    /// `p`, whose open span contains `p`'s other coordinate. With the
+    /// polyline's horizontal and vertical segments sorted by their fixed
+    /// coordinate, one sweep per direction finds it for all points: the
+    /// points are ranked by their other coordinate, and each segment, met
+    /// in sweep order, claims the run of ranks its open span straddles.
+    /// O((P + S) log(P + S)) plus the ranks claimed, for P points and S
+    /// segments. An L-route is two axis-aligned segments, one from each
+    /// endpoint to the corner.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use xring_geom::{Point, Polyline};
+    ///
+    /// let ring = Polyline::closed(vec![
+    ///     Point::new(0, 0),
+    ///     Point::new(100, 0),
+    ///     Point::new(100, 100),
+    ///     Point::new(0, 100),
+    /// ]);
+    /// let reach = ring.reach_all(&[Point::new(50, 50), Point::new(200, 50)]);
+    /// // From (50, 50) the horizontal rays cross the ring at x = 0 and 100,
+    /// assert_eq!(reach[0].x_span(), (0, 100));
+    /// // from (200, 50) only the ray towards -x does, at x = 100.
+    /// assert_eq!(reach[1].x_span(), (100, i64::MAX));
+    /// ```
+    pub fn reach_all(&self, points: &[Point]) -> Vec<Reach> {
+        let (mut horizontal, mut vertical) = (Vec::new(), Vec::new());
         for s in self.segments() {
             let (a, b) = (s.start(), s.end());
-            if s.is_horizontal() {
-                index.horizontal.push(AxisSpan::new(a.y, a.x, b.x));
-            } else {
-                index.vertical.push(AxisSpan::new(a.x, a.y, b.y));
+            match s.is_horizontal() {
+                true => horizontal.push(AxisSpan::new(a.y, a.x, b.x)),
+                false => vertical.push(AxisSpan::new(a.x, a.y, b.y)),
             }
         }
-        index.horizontal.sort_unstable();
-        index.vertical.sort_unstable();
-        index
+        let x_rays = nearest_all(vertical, points, |p| (p.x, p.y));
+        let y_rays = nearest_all(horizontal, points, |p| (p.y, p.x));
+        (x_rays.into_iter().zip(y_rays))
+            .map(|((west, east), (south, north))| Reach {
+                west,
+                east,
+                south,
+                north,
+            })
+            .collect()
     }
 
-    /// Brute-force reference for [`CrossingIndex::reach`] on both legs of
+    /// Brute-force reference for [`reach_all`](Self::reach_all) on both legs of
     /// `route`: true if some route segment properly crosses some polyline
     /// segment.
     #[cfg(test)]
@@ -200,46 +235,6 @@ impl Polyline {
             .iter()
             .any(|sa| self.segments().iter().any(|sb| sa.crosses_properly(sb)))
     }
-}
-
-/// Proper-crossing queries against a fixed polyline, built once by
-/// [`Polyline::crossing_index`].
-///
-/// Only perpendicular axis-aligned segments can cross properly: collinear
-/// ones either overlap or touch at an endpoint. The index keeps the
-/// polyline's horizontal and vertical segments apart, each sorted by its
-/// fixed coordinate. [`reach`](Self::reach) answers, for one point, how
-/// far each of its four axis rays runs before it properly crosses the
-/// polyline; any axis-aligned segment leaving that point is then tested
-/// in O(1) by [`Reach::blocked`]. An L-route is two such segments, one
-/// from each endpoint to the corner.
-///
-/// # Example
-///
-/// ```
-/// use xring_geom::{LRoute, Point, Polyline, RouteOption};
-///
-/// let ring = Polyline::closed(vec![
-///     Point::new(0, 0),
-///     Point::new(100, 0),
-///     Point::new(100, 100),
-///     Point::new(0, 100),
-/// ]);
-/// let index = ring.crossing_index();
-/// let through = LRoute::new(Point::new(50, 50), Point::new(200, 50), RouteOption::HorizontalFirst);
-/// assert!(index.reach(through.from()).blocked(through.corner()));
-/// // A corner grazing the ring is a contact, not a crossing.
-/// let chord = LRoute::new(Point::new(0, 0), Point::new(100, 100), RouteOption::HorizontalFirst);
-/// let corner = chord.corner();
-/// assert!(!index.reach(chord.from()).blocked(corner));
-/// assert!(!index.reach(chord.to()).blocked(corner));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CrossingIndex {
-    /// Horizontal segments, sorted by y.
-    horizontal: Vec<AxisSpan>,
-    /// Vertical segments, sorted by x.
-    vertical: Vec<AxisSpan>,
 }
 
 /// A non-degenerate axis-aligned segment as its fixed coordinate and the
@@ -262,53 +257,66 @@ impl AxisSpan {
 
     /// True if a perpendicular line at `c` passes through this span's
     /// interior.
+    #[cfg(test)]
     fn straddles(&self, c: i64) -> bool {
         self.lo < c && c < self.hi
     }
 }
 
-impl CrossingIndex {
-    /// The nearest proper crossing on each axis ray from `p`.
-    ///
-    /// A segment from `p` along an axis properly crosses an indexed
-    /// perpendicular segment when the crossing lies strictly inside both.
-    /// So each direction needs only the first perpendicular segment,
-    /// strictly beyond `p`, whose open span contains `p`'s other
-    /// coordinate: a binary search to `p`, then a scan outward that stops
-    /// at the first hit.
-    pub fn reach(&self, p: Point) -> Reach {
-        let nearest = |spans: &[AxisSpan], at: i64, across: i64| {
-            let first_after = spans.partition_point(|t| t.at <= at);
-            let up = spans[first_after..]
-                .iter()
-                .find(|t| t.straddles(across))
-                .map_or(i64::MAX, |t| t.at);
-            let last_before = spans.partition_point(|t| t.at < at);
-            let down = spans[..last_before]
-                .iter()
-                .rev()
-                .find(|t| t.straddles(across))
-                .map_or(i64::MIN, |t| t.at);
-            (down, up)
-        };
-        let (west, east) = nearest(&self.vertical, p.x, p.y);
-        let (south, north) = nearest(&self.horizontal, p.y, p.x);
-        Reach {
-            from: p,
-            west,
-            east,
-            south,
-            north,
-        }
+/// For each point, the fixed coordinates of the nearest `spans` below and
+/// above it along one axis that straddle its other coordinate: `axes(p)`
+/// is `(along, across)`. `i64::MIN`/`i64::MAX` where none does.
+fn nearest_all(
+    mut spans: Vec<AxisSpan>,
+    points: &[Point],
+    axes: impl Fn(Point) -> (i64, i64),
+) -> Vec<(i64, i64)> {
+    spans.sort_unstable();
+    let keys: Vec<(i64, i64)> = points.iter().map(|&p| axes(p)).collect();
+    let mut by_across: Vec<usize> = (0..keys.len()).collect();
+    by_across.sort_unstable_by_key(|&k| keys[k].1);
+    let across: Vec<i64> = by_across.iter().map(|&k| keys[k].1).collect();
+    let mut rank = vec![0; keys.len()];
+    for (r, &k) in by_across.iter().enumerate() {
+        rank[k] = r;
     }
+    // The ranks each span straddles: those strictly inside its open span.
+    let runs: Vec<(usize, usize)> = (spans.iter())
+        .map(|t| {
+            let lo = across.partition_point(|&c| c <= t.lo);
+            (lo, across.partition_point(|&c| c < t.hi).max(lo))
+        })
+        .collect();
+    let mut by_along: Vec<usize> = (0..keys.len()).collect();
+    by_along.sort_unstable_by_key(|&k| keys[k].0);
+    let mut out = vec![(i64::MIN, i64::MAX); keys.len()];
+    // Upward: spans strictly below each point, nearest last.
+    let (mut claim, mut s) = (vec![i64::MIN; keys.len()], 0);
+    for &k in &by_along {
+        while s < spans.len() && spans[s].at < keys[k].0 {
+            claim[runs[s].0..runs[s].1].fill(spans[s].at);
+            s += 1;
+        }
+        out[k].0 = claim[rank[k]];
+    }
+    // Downward: spans strictly above each point, nearest last.
+    claim.fill(i64::MAX);
+    s = spans.len();
+    for &k in by_along.iter().rev() {
+        while s > 0 && spans[s - 1].at > keys[k].0 {
+            s -= 1;
+            claim[runs[s].0..runs[s].1].fill(spans[s].at);
+        }
+        out[k].1 = claim[rank[k]];
+    }
+    out
 }
 
 /// How far each axis ray from one point runs before it properly crosses
-/// an indexed polyline, from [`CrossingIndex::reach`]. A bound is
+/// a polyline, from [`Polyline::reach_all`]. A bound is
 /// `i64::MAX` (or `i64::MIN`) when the ray never crosses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Reach {
-    from: Point,
     /// x of the nearest crossing towards −x.
     west: i64,
     /// x of the nearest crossing towards +x.
@@ -320,18 +328,17 @@ pub struct Reach {
 }
 
 impl Reach {
-    /// True if the segment from this reach's point to `to` properly
-    /// crosses the indexed polyline: it runs strictly past the nearest
-    /// crossing in its direction. A degenerate segment never does.
-    ///
-    /// `to` must be axis-aligned with the point.
-    pub fn blocked(&self, to: Point) -> bool {
-        debug_assert!(self.from.is_axis_aligned_with(to), "{} to {to}", self.from);
-        if to.y == self.from.y {
-            to.x > self.east || to.x < self.west
-        } else {
-            to.y > self.north || to.y < self.south
-        }
+    /// The x-interval the horizontal rays reach, ends included: a
+    /// horizontal segment from the point properly crosses the polyline
+    /// exactly when its other end lies outside.
+    pub fn x_span(&self) -> (i64, i64) {
+        (self.west, self.east)
+    }
+
+    /// The y-interval the vertical rays reach, ends included; see
+    /// [`x_span`](Self::x_span).
+    pub fn y_span(&self) -> (i64, i64) {
+        (self.south, self.north)
     }
 }
 
@@ -342,6 +349,17 @@ mod tests {
 
     fn p(x: i64, y: i64) -> Point {
         Point::new(x, y)
+    }
+
+    /// True if the segment from `from`, whose reach is `r`, to `to`
+    /// properly crosses the polyline: it runs strictly past the
+    /// nearest crossing in its direction. `to` is axis-aligned with `from`.
+    fn blocked(r: &Reach, from: Point, to: Point) -> bool {
+        let ((west, east), (south, north)) = (r.x_span(), r.y_span());
+        match to.y == from.y {
+            true => !(west..=east).contains(&to.x),
+            false => !(south..=north).contains(&to.y),
+        }
     }
 
     #[test]
@@ -376,10 +394,9 @@ mod tests {
     #[test]
     fn route_conflict_with_ring() {
         let ring = Polyline::closed(vec![p(0, 0), p(100, 0), p(100, 100), p(0, 100)]);
-        let index = ring.crossing_index();
         let crosses = |r: &LRoute| {
-            let c = r.corner();
-            index.reach(r.from()).blocked(c) || index.reach(r.to()).blocked(c)
+            let reach = ring.reach_all(&[r.from(), r.to()]);
+            blocked(&reach[0], r.from(), r.corner()) || blocked(&reach[1], r.to(), r.corner())
         };
         // A chord between two ring vertices, inside the ring: its corner
         // grazes the ring corner at (100, 0), which offset routing
@@ -427,12 +444,11 @@ mod tests {
     }
 
     #[test]
-    fn crossing_index_agrees_with_pairwise_scan() {
+    fn reach_agrees_with_pairwise_scan() {
         let mut state = 0x5EED_0001_u64;
         let (mut crossing, mut clear) = (0usize, 0usize);
         for _ in 0..400 {
             let ring = random_ring(&mut state);
-            let index = ring.crossing_index();
             let segments = ring.segments();
             for _ in 0..60 {
                 let mut coord = || (xorshift(&mut state) % 7) as i64;
@@ -442,16 +458,16 @@ mod tests {
                 // Leg 1 runs from `from` to the corner, leg 2 from the
                 // corner to `to`: each is a ray segment from its endpoint.
                 let corner = route.corner();
-                let mut blocked = false;
+                let mut either = false;
                 for end in [from, to] {
                     let leg = Segment::new(end, corner);
                     let scan = segments.iter().any(|s| leg.crosses_properly(s));
-                    let reach = index.reach(end).blocked(corner);
+                    let reach = blocked(&ring.reach_all(&[end])[0], end, corner);
                     assert_eq!(reach, scan, "{leg} vs {ring:?}");
-                    blocked |= reach;
+                    either |= reach;
                 }
                 let scan = ring.route_conflicts(&route);
-                assert_eq!(blocked, scan, "{route:?} vs {ring:?}");
+                assert_eq!(either, scan, "{route:?} vs {ring:?}");
                 match scan {
                     true => crossing += 1,
                     false => clear += 1,
@@ -461,6 +477,71 @@ mod tests {
         // Both outcomes must be well represented for the agreement to mean
         // anything.
         assert!(crossing > 1_000 && clear > 1_000, "{crossing} / {clear}");
+    }
+
+    /// The per-point search that [`Polyline::reach_all`] replaced: binary
+    /// search to the point in the sorted spans, then a scan outward to
+    /// the first straddling span, in each of the four directions.
+    fn reach_by_search(ring: &Polyline, p: Point) -> Reach {
+        let (mut horizontal, mut vertical) = (Vec::new(), Vec::new());
+        for s in ring.segments() {
+            let (a, b) = (s.start(), s.end());
+            match s.is_horizontal() {
+                true => horizontal.push(AxisSpan::new(a.y, a.x, b.x)),
+                false => vertical.push(AxisSpan::new(a.x, a.y, b.y)),
+            }
+        }
+        horizontal.sort_unstable();
+        vertical.sort_unstable();
+        let nearest = |spans: &[AxisSpan], at: i64, across: i64| {
+            let first_after = spans.partition_point(|t| t.at <= at);
+            let up = spans[first_after..]
+                .iter()
+                .find(|t| t.straddles(across))
+                .map_or(i64::MAX, |t| t.at);
+            let last_before = spans.partition_point(|t| t.at < at);
+            let down = spans[..last_before]
+                .iter()
+                .rev()
+                .find(|t| t.straddles(across))
+                .map_or(i64::MIN, |t| t.at);
+            (down, up)
+        };
+        let (west, east) = nearest(&vertical, p.x, p.y);
+        let (south, north) = nearest(&horizontal, p.y, p.x);
+        Reach {
+            west,
+            east,
+            south,
+            north,
+        }
+    }
+
+    #[test]
+    fn reach_all_matches_the_per_point_search() {
+        let mut state = 0x5EED_0002_u64;
+        let mut bounded = 0usize;
+        for _ in 0..400 {
+            let ring = random_ring(&mut state);
+            // Points on a grid one wider than the ring's, so many share a
+            // coordinate with each other and with the ring's segments;
+            // the ring's own vertices are queried too.
+            let count = (xorshift(&mut state) % 40) as usize;
+            let mut points: Vec<Point> = (0..count)
+                .map(|_| {
+                    let mut coord = || (xorshift(&mut state) % 9) as i64 - 1;
+                    p(coord(), coord())
+                })
+                .collect();
+            points.extend(ring.vertices());
+            let want: Vec<Reach> = points.iter().map(|&q| reach_by_search(&ring, q)).collect();
+            assert_eq!(ring.reach_all(&points), want, "{ring:?}");
+            bounded += (want.iter())
+                .flat_map(|r| [r.west, r.east, r.south, r.north])
+                .filter(|&b| b != i64::MIN && b != i64::MAX)
+                .count();
+        }
+        assert!(bounded > 4_000, "only {bounded} rays cross the ring");
     }
 
     #[test]

@@ -115,17 +115,20 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
         return Err(HttpError::Malformed(format!("bad version: {version:?}")));
     }
 
-    let mut content_length = 0usize;
+    let mut content_length = None;
     let mut headers = Vec::new();
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
             return Err(HttpError::Malformed(format!("bad header line: {line:?}")));
         };
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
-                .trim()
-                .parse()
+            let length = (value.trim().parse())
                 .map_err(|_| HttpError::Malformed(format!("bad content-length: {value:?}")))?;
+            // RFC 9112 §6.3: differing lengths leave the framing unknown.
+            if content_length.is_some_and(|seen| seen != length) {
+                return Err(HttpError::Malformed("conflicting content-length".into()));
+            }
+            content_length = Some(length);
         }
         if name.eq_ignore_ascii_case("transfer-encoding") {
             return Err(HttpError::Malformed(
@@ -134,6 +137,7 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
         }
         headers.push((name.to_ascii_lowercase(), value.trim().to_owned()));
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body {
         return Err(HttpError::TooLarge(format!(
             "content-length {content_length} exceeds limit {max_body}"
@@ -316,6 +320,18 @@ mod tests {
             ),
             Err(HttpError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn rejects_conflicting_content_lengths() {
+        let conflicting = b"POST /x HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 4\r\n\r\n{}{}";
+        assert!(matches!(
+            read_raw(conflicting, 1024),
+            Err(HttpError::Malformed(m)) if m.contains("conflicting content-length")
+        ));
+        // A repeated equal length frames the body unambiguously.
+        let repeated = b"POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}";
+        assert_eq!(read_raw(repeated, 1024).expect("framed").body, "{}");
     }
 
     #[test]

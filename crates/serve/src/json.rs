@@ -230,7 +230,11 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let (at, key) = (self.pos, self.string()?);
+            if map.contains_key(&key) {
+                self.pos = at;
+                return Err(self.err("duplicate object key"));
+            }
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
@@ -419,6 +423,16 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted: {bad:?}");
         }
+    }
+
+    #[test]
+    fn rejects_duplicate_keys_at_the_repeated_key() {
+        let body = r#"{"options":{"max_wavelengths":8, "max_wavelengths":64}}"#;
+        let err = parse(body).unwrap_err();
+        assert_eq!(err.message, "duplicate object key");
+        assert_eq!(err.offset, body.rfind("\"max_wavelengths\"").unwrap());
+        // Equal keys in different objects are not duplicates.
+        assert!(parse(r#"{"a": {"a": 1}, "b": {"a": 2}}"#).is_ok());
     }
 
     #[test]

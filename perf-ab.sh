@@ -3,8 +3,8 @@
 #
 #   ./perf-ab.sh <parent-rev> <workload> <pairs> <seed>...
 #
-# Builds perfbench at <parent-rev> in a temporary git worktree with its
-# own target directory, and perfbench of this checkout (working tree
+# Builds perfbench at <parent-rev>, exported with `git archive` into a
+# temporary directory with its own target directory, and perfbench of this checkout (working tree
 # included) into perfbench/target. Then runs <pairs> pairs of `--trace 0`
 # runs on <workload>, each as long as BENCHMARK.json's run_seconds; pair i
 # uses the i-th seed, cycling through the list, and the side that runs
@@ -16,6 +16,12 @@
 #   worse  the change's median is worse than the parent's by more than the
 #          metric's relative bound in BENCHMARK.json;
 #   flat   otherwise.
+# Beside that table it prints two host readings per side, median [q1, q3]
+# with no verdict: the benchmark process's CPU time per request (the
+# shell's `times` children line, before and after the run, over the
+# requests attempted), and the share of host CPU time stolen by the
+# hypervisor during the run (the `cpu` line of /proc/stat). They tell a
+# change's own speed from host noise in the wall-clock spread.
 # Then it runs one `--trace 1` run per side on the first seed, which
 # replays each request layer by layer, and prints every per-layer metric
 # of BENCHMARK.json as parent -> change: where the time went.
@@ -39,16 +45,12 @@ metrics=$(sed -n '/"end_to_end"/,/]/s/.*"name": "\([a-z0-9_]*\)".*"better": "\([
 layers=$(sed -n '/"per_layer"/,/]/s/.*"name": "\([a-z0-9_]*\)".*/\1/p' BENCHMARK.json)
 
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/perf-ab.XXXXXX")
-cleanup() {
-    git worktree remove --force "$tmp/parent" 2>/dev/null || true
-    rm -rf "$tmp"
-    git worktree prune
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
 trap 'exit 1' INT TERM
 
 echo "==> building perfbench at $rev and at this checkout" >&2
-git worktree add --quiet --detach "$tmp/parent" "$rev"
+mkdir "$tmp/parent"
+git archive "$rev" | tar -x -C "$tmp/parent"
 CARGO_TARGET_DIR="$tmp/target" cargo build --release --offline --quiet \
     --manifest-path "$tmp/parent/perfbench/Cargo.toml"
 CARGO_TARGET_DIR=perfbench/target cargo build --release --offline --quiet \
@@ -57,13 +59,28 @@ parent_bin="$tmp/target/release/xring-perfbench"
 change_bin="perfbench/target/release/xring-perfbench"
 
 # run <side> <binary> <pair> <seed> [<trace>]: one run (`--trace 0`
-# unless given), its verdict line kept as $tmp/<side>.<pair>.
+# unless given), its verdict line kept as $tmp/<side>.<pair> and its
+# host readings (CPU µs per request, steal %) as $tmp/<side>.<pair>.host.
+# `times` must write to a file: in a subshell it reports no children.
 run() {
+    times >"$tmp/times.before"
+    head -1 /proc/stat >"$tmp/stat.before"
     "$2" --workload "$workload" --seed "$4" --seconds "$seconds" --trace "${5:-0}" | tail -1 >"$tmp/$1.$3"
+    times >"$tmp/times.after"
+    head -1 /proc/stat >"$tmp/stat.after"
     if ! grep -q '"correct": true' "$tmp/$1.$3" || ! grep -q '"failed": 0[,}]' "$tmp/$1.$3"; then
         echo "perf-ab: $1 run $3 (seed $4) not correct or had failures: $(cat "$tmp/$1.$3")" >&2
         exit 1
     fi
+    attempted=$(sed -n 's/.*"attempted": \([0-9]*\).*/\1/p' "$tmp/$1.$3")
+    awk -v n="$attempted" '
+        FNR == 1 { f++ }
+        # Files 1-2: children user + sys seconds, as in "0m1.25s 0m0.50s".
+        f <= 2 && FNR == 2 { split($1, u, "m"); split($2, s, "m"); cpu[f] = u[1] * 60 + u[2] + s[1] * 60 + s[2] }
+        # Files 3-4: user nice system idle iowait irq softirq steal ticks.
+        f > 2 { all = 0; for (i = 2; i <= 9; i++) all += $i; total[f] = all; steal[f] = $9 }
+        END { printf "%.6g %.6g\n", (cpu[2] - cpu[1]) * 1e6 / n, 100 * (steal[4] - steal[3]) / (total[4] - total[3]) }
+    ' "$tmp/times.before" "$tmp/times.after" "$tmp/stat.before" "$tmp/stat.after" >"$tmp/$1.$3.host"
 }
 
 i=0
@@ -131,6 +148,25 @@ for entry in $metrics; do
         else verdict = "flat"
         printf "%-16s %-7s %-28s %-28s %-19s %s\n", name, b, sprintf("%.4g [%.4g, %.4g]", pm, p1, p3),
             sprintf("%.4g [%.4g, %.4g]", cm, c1, c3), pw "/" cw, verdict }'
+done
+
+echo
+echo "host readings per run (informational, no verdict)"
+printf '%-16s %-28s %s\n' reading "parent median [q1, q3]" "change median [q1, q3]"
+column=1
+for reading in cpu_us_per_req steal_pct; do
+    for side in parent change; do
+        i=0
+        while [ "$i" -lt "$pairs" ]; do
+            cut -d' ' -f"$column" "$tmp/$side.$i.host"
+            i=$((i + 1))
+        done | quartiles >"$tmp/$side.q"
+    done
+    awk -v name="$reading" -v q="$(cat "$tmp/parent.q") $(cat "$tmp/change.q")" 'BEGIN {
+        split(q, v, " ")
+        printf "%-16s %-28s %s\n", name, sprintf("%.4g [%.4g, %.4g]", v[2], v[1], v[3]),
+            sprintf("%.4g [%.4g, %.4g]", v[5], v[4], v[6]) }'
+    column=$((column + 1))
 done
 
 # One traced run per side on the first seed: the per-layer breakdown.

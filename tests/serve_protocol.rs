@@ -102,6 +102,11 @@ fn malformed_requests_fail_structured_not_fatal() {
 
     for (body, status_want, code) in [
         ("{ not json", 400, "bad_json"),
+        (
+            "{\"net\": {\"named\": \"proton_8\"}, \"options\": {\"max_wavelengths\": 8, \"max_wavelengths\": 64}}",
+            400,
+            "bad_json",
+        ),
         ("[1,2,3]", 400, "bad_request"),
         ("{\"net\": {\"named\": \"warp_9\"}}", 422, "unknown_network"),
         (
