@@ -143,6 +143,12 @@ echo "==> fault-sweep smoke (CLI Pareto report over spare levels)"
 ./target/release/xring fault-sweep --grid 2x4 --wl 8 --levels 0,1 \
     | grep -q '<= pareto'
 
+echo "==> sweep smoke (CLI #wl sweep marks a winner)"
+./target/release/xring sweep --grid 2x4 --wl 8 | grep -q '<= best'
+
+echo "==> table smoke (Table III's XRing rows come from the audited engine sweep)"
+cargo run -q --release --offline -p xring-bench --bin table3 | grep -q '^XRing'
+
 echo "==> incremental edit smoke (CLI edit loop, byte-identity check)"
 ./target/release/xring edit --irregular 16,5,8000 --wl 8 \
     | grep -q 'byte-identical to cold synthesis of the edited spec: yes'

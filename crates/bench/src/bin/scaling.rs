@@ -5,14 +5,16 @@
 //!
 //! Run with: `cargo run --release -p xring-bench --bin scaling`
 
-use xring_bench::tables::{ornoc_report, xring_report, RingContext};
+use xring_bench::tables::{ornoc_report, xring_sweep, RingContext};
 use xring_core::NetworkSpec;
+use xring_engine::Engine;
 use xring_phot::{CrosstalkParams, LossParams, PowerParams};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let loss = LossParams::oring();
     let xtalk = CrosstalkParams::nikdast();
     let power = PowerParams::default();
+    let engine = Engine::new();
 
     println!("n,router,wl,il_db,len_mm,crossings,power_w,noisy,snr_db,time_s");
     for n in [4usize, 8, 12, 16, 20, 24, 28, 32] {
@@ -20,9 +22,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let rows = n / cols;
         let net = NetworkSpec::regular_grid(rows, cols, 2_000)?;
         let wl = (n).max(4);
-        let ctx = RingContext::milp(net)?;
+        let ctx = RingContext::milp(&engine, net)?;
+        let mut xring = xring_sweep(&engine, &ctx, &[wl], true, &loss, Some(&xtalk), &power)?;
         let rows_out = [
-            xring_report(&ctx, wl, true, &loss, Some(&xtalk), &power)?,
+            xring.remove(0),
             ornoc_report(&ctx, wl, true, &loss, Some(&xtalk), &power),
         ];
         for r in rows_out {

@@ -79,9 +79,7 @@ pub use options::{design_key, Flag, Form, KeyRole, OptionField, OptionValue};
 pub use pdn::{design_pdn, PdnDesign, SHORTCUT_GROUP};
 pub use ring::{Direction, RingAlgorithm, RingBuilder, RingCycle, RingOutcome, RingStats};
 pub use shortcut::{plan_shortcuts, Shortcut, ShortcutPlan};
-pub use sweep::{
-    pick_best_index, sweep_wavelengths, synthesize_best, SweepObjective, SweepPoint, SweepResult,
-};
+pub use sweep::{pick_best_index, SweepObjective, SweepPoint, SweepResult};
 pub use synth::{DegradationPolicy, SynthesisOptions, Synthesizer};
 pub use traffic::Traffic;
 pub use variation::{monte_carlo, SplitMix64, VariationSpec, VariationSummary};

@@ -1,12 +1,10 @@
 //! `#wl` sweeps: the operating-point search of the paper's Sec. IV
 //! ("we vary the settings of #wl and pick the one with the minimum power
-//! / maximum SNR"), packaged as a library API.
+//! / maximum SNR"): its result types and its one selection rule. The
+//! sweep itself is `Engine::sweep_wavelengths` in `xring-engine`.
 
 use crate::design::{DegradationLevel, XRingDesign};
-use crate::error::SynthesisError;
-use crate::netspec::NetworkSpec;
-use crate::synth::{SynthesisOptions, Synthesizer};
-use xring_phot::{CrosstalkParams, LossParams, PowerParams, RouterReport};
+use xring_phot::RouterReport;
 
 /// Selection criterion for a sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,7 +25,7 @@ pub struct SweepPoint {
     /// Its evaluation.
     pub report: RouterReport,
     /// The synthesized design itself, carried so that the sweep winner
-    /// never has to be re-synthesized (see [`synthesize_best`]).
+    /// never has to be re-synthesized.
     pub design: XRingDesign,
     /// How far synthesis degraded at this point (mirrors the design's
     /// provenance, surfaced here so sweep consumers can filter or report
@@ -56,243 +54,106 @@ impl SweepResult {
     }
 }
 
-/// Sweeps `#wl` over `candidates` for `net` and picks the best point.
-///
-/// `base` carries everything except `max_wavelengths`, which the sweep
-/// overrides per candidate. Candidates whose mapping fails (budget
-/// exhaustion) are skipped.
-///
-/// # Errors
-///
-/// [`SynthesisError::WavelengthBudgetExceeded`] when *no* candidate is
-/// feasible; other synthesis errors are propagated from the first
-/// candidate that raises them.
-///
-/// # Example
-///
-/// ```
-/// use xring_core::{sweep_wavelengths, NetworkSpec, SweepObjective, SynthesisOptions};
-/// use xring_phot::{CrosstalkParams, LossParams, PowerParams};
-///
-/// let net = NetworkSpec::proton_8();
-/// let result = sweep_wavelengths(
-///     &net,
-///     SynthesisOptions::with_wavelengths(8),
-///     &[2, 4, 8],
-///     SweepObjective::MinPower,
-///     &LossParams::default(),
-///     Some(&CrosstalkParams::default()),
-///     &PowerParams::default(),
-/// )?;
-/// assert_eq!(result.points.len(), 3);
-/// # Ok::<(), xring_core::SynthesisError>(())
-/// ```
-pub fn sweep_wavelengths(
-    net: &NetworkSpec,
-    base: SynthesisOptions,
-    candidates: &[usize],
-    objective: SweepObjective,
-    loss: &LossParams,
-    xtalk: Option<&CrosstalkParams>,
-    power: &PowerParams,
-) -> Result<SweepResult, SynthesisError> {
-    assert!(!candidates.is_empty(), "sweep needs candidates");
-    let mut points = Vec::new();
-    for &wl in candidates {
-        let options = SynthesisOptions {
-            max_wavelengths: wl,
-            ..base.clone()
-        };
-        match Synthesizer::new(options).synthesize(net) {
-            Ok(design) => {
-                let report = design.report(format!("#wl={wl}"), loss, xtalk, power);
-                let degradation = design.provenance.degradation;
-                let milp_convergence = design.ring_stats.convergence.clone();
-                points.push(SweepPoint {
-                    wavelengths: wl,
-                    report,
-                    design,
-                    degradation,
-                    milp_convergence,
-                });
-            }
-            Err(SynthesisError::WavelengthBudgetExceeded { .. }) => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    if points.is_empty() {
-        return Err(SynthesisError::WavelengthBudgetExceeded {
-            max_wavelengths: *candidates.iter().max().expect("non-empty"),
-            max_waveguides: base.max_waveguides,
-        });
-    }
-    let best = pick_best_index(&points, objective);
-    Ok(SweepResult { points, best })
-}
-
-/// Returns the best design found by a sweep. The design is taken straight
-/// from the winning [`SweepPoint`] — nothing is synthesized twice.
-///
-/// # Example
-///
-/// Pick the lowest-power 8-node design among `#wl ∈ {4, 8}`:
-///
-/// ```
-/// use xring_core::{synthesize_best, NetworkSpec, SweepObjective, SynthesisOptions};
-/// use xring_phot::{CrosstalkParams, LossParams, PowerParams};
-///
-/// let design = synthesize_best(
-///     &NetworkSpec::proton_8(),
-///     SynthesisOptions::default(),
-///     &[4, 8],
-///     SweepObjective::MinPower,
-///     &LossParams::default(),
-///     Some(&CrosstalkParams::default()),
-///     &PowerParams::default(),
-/// )?;
-/// assert_eq!(design.layout.signals.len(), 56);
-/// assert!(design.provenance.audit.is_clean());
-/// # Ok::<(), xring_core::SynthesisError>(())
-/// ```
-///
-/// # Errors
-///
-/// As for [`sweep_wavelengths`].
-pub fn synthesize_best(
-    net: &NetworkSpec,
-    base: SynthesisOptions,
-    candidates: &[usize],
-    objective: SweepObjective,
-    loss: &LossParams,
-    xtalk: Option<&CrosstalkParams>,
-    power: &PowerParams,
-) -> Result<XRingDesign, SynthesisError> {
-    let SweepResult { mut points, best } =
-        sweep_wavelengths(net, base, candidates, objective, loss, xtalk, power)?;
-    Ok(points.swap_remove(best).design)
-}
-
-/// Index of the best point under `objective` (shared with the parallel
-/// sweep in `xring-engine`, which must pick identically to the serial
-/// path).
+/// Index of the best report under `objective`, the one selection rule of
+/// every `#wl` sweep: the objective first, then lower total power (a
+/// report without a PDN counts as 0 W), then the first (lowest `#wl`)
+/// report.
 ///
 /// # Panics
 ///
-/// Panics if `points` is empty.
-pub fn pick_best_index(points: &[SweepPoint], objective: SweepObjective) -> usize {
+/// Panics if `reports` is empty.
+pub fn pick_best_index<'a>(
+    reports: impl IntoIterator<Item = &'a RouterReport>,
+    objective: SweepObjective,
+) -> usize {
     let key = |r: &RouterReport| match objective {
         SweepObjective::MinInsertionLoss => r.worst_il_db,
         SweepObjective::MinPower => r.total_power_w.unwrap_or(f64::INFINITY),
         SweepObjective::MaxSnr => -r.worst_snr_db.unwrap_or(f64::INFINITY),
     };
-    points
-        .iter()
+    let power = |r: &RouterReport| r.total_power_w.unwrap_or(0.0);
+    reports
+        .into_iter()
         .enumerate()
         .min_by(|(_, a), (_, b)| {
-            key(&a.report)
-                .partial_cmp(&key(&b.report))
+            key(a)
+                .partial_cmp(&key(b))
                 .expect("metrics are never NaN")
+                .then(power(a).partial_cmp(&power(b)).expect("power is never NaN"))
         })
         .map(|(i, _)| i)
-        .expect("non-empty points")
+        .expect("non-empty reports")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
-    fn run(objective: SweepObjective) -> SweepResult {
-        let net = NetworkSpec::proton_8();
-        sweep_wavelengths(
-            &net,
-            SynthesisOptions::with_wavelengths(8),
-            &[2, 4, 8],
-            objective,
-            &LossParams::default(),
-            Some(&CrosstalkParams::default()),
-            &PowerParams::default(),
-        )
-        .expect("sweep succeeds")
+    fn report(il: f64, power_w: f64, snr: Option<f64>) -> RouterReport {
+        RouterReport {
+            label: "x".into(),
+            num_wavelengths: 4,
+            worst_il_db: il,
+            worst_path_len_mm: 1.0,
+            worst_path_crossings: 0,
+            total_power_w: Some(power_w),
+            noisy_signal_count: Some(usize::from(snr.is_some())),
+            worst_snr_db: snr,
+            signal_count: 10,
+            synthesis_time: Duration::ZERO,
+        }
     }
 
     #[test]
-    fn all_candidates_evaluated() {
-        let r = run(SweepObjective::MinPower);
-        assert_eq!(r.points.len(), 3);
+    fn the_objective_decides_first() {
+        let reports = [
+            report(3.0, 0.1, Some(20.0)),
+            report(1.5, 0.3, Some(30.0)),
+            report(2.0, 0.2, None),
+        ];
         assert_eq!(
-            r.points.iter().map(|p| p.wavelengths).collect::<Vec<_>>(),
-            vec![2, 4, 8]
+            pick_best_index(&reports, SweepObjective::MinInsertionLoss),
+            1
+        );
+        assert_eq!(pick_best_index(&reports, SweepObjective::MinPower), 0);
+        // Noise-free ranks above any finite SNR.
+        assert_eq!(pick_best_index(&reports, SweepObjective::MaxSnr), 2);
+    }
+
+    #[test]
+    fn insertion_loss_ties_go_to_the_lower_power() {
+        let reports = [report(1.0, 0.3, None), report(1.0, 0.2, None)];
+        assert_eq!(
+            pick_best_index(&reports, SweepObjective::MinInsertionLoss),
+            1
         );
     }
 
     #[test]
-    fn best_point_minimizes_its_objective() {
-        let r = run(SweepObjective::MinPower);
-        let best = r.best_point().report.total_power_w.expect("pdn");
-        for p in &r.points {
-            assert!(best <= p.report.total_power_w.expect("pdn") + 1e-15);
-        }
-        let r = run(SweepObjective::MinInsertionLoss);
-        let best = r.best_point().report.worst_il_db;
-        for p in &r.points {
-            assert!(best <= p.report.worst_il_db + 1e-12);
-        }
+    fn noise_free_ties_go_to_the_lower_power() {
+        let reports = [report(1.0, 0.013, None), report(1.2, 0.007, None)];
+        assert_eq!(pick_best_index(&reports, SweepObjective::MaxSnr), 1);
+        let reports = [report(1.0, 0.2, Some(25.0)), report(1.0, 0.1, Some(25.0))];
+        assert_eq!(pick_best_index(&reports, SweepObjective::MaxSnr), 1);
     }
 
     #[test]
-    fn sweep_points_carry_their_designs() {
-        let r = run(SweepObjective::MinPower);
-        for p in &r.points {
-            assert_eq!(p.degradation, DegradationLevel::Exact);
-            assert!(p.design.provenance.audit.is_clean());
-            assert_eq!(p.design.layout.signals.len(), p.report.signal_count);
-            // The carried design re-evaluates to the carried report.
-            let again = p.design.report(
-                format!("#wl={}", p.wavelengths),
-                &LossParams::default(),
-                Some(&CrosstalkParams::default()),
-                &PowerParams::default(),
-            );
-            assert_eq!(again, p.report);
-        }
-    }
-
-    #[test]
-    fn synthesize_best_returns_the_winning_design() {
-        let net = NetworkSpec::proton_8();
-        let design = synthesize_best(
-            &net,
-            SynthesisOptions::with_wavelengths(8),
-            &[2, 4, 8],
-            SweepObjective::MinPower,
-            &LossParams::default(),
-            None,
-            &PowerParams::default(),
-        )
-        .expect("synthesis succeeds");
-        assert_eq!(design.layout.signals.len(), 56);
-    }
-
-    #[test]
-    fn infeasible_candidates_are_skipped() {
-        let net = NetworkSpec::proton_8();
-        let base = SynthesisOptions {
-            max_waveguides: 4,
-            ..SynthesisOptions::with_wavelengths(8)
-        };
-        // #wl=1 with only 4 waveguides cannot route 56 signals, but
-        // #wl=8 can — the sweep must skip the former and succeed.
-        let r = sweep_wavelengths(
-            &net,
-            base,
-            &[1, 8],
+    fn full_ties_go_to_the_first_report() {
+        for objective in [
             SweepObjective::MinInsertionLoss,
-            &LossParams::default(),
-            None,
-            &PowerParams::default(),
-        )
-        .expect("sweep succeeds");
-        assert_eq!(r.points.len(), 1);
-        assert_eq!(r.points[0].wavelengths, 8);
+            SweepObjective::MinPower,
+            SweepObjective::MaxSnr,
+        ] {
+            let reports = [report(1.0, 0.2, None), report(1.0, 0.2, None)];
+            assert_eq!(pick_best_index(&reports, objective), 0, "{objective:?}");
+        }
+        // Without a PDN every report is 0 W, so an IL tie keeps the first.
+        let mut a = report(1.0, 0.0, None);
+        a.total_power_w = None;
+        assert_eq!(
+            pick_best_index([&a, &a.clone()], SweepObjective::MinInsertionLoss),
+            0
+        );
     }
 }

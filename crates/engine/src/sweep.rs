@@ -1,4 +1,5 @@
-//! Parallel `#wl` sweeps with the serial API's exact semantics.
+//! `#wl` sweeps: the paper's operating-point search (Sec. IV), on the
+//! worker pool and the engine's phase-artifact store.
 
 use xring_core::{
     pick_best_index, NetworkSpec, SweepObjective, SweepPoint, SweepResult, SynthesisError,
@@ -10,15 +11,22 @@ use crate::executor::Engine;
 use crate::job::{JobError, SynthesisJob};
 
 impl Engine {
-    /// The parallel, cached equivalent of
-    /// [`xring_core::sweep_wavelengths`]: same inputs, same outputs (wall
-    /// times aside), same winner. Candidates run as one batch on the
-    /// worker pool; repeated points hit the engine's design cache.
+    /// Sweeps `#wl` over `candidates` for `net` and picks the best point
+    /// under `objective` ([`pick_best_index`]).
+    ///
+    /// `base` carries everything except `max_wavelengths`, which the
+    /// sweep overrides per candidate. Every candidate goes through
+    /// [`resynthesize`](Self::resynthesize): the first runs alone and
+    /// stores its ring and shortcut artifacts in the engine's cache, and
+    /// the rest run on the worker pool and replay them (neither phase key
+    /// depends on `#wl`), so each point equals its cold synthesis.
+    /// Repeated points hit the design cache. A sweep emits no per-job
+    /// engine events.
     ///
     /// # Errors
     ///
-    /// Exactly as the serial function: budget-exhausted candidates are
-    /// skipped, [`SynthesisError::WavelengthBudgetExceeded`] when none is
+    /// Budget-exhausted candidates are skipped;
+    /// [`SynthesisError::WavelengthBudgetExceeded`] when none is
     /// feasible, and the first other failure (in candidate order) is
     /// propagated. A panic inside a candidate's synthesis resumes here.
     #[allow(clippy::too_many_arguments)]
@@ -47,10 +55,13 @@ impl Engine {
                 power: power.clone(),
             })
             .collect();
-        let batch = self.run_batch(jobs);
+        let first = self.resynthesize(&jobs[0], &jobs[0]);
+        let rest = self.run_tasks(jobs.len() - 1, |i| {
+            self.resynthesize(&jobs[0], &jobs[i + 1])
+        });
 
         let mut points = Vec::new();
-        for (&wl, outcome) in candidates.iter().zip(batch.outcomes) {
+        for (&wl, outcome) in candidates.iter().zip(std::iter::once(first).chain(rest)) {
             match outcome {
                 Ok(out) => points.push(SweepPoint {
                     wavelengths: wl,
@@ -75,7 +86,7 @@ impl Engine {
                 max_waveguides: base.max_waveguides,
             });
         }
-        let best = pick_best_index(&points, objective);
+        let best = pick_best_index(points.iter().map(|p| &p.report), objective);
         Ok(SweepResult { points, best })
     }
 }
@@ -84,44 +95,69 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::CacheCounter;
-    use xring_core::sweep_wavelengths as serial_sweep;
+    use xring_core::Synthesizer;
+    use xring_obs::{RequestCtx, RequestId};
+
+    fn sweep(engine: &Engine, candidates: &[usize]) -> SweepResult {
+        engine
+            .sweep_wavelengths(
+                &NetworkSpec::proton_8(),
+                SynthesisOptions::with_wavelengths(8),
+                candidates,
+                SweepObjective::MinPower,
+                &LossParams::default(),
+                Some(&CrosstalkParams::default()),
+                &PowerParams::default(),
+            )
+            .expect("sweep")
+    }
 
     #[test]
-    fn parallel_sweep_matches_serial() {
+    fn sweep_matches_cold_synthesis_of_every_candidate() {
         let net = NetworkSpec::proton_8();
-        let base = SynthesisOptions::with_wavelengths(8);
         let candidates = [2, 4, 8];
-        let loss = LossParams::default();
-        let xtalk = CrosstalkParams::default();
-        let power = PowerParams::default();
-        let serial = serial_sweep(
-            &net,
-            base.clone(),
-            &candidates,
-            SweepObjective::MinPower,
-            &loss,
-            Some(&xtalk),
-            &power,
-        )
-        .expect("serial sweep");
-        let parallel = Engine::new()
-            .with_workers(3)
-            .sweep_wavelengths(
-                &net,
-                base,
-                &candidates,
-                SweepObjective::MinPower,
-                &loss,
-                Some(&xtalk),
-                &power,
-            )
-            .expect("parallel sweep");
-        assert_eq!(parallel.best, serial.best);
-        assert_eq!(parallel.points.len(), serial.points.len());
-        for (p, s) in parallel.points.iter().zip(&serial.points) {
-            assert_eq!(p.wavelengths, s.wavelengths);
-            assert_eq!(p.report.normalized(), s.report.normalized());
+        let cold: Vec<_> = candidates
+            .iter()
+            .map(|&wl| {
+                Synthesizer::new(SynthesisOptions::with_wavelengths(wl))
+                    .synthesize(&net)
+                    .expect("cold synthesis")
+                    .report(
+                        format!("#wl={wl}"),
+                        &LossParams::default(),
+                        Some(&CrosstalkParams::default()),
+                        &PowerParams::default(),
+                    )
+            })
+            .collect();
+        let swept = sweep(&Engine::new().with_workers(3), &candidates);
+        assert_eq!(swept.best, pick_best_index(&cold, SweepObjective::MinPower));
+        assert_eq!(swept.points.len(), cold.len());
+        for ((p, c), &wl) in swept.points.iter().zip(&cold).zip(&candidates) {
+            assert_eq!(p.wavelengths, wl);
+            assert_eq!(p.report.normalized(), c.normalized());
         }
+    }
+
+    #[test]
+    fn a_sweep_builds_its_ring_once() {
+        let capture = |f: &dyn Fn()| {
+            let ctx = RequestCtx::new(RequestId::mint(0x5eed, 1, 0));
+            let scope = ctx.attach();
+            f();
+            drop(scope);
+            ctx.finish().total("milp.lp_solves")
+        };
+        let cold = capture(&|| {
+            Synthesizer::new(SynthesisOptions::with_wavelengths(8))
+                .synthesize(&NetworkSpec::proton_8())
+                .expect("cold synthesis");
+        });
+        assert!(cold > 0);
+        let swept = capture(&|| {
+            sweep(&Engine::new().with_workers(2), &[2, 4, 8]);
+        });
+        assert_eq!(swept, cold, "the sweep solved the ring more than once");
     }
 
     #[test]
@@ -131,6 +167,8 @@ mod tests {
             max_waveguides: 4,
             ..SynthesisOptions::with_wavelengths(8)
         };
+        // #wl=1 with only 4 waveguides cannot route 56 signals, but
+        // #wl=8 can: the sweep must skip the former and succeed.
         let r = Engine::new()
             .sweep_wavelengths(
                 &net,
@@ -176,29 +214,32 @@ mod tests {
     #[test]
     fn repeated_sweeps_hit_the_cache() {
         let engine = Engine::new();
-        let net = NetworkSpec::proton_8();
-        let run = || {
-            engine
-                .sweep_wavelengths(
-                    &net,
-                    SynthesisOptions::with_wavelengths(8),
-                    &[2, 4],
-                    SweepObjective::MinPower,
-                    &LossParams::default(),
-                    None,
-                    &PowerParams::default(),
-                )
-                .expect("sweep")
-        };
-        let first = run();
+        let first = sweep(&engine, &[2, 4]);
         assert_eq!(engine.cache().counters.get(CacheCounter::Hits), 0);
         assert_eq!(engine.cache().counters.get(CacheCounter::Misses), 2);
-        let second = run();
+        let second = sweep(&engine, &[2, 4]);
         assert_eq!(engine.cache().counters.get(CacheCounter::Hits), 2);
         assert_eq!(engine.cache().counters.get(CacheCounter::Misses), 2);
         assert_eq!(first.best, second.best);
         for (a, b) in first.points.iter().zip(&second.points) {
             assert_eq!(a.report, b.report); // cached hits echo the report
+        }
+    }
+
+    #[test]
+    fn sweep_points_carry_their_designs() {
+        let r = sweep(&Engine::new(), &[2, 4, 8]);
+        for p in &r.points {
+            assert_eq!(p.degradation, xring_core::DegradationLevel::Exact);
+            assert!(p.design.provenance.audit.is_clean());
+            // The carried design re-evaluates to the carried report.
+            let again = p.design.report(
+                format!("#wl={}", p.wavelengths),
+                &LossParams::default(),
+                Some(&CrosstalkParams::default()),
+                &PowerParams::default(),
+            );
+            assert_eq!(again, p.report);
         }
     }
 }
