@@ -408,7 +408,7 @@ fn run_edit(args: &SynthArgs, drop_pair: usize, engine: &Engine) -> ExitCode {
     let edited = SynthesisJob::new("edited", net.clone(), edited_options);
 
     // Cold run of the base spec: populates the phase-artifact store.
-    let cold_base = or_fail!(engine.resynthesize(&base, &base), "base synthesis failed");
+    let cold_base = or_fail!(engine.resynthesize(&base), "base synthesis failed");
     // Cold reference for the *edited* spec: a batch job on a fresh
     // engine whose cache holds nothing — what a non-incremental tool
     // would pay.
@@ -420,9 +420,9 @@ fn run_edit(args: &SynthArgs, drop_pair: usize, engine: &Engine) -> ExitCode {
             .remove(0),
         "cold reference synthesis failed"
     );
-    // The edit: diffed against the base, replaying clean phases.
+    // The edit: replays the phases whose keys the base run stored.
     let incremental = or_fail!(
-        engine.resynthesize(&base, &edited),
+        engine.resynthesize(&edited),
         "incremental re-synthesis failed"
     );
 

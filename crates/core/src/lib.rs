@@ -83,4 +83,4 @@ pub use sweep::{pick_best_index, SweepObjective, SweepPoint, SweepResult};
 pub use synth::{DegradationPolicy, SynthesisOptions, Synthesizer};
 pub use traffic::Traffic;
 pub use variation::{monte_carlo, SplitMix64, VariationSpec, VariationSummary};
-pub use xring_milp::{Basis, ConvergenceSummary, FactorizationKind, LpBackendKind, PricingKind};
+pub use xring_milp::{ConvergenceSummary, FactorizationKind, LpBackendKind, PricingKind};

@@ -20,8 +20,8 @@ use crate::netspec::{NetworkSpec, NodeId};
 use crate::variation::SplitMix64;
 use xring_geom::{classify_edge_pair, LRoute, Point, Polyline, RouteOption, TwoSat};
 use xring_milp::{
-    progress, Basis, BranchAndBound, ConvergenceCollector, ConvergenceSummary, FactorizationKind,
-    LinExpr, LpBackendKind, Model, PricingKind, Relation, VarId,
+    progress, BranchAndBound, ConvergenceCollector, ConvergenceSummary, FactorizationKind, LinExpr,
+    LpBackendKind, Model, PricingKind, Relation, VarId,
 };
 
 /// Travel direction on a ring waveguide. `Cw` follows the cycle order,
@@ -407,7 +407,6 @@ pub struct RingBuilder {
     deadline: Option<std::time::Instant>,
     objective_perturbation: Option<u64>,
     lp_backend: LpBackendKind,
-    warm_basis: Option<Basis>,
     solver_threads: usize,
     pricing: PricingKind,
     factorization: FactorizationKind,
@@ -421,7 +420,6 @@ impl Default for RingBuilder {
             deadline: None,
             objective_perturbation: None,
             lp_backend: LpBackendKind::default(),
-            warm_basis: None,
             solver_threads: 1,
             pricing: PricingKind::default(),
             factorization: FactorizationKind::default(),
@@ -436,11 +434,6 @@ pub struct RingOutcome {
     pub cycle: RingCycle,
     /// Construction statistics.
     pub stats: RingStats,
-    /// The LP basis exported from the MILP node that proved the final
-    /// incumbent (MILP algorithm on a basis-capable backend only). Feed
-    /// it back through [`RingBuilder::with_warm_basis`] to warm-start a
-    /// re-solve after a spec edit.
-    pub basis: Option<Basis>,
 }
 
 impl RingBuilder {
@@ -516,17 +509,6 @@ impl RingBuilder {
         self
     }
 
-    /// Seeds the MILP root relaxation with a basis exported by an
-    /// earlier build ([`RingOutcome::basis`]) — the incremental
-    /// re-synthesis path after a node move. The model must have the same
-    /// node count (same variable space); an incompatible basis is
-    /// rejected by the backend and the root solves cold, so offering a
-    /// stale basis is always safe. Ignored by the heuristic algorithms.
-    pub fn with_warm_basis(mut self, basis: Option<Basis>) -> Self {
-        self.warm_basis = basis;
-        self
-    }
-
     /// Constructs the ring for `net`.
     ///
     /// # Errors
@@ -545,7 +527,6 @@ impl RingBuilder {
                         twosat_fallback: fb,
                         ..RingStats::default()
                     },
-                    basis: None,
                 })
             }
             RingAlgorithm::Heuristic => {
@@ -556,7 +537,6 @@ impl RingBuilder {
                         twosat_fallback: fb,
                         ..RingStats::default()
                     },
-                    basis: None,
                 })
             }
             RingAlgorithm::Milp => self.build_milp(net),
@@ -658,9 +638,6 @@ impl RingBuilder {
             .with_solver_threads(self.solver_threads)
             .with_pricing(self.pricing)
             .with_factorization(self.factorization);
-        if let Some(basis) = &self.warm_basis {
-            solver = solver.with_root_basis(basis.clone());
-        }
         // Warm start with the heuristic tour when the separation accepts
         // it and the objective is exact (a perturbed retry wants a fresh
         // search).
@@ -711,11 +688,7 @@ impl RingBuilder {
             twosat_fallback: fb,
             convergence,
         };
-        Ok(RingOutcome {
-            cycle,
-            stats,
-            basis: solution.into_basis(),
-        })
+        Ok(RingOutcome { cycle, stats })
     }
 }
 

@@ -15,7 +15,7 @@ use crate::shortcut::{plan_shortcuts, ShortcutPlan};
 use crate::traffic::Traffic;
 use std::time::{Duration, Instant};
 use xring_geom::Point;
-use xring_milp::{Basis, FactorizationKind, LpBackendKind, PricingKind};
+use xring_milp::{FactorizationKind, LpBackendKind, PricingKind};
 use xring_phot::LossParams;
 
 /// Seed of the deterministic objective perturbation used by the
@@ -318,7 +318,6 @@ impl Synthesizer {
             Some(d) if Instant::now() >= d => Err(SynthesisError::DeadlineExceeded),
             _ => Ok(()),
         };
-        let warm_hint = replay.as_ref().and_then(|r| r.warm_hint);
 
         // Step 1: ring construction.
         check_deadline()?;
@@ -332,28 +331,15 @@ impl Synthesizer {
             PhaseArtifact::Ring,
             || {
                 let _s = xring_obs::span("ring-milp");
-                let build = |warm: Option<&Basis>| {
-                    RingBuilder::new()
-                        .with_algorithm(attempt.algorithm)
-                        .with_deadline(deadline)
-                        .with_objective_perturbation(attempt.perturbation)
-                        .with_lp_backend(attempt.lp_backend)
-                        .with_solver_threads(o.solver_threads)
-                        .with_pricing(o.pricing)
-                        .with_factorization(o.factorization)
-                        .with_warm_basis(warm.cloned())
-                        .build(net)
-                };
-                match build(warm_hint) {
-                    // A hint from another floorplan can steer the solver
-                    // to an invalid result; the hint only buys speed, so
-                    // any failure but the deadline re-solves cold.
-                    Err(e) if warm_hint.is_some() && e != SynthesisError::DeadlineExceeded => {
-                        xring_obs::counter("incremental.warm_cold_retries", 1);
-                        build(None)
-                    }
-                    outcome => outcome,
-                }
+                RingBuilder::new()
+                    .with_algorithm(attempt.algorithm)
+                    .with_deadline(deadline)
+                    .with_objective_perturbation(attempt.perturbation)
+                    .with_lp_backend(attempt.lp_backend)
+                    .with_solver_threads(o.solver_threads)
+                    .with_pricing(o.pricing)
+                    .with_factorization(o.factorization)
+                    .build(net)
             },
         )?;
 

@@ -441,13 +441,15 @@ impl DesignCache {
     }
 
     /// Corrupts the phase artifact at `(phase, key)` in place and reports
-    /// whether an artifact was there. For the downstream phases the
-    /// payload vectors are cleared, so a design assembled from the
-    /// artifact cannot pass its audit; for the ring phase the exported
-    /// basis is dropped (a performance-only corruption the warm-start
-    /// path must tolerate). Fault-injection hook for the incremental
-    /// path: the next re-synthesis that consumes a cleared artifact must
-    /// detect the damage and fall back to a cold run.
+    /// whether it did. The payload vectors of a shortcut, mapping,
+    /// opening or PDN artifact are cleared, so a design assembled from
+    /// it cannot pass its audit. A ring artifact is left alone and
+    /// reports `false`: its geometry is private to `xring-core`, so this
+    /// hook has nothing it could damage detectably (core's own tests
+    /// swap in a ring of another floorplan instead). Fault-injection
+    /// hook for the incremental path: the next re-synthesis that
+    /// consumes a cleared artifact must detect the damage and fall back
+    /// to a cold run.
     #[cfg(any(test, feature = "fault-inject"))]
     pub fn corrupt_artifact(&self, phase: PhaseId, key: u64) -> bool {
         let mut inner = self.lock();
@@ -457,7 +459,7 @@ impl DesignCache {
                 ..
             }) => {
                 match artifact {
-                    PhaseArtifact::Ring(ring) => ring.basis = None,
+                    PhaseArtifact::Ring(_) => return false,
                     PhaseArtifact::Shortcut(plan) => plan.shortcuts.clear(),
                     PhaseArtifact::Mapping(plan) | PhaseArtifact::Opening((plan, _)) => {
                         plan.routes.clear()
@@ -482,28 +484,6 @@ impl DesignCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The exported LP basis of the ring artifact stored under
-    /// `ring_key`, if any — the warm-start hint for a ring-dirty
-    /// re-synthesis. Unlike [`ArtifactStore::get_artifact`], this does
-    /// not count a phase hit or miss (the caller is not *consuming* the
-    /// artifact for its own phase, it is seeding a different key's
-    /// solve), but it does bump the entry's recency.
-    pub fn warm_basis_for(&self, ring_key: u64) -> Option<xring_core::Basis> {
-        let addr = artifact_key(PhaseId::Ring, ring_key);
-        let mut inner = self.lock();
-        let basis = match inner.map.get(&addr) {
-            Some(Entry {
-                payload: Payload::Artifact(PhaseArtifact::Ring(ring)),
-                ..
-            }) => ring.basis.clone(),
-            _ => None,
-        };
-        if basis.is_some() {
-            inner.bump(&addr);
-        }
-        basis
     }
 }
 
@@ -580,7 +560,7 @@ impl ArtifactStore for DesignCache {
 mod tests {
     use super::*;
     use std::time::Duration;
-    use xring_core::{NetworkSpec, SynthesisOptions, Traffic};
+    use xring_core::{NetworkSpec, RingAlgorithm, RingBuilder, SynthesisOptions, Traffic};
 
     fn job(label: &str, wl: usize) -> SynthesisJob {
         SynthesisJob::new(
@@ -962,7 +942,20 @@ mod tests {
             Some(PhaseArtifact::Shortcut(plan)) => assert!(plan.shortcuts.is_empty()),
             other => panic!("expected corrupted shortcut artifact, got {other:?}"),
         }
+        // No ring artifact under key 3: nothing to corrupt.
         assert!(!cache.corrupt_artifact(PhaseId::Ring, 3));
+        // A stored ring artifact is reported untouched and replays as
+        // stored.
+        let ring = RingBuilder::new()
+            .with_algorithm(RingAlgorithm::Heuristic)
+            .build(&NetworkSpec::proton_8())
+            .expect("ring");
+        cache.put_artifact(PhaseId::Ring, 4, PhaseArtifact::Ring(ring.clone()));
+        assert!(!cache.corrupt_artifact(PhaseId::Ring, 4));
+        match cache.get_artifact(PhaseId::Ring, 4) {
+            Some(PhaseArtifact::Ring(stored)) => assert_eq!(stored.cycle, ring.cycle),
+            other => panic!("expected the stored ring artifact, got {other:?}"),
+        }
     }
 
     #[test]

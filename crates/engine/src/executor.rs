@@ -203,22 +203,17 @@ impl Engine {
         BatchResult { outcomes, metrics }
     }
 
-    /// Incrementally re-synthesizes `job` after an edit, reusing the
-    /// phase artifacts persisted in the engine's [`DesignCache`] from
-    /// `prev` (and from every earlier incremental run sharing the
-    /// cache).
+    /// Synthesizes `job`, replaying the phase artifacts that earlier
+    /// runs on this engine persisted in its [`DesignCache`].
     ///
     /// Each pipeline phase is keyed on a content hash of its actual
-    /// inputs ([`xring_core::PhaseKeys`]); phases whose keys the edit
-    /// did not change are replayed verbatim — keeping the result
-    /// bit-identical to a cold synthesis of the edited spec — and only
-    /// the dirty suffix of the phase DAG is recomputed. When the edit
-    /// dirties the ring phase itself, the MILP is warm-started from
-    /// `prev`'s exported LP basis. The number of replayed phases is
-    /// reported in [`JobOutput::phases_reused`].
-    ///
-    /// A first call with `prev == job` runs cold and seeds the artifact
-    /// store. Whole-design cache hits still short-circuit everything.
+    /// inputs ([`xring_core::PhaseKeys`]); a phase whose key is in the
+    /// cache is replayed verbatim and only the rest is recomputed, the
+    /// ring MILP cold like any other phase. The result is therefore
+    /// bit-identical to a cold synthesis of `job`, whatever ran before.
+    /// The number of replayed phases is reported in
+    /// [`JobOutput::phases_reused`]. Whole-design cache hits still
+    /// short-circuit everything.
     ///
     /// # Example
     ///
@@ -233,7 +228,7 @@ impl Engine {
     ///     SynthesisOptions::with_wavelengths(8),
     /// );
     /// // Cold: every phase recomputes and persists its artifact.
-    /// let cold = engine.resynthesize(&base, &base)?;
+    /// let cold = engine.resynthesize(&base)?;
     /// assert_eq!(cold.phases_reused, 0);
     ///
     /// // Edit the traffic: the ring and shortcut phases replay from
@@ -241,7 +236,7 @@ impl Engine {
     /// let mut edited = base.clone();
     /// edited.label = "edited".to_owned();
     /// edited.options.traffic = Traffic::NearestNeighbors(3);
-    /// let warm = engine.resynthesize(&base, &edited)?;
+    /// let warm = engine.resynthesize(&edited)?;
     /// assert!(!warm.cache_hit);
     /// assert_eq!(warm.phases_reused, 2);
     /// # Ok::<(), xring_engine::JobError>(())
@@ -253,11 +248,7 @@ impl Engine {
     /// path's cold fallback is exhausted, [`JobError::DeadlineExceeded`]
     /// on deadline expiry, [`JobError::Panicked`] if the pipeline
     /// panics.
-    pub fn resynthesize(
-        &self,
-        prev: &SynthesisJob,
-        job: &SynthesisJob,
-    ) -> Result<JobOutput, JobError> {
+    pub fn resynthesize(&self, job: &SynthesisJob) -> Result<JobOutput, JobError> {
         let _span = xring_obs::span_labelled("resynthesize", job.label.clone());
         let t0 = Instant::now();
         let key = canonical_key(job);
@@ -268,19 +259,9 @@ impl Engine {
             });
         }
         let result = catch_unwind(AssertUnwindSafe(|| {
-            let new_keys = xring_core::PhaseKeys::compute(&job.net, &job.options);
-            let prev_keys = xring_core::PhaseKeys::compute(&prev.net, &prev.options);
-            // Only a ring-dirty edit needs the previous basis; a clean
-            // ring key replays the whole artifact instead.
-            let warm_hint = (new_keys.ring != prev_keys.ring)
-                .then(|| self.cache.warm_basis_for(prev_keys.ring))
-                .flatten();
             let synthesizer = Synthesizer::new(job.options.clone());
-            let (design, inc) = synthesizer.synthesize_incremental(
-                &job.net,
-                self.cache.as_ref(),
-                warm_hint.as_ref(),
-            )?;
+            let (design, inc) =
+                synthesizer.synthesize_incremental(&job.net, self.cache.as_ref())?;
             self.finish_fresh(key, job, design, inc.phases_reused())
         }))
         .unwrap_or_else(|p| Err(JobError::Panicked(panic_message(p.as_ref()))));

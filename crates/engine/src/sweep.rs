@@ -55,10 +55,8 @@ impl Engine {
                 power: power.clone(),
             })
             .collect();
-        let first = self.resynthesize(&jobs[0], &jobs[0]);
-        let rest = self.run_tasks(jobs.len() - 1, |i| {
-            self.resynthesize(&jobs[0], &jobs[i + 1])
-        });
+        let first = self.resynthesize(&jobs[0]);
+        let rest = self.run_tasks(jobs.len() - 1, |i| self.resynthesize(&jobs[i + 1]));
 
         let mut points = Vec::new();
         for (&wl, outcome) in candidates.iter().zip(std::iter::once(first).chain(rest)) {

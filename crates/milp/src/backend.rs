@@ -99,18 +99,6 @@ pub struct Basis {
     pub(crate) at_upper: Vec<bool>,
 }
 
-impl Basis {
-    /// Approximate memory footprint in bytes (struct plus owned
-    /// buffers), for byte-budgeted caches that persist exported bases.
-    /// Since the factorization was dropped from the snapshot (adoption
-    /// refactorizes from the basic set), this is O(n + m), not O(m²).
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.basic.len() * std::mem::size_of::<usize>()
-            + self.at_upper.len()
-    }
-}
-
 /// The result of one backend solve.
 #[derive(Debug)]
 pub struct BackendSolve {

@@ -60,18 +60,12 @@ const INT_TOL: f64 = 1e-6;
 /// parallelism level (the determinism gate relies on this).
 const BATCH: usize = 16;
 
-/// What the branch-and-bound search returns for the winning node:
-/// solution values, objective, and the basis that proved it (shared
-/// via `Rc` until export).
-type SearchOutcome = (Vec<f64>, f64, Option<Arc<Basis>>);
-
 /// A feasible integer solution found by [`BranchAndBound::solve`].
 #[derive(Debug, Clone)]
 pub struct MilpSolution {
     values: Vec<f64>,
     objective: f64,
     stats: SolveStats,
-    basis: Option<Basis>,
 }
 
 impl MilpSolution {
@@ -103,21 +97,6 @@ impl MilpSolution {
     /// Search statistics.
     pub fn stats(&self) -> &SolveStats {
         &self.stats
-    }
-
-    /// The LP basis at the node where the final incumbent was proved,
-    /// for seeding a later re-solve of a *same-shaped* model via
-    /// [`BranchAndBound::with_root_basis`]. `None` when the incumbent
-    /// came from a warm start accepted without any LP solve, or when
-    /// the backend does not export bases (the dense reference backend).
-    pub fn basis(&self) -> Option<&Basis> {
-        self.basis.as_ref()
-    }
-
-    /// Consumes the solution, yielding the exported basis (see
-    /// [`basis`](Self::basis)).
-    pub fn into_basis(self) -> Option<Basis> {
-        self.basis
     }
 }
 
@@ -161,7 +140,6 @@ pub struct BranchAndBound {
     incumbent: Option<(Vec<f64>, f64)>,
     progress_stride: usize,
     lp_backend: LpBackendKind,
-    root_basis: Option<Arc<Basis>>,
     solver_threads: usize,
     pricing: PricingKind,
     factorization: FactorizationKind,
@@ -175,7 +153,6 @@ impl Default for BranchAndBound {
             incumbent: None,
             progress_stride: 64,
             lp_backend: LpBackendKind::default(),
-            root_basis: None,
             solver_threads: 1,
             pricing: PricingKind::default(),
             factorization: FactorizationKind::default(),
@@ -287,18 +264,6 @@ impl BranchAndBound {
     /// or a global progress sink is attached; see [`crate::progress`].
     pub fn with_progress_stride(mut self, stride: usize) -> Self {
         self.progress_stride = stride.max(1);
-        self
-    }
-
-    /// Seeds the root node's LP with a basis exported from a previous
-    /// solve ([`MilpSolution::basis`]), typically an earlier solve of the
-    /// same model with different coefficients (an edited spec). A basis
-    /// of the wrong shape is detected by the backend and the root solves
-    /// cold; one of the right shape is adopted even when it is neither
-    /// primal nor dual feasible here, and the simplex restarts from it.
-    /// Only the revised backend can adopt it.
-    pub fn with_root_basis(mut self, basis: Basis) -> Self {
-        self.root_basis = Some(Arc::new(basis));
         self
     }
 
@@ -454,7 +419,7 @@ impl BranchAndBound {
         };
         let mut stats = SolveStats::default();
         let result = self.search(model, separate, &mut stats, &mut progress);
-        let final_incumbent = result.as_ref().ok().map(|(_, objective, _)| *objective);
+        let final_incumbent = result.as_ref().ok().map(|(_, objective)| *objective);
         if progress.proven && progress.best_bound.is_some() {
             // Exhausted tree: the incumbent is the proven optimum, so
             // the bound meets it and the final gap closes to 0.
@@ -476,11 +441,10 @@ impl BranchAndBound {
             true => xring_obs::counter("milp.solves_bound_limited", 1),
             false => xring_obs::counter("milp.solves_failed", 1),
         }
-        result.map(|(values, objective, basis)| MilpSolution {
+        result.map(|(values, objective)| MilpSolution {
             values,
             objective,
             stats,
-            basis: basis.map(|b| Arc::try_unwrap(b).unwrap_or_else(|arc| (*arc).clone())),
         })
     }
 
@@ -495,7 +459,7 @@ impl BranchAndBound {
         mut separate: F,
         stats: &mut SolveStats,
         progress: &mut ProgressState<'_>,
-    ) -> Result<SearchOutcome, SolveError>
+    ) -> Result<(Vec<f64>, f64), SolveError>
     where
         F: FnMut(&[f64]) -> Vec<(LinExpr, Relation, f64)>,
     {
@@ -536,11 +500,7 @@ impl BranchAndBound {
             .collect();
         let mut lazy_pool: Vec<(LinExpr, Relation, f64)> = Vec::new();
 
-        // Incumbent, plus the LP basis of the node that proved it (the
-        // exported warm-start seed for a later re-solve of an edited
-        // model).
         let mut best: Option<(Vec<f64>, f64)> = None;
-        let mut best_basis: Option<Arc<Basis>> = None;
         if let Some((vals, obj)) = &self.incumbent {
             if vals.len() != n {
                 return Err(SolveError::InvalidModel {
@@ -653,13 +613,11 @@ impl BranchAndBound {
         /// Appends lazy cuts to the LP rows and the pool, dropping the
         /// stored incumbent when a new cut invalidates it (e.g. a warm
         /// start the callback had not vetted).
-        #[allow(clippy::too_many_arguments)]
         fn apply_cuts(
             cuts: Vec<(LinExpr, Relation, f64)>,
             rows: &mut Vec<LpRow>,
             lazy_pool: &mut Vec<(LinExpr, Relation, f64)>,
             best: &mut Option<(Vec<f64>, f64)>,
-            best_basis: &mut Option<Arc<Basis>>,
             to_lp_row: &impl Fn(&LinExpr, Relation, f64) -> LpRow,
         ) {
             for (expr, rel, rhs) in cuts {
@@ -673,7 +631,6 @@ impl BranchAndBound {
                     };
                     if violated {
                         *best = None;
-                        *best_basis = None;
                     }
                 }
                 rows.push(to_lp_row(&expr, rel, rhs));
@@ -697,7 +654,7 @@ impl BranchAndBound {
             bound: f64::NEG_INFINITY,
             id: 0,
             fixes: pre.fixed.iter().map(|&(j, v)| (j, v > 0.5)).collect(),
-            basis: self.root_basis.clone(),
+            basis: None,
         });
 
         while !frontier.is_empty() {
@@ -717,10 +674,7 @@ impl BranchAndBound {
                 progress.on_node(stats.nodes, best.as_ref().map(|(_, obj)| *obj));
                 if stats.nodes > self.max_nodes {
                     progress.proven = false;
-                    return match best {
-                        Some((values, obj)) => Ok((values, obj, best_basis)),
-                        None => Err(SolveError::ResourceLimit { nodes: stats.nodes }),
-                    };
+                    return best.ok_or(SolveError::ResourceLimit { nodes: stats.nodes });
                 }
                 if let Some(deadline) = self.deadline {
                     if Instant::now() >= deadline {
@@ -898,19 +852,11 @@ impl BranchAndBound {
                             if improves {
                                 stats.incumbent_updates += 1;
                                 best = Some((values, obj));
-                                best_basis = node_basis;
                                 progress.emit(ProgressKind::Incumbent, stats.nodes, Some(obj));
                             }
                         } else {
                             stats.lazy_constraints += cuts.len();
-                            apply_cuts(
-                                cuts,
-                                &mut rows,
-                                &mut lazy_pool,
-                                &mut best,
-                                &mut best_basis,
-                                &to_lp_row,
-                            );
+                            apply_cuts(cuts, &mut rows, &mut lazy_pool, &mut best, &to_lp_row);
                             // Re-queue the node (same id) so the cut-
                             // extended LP re-solves it next round.
                             frontier.push(Node {
@@ -944,7 +890,6 @@ impl BranchAndBound {
                                     if improves {
                                         stats.incumbent_updates += 1;
                                         best = Some((cand, obj));
-                                        best_basis = None;
                                         progress.emit(
                                             ProgressKind::Incumbent,
                                             stats.nodes,
@@ -958,7 +903,6 @@ impl BranchAndBound {
                                         &mut rows,
                                         &mut lazy_pool,
                                         &mut best,
-                                        &mut best_basis,
                                         &to_lp_row,
                                     );
                                 }
@@ -996,7 +940,7 @@ impl BranchAndBound {
             Some((values, obj)) => {
                 // Final consistency check against lazy pool and model.
                 debug_assert!(model.violated_constraints(&values, 1e-5).is_empty());
-                Ok((values, obj, best_basis))
+                Ok((values, obj))
             }
             None => Err(SolveError::Infeasible),
         }

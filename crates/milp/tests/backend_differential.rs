@@ -253,11 +253,10 @@ fn backend_agreement_on_warm_started_children() {
 
 #[test]
 fn backend_agreement_on_foreign_warm_starts() {
-    // A basis exported for one LP, offered to another of the same shape
-    // with different costs and right-hand sides (the warm hint of an
-    // incremental re-synthesis on a different floorplan): it is adopted
-    // although it may be neither primal nor dual feasible there, and the
-    // solve must still reach the cold optimum.
+    // A basis exported for one LP, offered through `solve_warm` to
+    // another of the same shape with different costs and right-hand
+    // sides: it is adopted although it may be neither primal nor dual
+    // feasible there, and the solve must still reach the cold optimum.
     let mut rng = SplitMix64(0xD1FF_5EED_000F);
     let mut adopted = 0usize;
     let mut seed_tag = 0u64;

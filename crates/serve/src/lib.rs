@@ -39,10 +39,10 @@
 //!   [`DesignCache`](xring_engine::DesignCache) with a byte budget and
 //!   LRU eviction serves all requests — repeated specs cost a lookup.
 //! * **Incremental re-synthesis**: `/synth` runs through
-//!   [`Engine::resynthesize`](xring_engine::Engine::resynthesize),
-//!   diffing each request's phase keys against the previous one; an
-//!   edited spec replays its unchanged pipeline phases from cached
-//!   artifacts and recomputes only the dirty suffix. `/metrics` exposes
+//!   [`Engine::resynthesize`](xring_engine::Engine::resynthesize): a
+//!   request replays every pipeline phase whose key an earlier request
+//!   stored in the cache and recomputes only the rest, so an edited spec
+//!   recomputes only its dirty suffix. `/metrics` exposes
 //!   `xring_serve_incremental_total` and per-phase
 //!   `xring_cache_phase_{hits,misses}_*` counters.
 //! * **Live metrics** ([`metrics`]): always-on lock-free histograms

@@ -38,7 +38,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use xring_core::{fnv1a64, DegradationLevel, DegradationPolicy};
-use xring_engine::{DesignCache, Engine, JobError, SynthesisJob};
+use xring_engine::{DesignCache, Engine, JobError};
 use xring_obs::{log, RequestCtx, RequestId};
 
 use crate::flight::{FlightRecorder, RequestRecord, TailSampler};
@@ -131,12 +131,6 @@ struct Shared {
     /// Monotonic request counter feeding the id mint.
     req_seq: AtomicU64,
     draining: AtomicBool,
-    /// The last successfully-synthesized `/synth` job: the baseline an
-    /// incremental re-synthesis diffs the next request's phase keys
-    /// against (its ring basis seeds the warm start on ring-dirty
-    /// edits). The phase artifacts themselves live in `cache`, so an
-    /// edit chain keeps hitting even as this slot advances.
-    last_synth: Mutex<Option<SynthesisJob>>,
 }
 
 /// A running daemon. Dropping it shuts down gracefully (equivalent to
@@ -176,7 +170,6 @@ impl Server {
             seed: config.seed,
             req_seq: AtomicU64::new(0),
             draining: AtomicBool::new(false),
-            last_synth: Mutex::new(None),
         });
         let (sender, receiver) = std::sync::mpsc::sync_channel::<Work>(config.queue_depth);
         let receiver = Arc::new(Mutex::new(receiver));
@@ -750,25 +743,15 @@ fn handle(shared: &Shared, request: &Request, queue_us: u64, t0: Instant) -> Han
             };
             let label = job.label.clone();
             let spared = job.options.spares.any();
-            // `/synth` runs through the incremental path: phase keys are
-            // diffed against the last served job and clean phases replay
-            // from cached artifacts (the first request seeds the store
-            // by diffing against itself — a cold run).
-            let prev = shared
-                .last_synth
-                .lock()
-                .map(|g| g.clone())
-                .unwrap_or_default()
-                .unwrap_or_else(|| job.clone());
-            let outcome = shared.engine.resynthesize(&prev, &job);
+            // `/synth` runs through the incremental path: every phase
+            // whose key an earlier request stored replays from the cached
+            // artifact, so the answer does not depend on request order.
+            let outcome = shared.engine.resynthesize(&job);
             track_outcome_metrics(shared, outcome.as_ref(), spared);
             match outcome {
                 Ok(out) => {
                     if out.phases_reused > 0 {
                         shared.metrics.counters.add(ServeCounter::Incremental, 1);
-                    }
-                    if let Ok(mut slot) = shared.last_synth.lock() {
-                        *slot = Some(job);
                     }
                     let wall_us = t0.elapsed().as_micros() as u64;
                     HandlerOutcome {

@@ -123,12 +123,12 @@ proton_8 wl8                       1       1       0      21       0       0    
 psion_16 wl16                      2       2       8      80       1       1       0      74       6       0    12    3127
 psion_32 wl16                     50      50      84     675      50      49       0     384      16       2    14  105913
 irr16 wl8                          7       7      20      88       6       6       0      78       7       2    14    5346
-irr16 wl8 drop-0 edit              0       0       0       0       0       0       0       0       0       0     7    1291  reused 2/5
+irr16 wl8 drop-0 edit              0       0       0       0       0       0       0       0       0       0     7    1289  reused 2/5
 irr64 ring                        71      71      82    8592      72      70       0       0       0       0     1  441432
 irr128 s1 knn3-heur                0       0       0       0       0       0       0    1376      58      12    37    1561
 irr128 s2 knn3-heur                0       0       0       0       0       0       1    1319      58      10    22    1478
 irr128 s3 knn3-heur                0       0       0       0       0       0       0    1390      54       9    21    1378
-irr128 s1 knn3-heur resynth        0       0       0       0       0       0       0    1376      58      12    39    1840
+irr128 s1 knn3-heur resynth        0       0       0       0       0       0       0    1376      58      12    39    1786
 batch proton_8 x2                  3       3       0      63       0       0       0      12       6       0    46       -  hits 3 misses 3
 sweep proton_8 #wl 2/4/8           1       1       0      21       0       0       0       4       2       0    32       -  best #wl=2
 fault-sweep proton_8               2       2       0      42       0       0       0       8       4       0   191       -  scenarios 191 margins 9/96 95/95
@@ -160,7 +160,7 @@ fn fixture_work_matches_the_golden_counters() {
     let options = SynthesisOptions::with_wavelengths(8);
     let store = MemoryArtifactStore::new();
     Synthesizer::new(options.clone())
-        .synthesize_incremental(&net, &store, None)
+        .synthesize_incremental(&net, &store)
         .expect("seed run");
     let mut pairs = options.traffic.pairs(&net);
     pairs.remove(0);
@@ -170,7 +170,7 @@ fn fixture_work_matches_the_golden_counters() {
     });
     let ((design, report), trace, allocs) = capture(|| {
         edited
-            .synthesize_incremental(&net, &store, None)
+            .synthesize_incremental(&net, &store)
             .expect("edit synthesizes")
     });
     assert!(design.provenance.audit.is_clean());
@@ -214,7 +214,7 @@ fn fixture_work_matches_the_golden_counters() {
     let engine = Engine::new()
         .with_workers(1)
         .with_cache(Arc::new(DesignCache::with_byte_budget(16 << 20)));
-    let (out, trace, allocs) = capture(|| engine.resynthesize(&job, &job).expect("resynthesize"));
+    let (out, trace, allocs) = capture(|| engine.resynthesize(&job).expect("resynthesize"));
     assert!(out.design.provenance.audit.is_clean() && !out.cache_hit);
     rows.push(row("irr128 s1 knn3-heur resynth", &trace, Some(allocs), ""));
 

@@ -63,10 +63,10 @@ fn incremental_edit_is_byte_identical_to_cold_synthesis() {
     // edit replays the clean prefix (ring + shortcut) from it.
     let engine = Engine::new().with_workers(1);
     engine
-        .resynthesize(&base, &base)
+        .resynthesize(&base)
         .expect("pinned edit workload is feasible");
     let warm = engine
-        .resynthesize(&base, &edited)
+        .resynthesize(&edited)
         .expect("pinned edit workload is feasible");
     assert!(!warm.cache_hit, "edited spec is not a whole-design hit");
     assert_eq!(
@@ -87,13 +87,13 @@ fn edit_recomputes_only_the_dirty_suffix_of_the_phase_dag() {
     let (base, edited) = fixture();
     let engine = Engine::new().with_workers(1);
     engine
-        .resynthesize(&base, &base)
+        .resynthesize(&base)
         .expect("pinned edit workload is feasible");
 
     // Trace only the edit: the seed run above stays outside the window.
     obs::start();
     let out = engine
-        .resynthesize(&base, &edited)
+        .resynthesize(&edited)
         .expect("pinned edit workload is feasible");
     let trace = obs::finish();
     assert_eq!(out.phases_reused, 2);
@@ -148,7 +148,7 @@ fn corrupted_artifact_mid_edit_falls_back_to_cold_synthesis() {
 
     let engine = Engine::new().with_workers(1);
     engine
-        .resynthesize(&base, &base)
+        .resynthesize(&base)
         .expect("pinned edit workload is feasible");
 
     // The mapping key ignores the openings flag, so the edit would
@@ -163,7 +163,7 @@ fn corrupted_artifact_mid_edit_falls_back_to_cold_synthesis() {
 
     obs::start();
     let out = engine
-        .resynthesize(&base, &edited)
+        .resynthesize(&edited)
         .expect("corruption must degrade to a cold run, not an error");
     let trace = obs::finish();
     assert_eq!(trace.total("incremental.fallbacks"), 1);

@@ -1,5 +1,6 @@
 //! End-to-end protocol tests for the `xring-serve` daemon: concurrent
-//! clients get deterministic designs, malformed input fails structured,
+//! clients get deterministic designs, an answer does not depend on the
+//! request served before it, malformed input fails structured,
 //! deadlines degrade instead of hanging, overload sheds with 429, and
 //! `GET /metrics` stays a valid Prometheus 0.0.4 exposition throughout.
 //!
@@ -93,6 +94,40 @@ fn concurrent_clients_get_deterministic_responses() {
     }
     assert_eq!(server.metrics().counters.get(ServeCounter::Shed), 0);
     server.shutdown();
+}
+
+#[test]
+fn a_synth_answer_does_not_depend_on_the_request_before_it() {
+    // Two exact 16-node rings on distinct floorplans: B after A on one
+    // daemon must get the design section B gets from a fresh daemon.
+    let body = |seed: u64| {
+        format!(
+            "{{\"label\": \"irr16/{seed}\", \
+             \"net\": {{\"irregular\": {{\"n\": 16, \"die_um\": 8000, \"seed\": {seed}}}}}, \
+             \"options\": {{\"max_wavelengths\": 8}}}}"
+        )
+    };
+    let synth = |server: &Server, seed: u64| {
+        let (status, reply) = client::http_request(server.addr(), "POST", "/synth", &body(seed))
+            .expect("request reaches the daemon");
+        assert_eq!(status, 200, "{reply}");
+        assert!(reply.contains("\"degradation\":\"exact\""), "{reply}");
+        reply
+    };
+    for (a, b) in [(1_000, 1_001), (1_002, 1_003), (1_004, 1_005)] {
+        let mut after = Server::start(ServeConfig::default()).expect("daemon starts");
+        synth(&after, a);
+        let b_after_a = synth(&after, b);
+        after.shutdown();
+        let mut fresh = Server::start(ServeConfig::default()).expect("daemon starts");
+        let b_alone = synth(&fresh, b);
+        fresh.shutdown();
+        assert_eq!(
+            deterministic_part(&b_after_a),
+            deterministic_part(&b_alone),
+            "floorplan {b} after {a}"
+        );
+    }
 }
 
 #[test]
