@@ -149,9 +149,10 @@ echo "==> sweep smoke (CLI #wl sweep marks a winner)"
 echo "==> table smoke (Table III's XRing rows come from the audited engine sweep)"
 cargo run -q --release --offline -p xring-bench --bin table3 | grep -q '^XRing'
 
-echo "==> incremental edit smoke (CLI edit loop, byte-identity check)"
-./target/release/xring edit --irregular 16,5,8000 --wl 8 \
-    | grep -q 'byte-identical to cold synthesis of the edited spec: yes'
+echo "==> incremental edit smoke (CLI edit loop, byte-identity check, ring + shortcut replayed)"
+edit_out=$(./target/release/xring edit --irregular 16,5,8000 --wl 8)
+echo "$edit_out" | grep -q 'byte-identical to cold synthesis of the edited spec: yes'
+echo "$edit_out" | grep -q '2/2 phases replayed'
 
 echo "==> golden work counters (exact solver, pipeline and allocation counts per fixture)"
 cargo test -q --offline --test golden_work

@@ -250,12 +250,12 @@ FAULT SWEEP (fault-sweep):
 
 INCREMENTAL EDITING (edit):
   xring edit synthesizes the spec cold, drops one traffic demand and
-  re-synthesizes the edited spec incrementally: each pipeline phase is
-  keyed on a content hash of its inputs, unchanged phases replay from
-  cached artifacts, and only the dirty suffix (here: mapping, opening,
-  PDN) recomputes. Prints cold vs. incremental wall time, the phases
-  replayed, and whether the incremental design is byte-identical to a
-  cold synthesis of the edited spec.
+  re-synthesizes the edited spec incrementally: the ring and shortcut
+  phases are keyed on a content hash of their inputs and replay from
+  cached artifacts when unchanged; mapping, opening and PDN always run.
+  Prints cold vs. incremental wall time, the phases replayed, and
+  whether the incremental design is byte-identical to a cold synthesis
+  of the edited spec.
   --drop-pair I   index of the demand pair to drop (default 0)
 
 TRACING (synth, sweep, batch):

@@ -17,7 +17,7 @@ use xring_bench::tables::{
     table2, table3,
 };
 use xring_core::{
-    DegradationLevel, NetworkSpec, SpareConfig, SynthesisOptions, Synthesizer, Traffic,
+    DegradationLevel, NetworkSpec, PhaseId, SpareConfig, SynthesisOptions, Synthesizer, Traffic,
 };
 use xring_engine::{CacheCounter, Engine, JsonlSink, SynthesisJob};
 use xring_phot::{CrosstalkParams, LossParams, PowerParams, RouterReport};
@@ -439,13 +439,14 @@ fn run_edit(args: &SynthArgs, drop_pair: usize, engine: &Engine) -> ExitCode {
     );
     println!("cold synthesis (edited spec):  {cold_ms:>9.1} ms");
     println!(
-        "incremental re-synthesis:      {inc_ms:>9.1} ms   ({:.1}x, {}/5 phases replayed)",
+        "incremental re-synthesis:      {inc_ms:>9.1} ms   ({:.1}x, {}/{} phases replayed)",
         if inc_ms > 0.0 {
             cold_ms / inc_ms
         } else {
             f64::INFINITY
         },
         incremental.phases_reused,
+        PhaseId::ALL.len(),
     );
     println!(
         "byte-identical to cold synthesis of the edited spec: {}",

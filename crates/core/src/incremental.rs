@@ -1,21 +1,28 @@
-//! Incremental re-synthesis: phase-keyed artifacts and dirty-suffix
-//! recompute.
+//! Incremental re-synthesis: phase-keyed artifacts and clean-prefix
+//! replay.
 //!
 //! The pipeline's phases (ring construction, shortcut planning, signal
 //! mapping, ring opening, PDN design) form a linear DAG: each phase
-//! consumes the spec, a subset of the options, and the artifacts of the
-//! phases before it. Because every phase is deterministic, a phase's
-//! output is fully determined by a *content hash of its actual inputs* —
-//! the [`PhaseKeys`] of a `(spec, options)` pair. An edited spec shares
-//! the keys of every phase whose inputs did not change, so re-synthesis
-//! only recomputes the *dirty suffix* of the DAG and replays the clean
-//! prefix from an [`ArtifactStore`].
+//! consumes the spec, a subset of the options, and the outputs of the
+//! phases before it. The first two are the expensive ones (Step 1 solves
+//! the ring MILP, Step 2 plans shortcuts over every node pair) and the
+//! ones an edit usually leaves clean: traffic edits, `#wl` sweeps and
+//! `xring edit` change only the inputs of Steps 3 and 4. So only the ring
+//! and shortcut phases persist artifacts; mapping, opening and PDN always
+//! run, exactly as in a cold synthesis.
+//!
+//! Because every phase is deterministic, a persisted phase's output is
+//! fully determined by a *content hash of its actual inputs* — the
+//! [`PhaseKeys`] of a `(spec, options)` pair. An edited spec shares the
+//! keys of every persisted phase whose inputs did not change, and those
+//! phases are replayed from an [`ArtifactStore`].
 //!
 //! There is one step walk for both entry points.
 //! [`Synthesizer::synthesize`] runs it with no store, so every phase
 //! runs directly; [`Synthesizer::synthesize_incremental`] runs it with
-//! the caller's store, so each phase is replayed by its key when its
-//! artifact is there and persisted back when it is recomputed.
+//! the caller's store, so the ring and shortcut phases are replayed by
+//! their keys when their artifacts are there and persisted back when
+//! they are recomputed.
 //!
 //! A phase runs one way whether it is replayed or not: when the ring
 //! phase is dirty (a node moved, the LP backend changed), the ring MILP
@@ -33,11 +40,8 @@
 
 use crate::design::XRingDesign;
 use crate::error::SynthesisError;
-use crate::mapping::MappingPlan;
 use crate::netspec::NetworkSpec;
-use crate::opening::OpeningStats;
 use crate::options::{KeyRole, OptionValue};
-use crate::pdn::PdnDesign;
 use crate::ring::RingOutcome;
 use crate::shortcut::{Shortcut, ShortcutPlan};
 use crate::synth::{Attempt, DegradationPolicy, SynthesisOptions, Synthesizer};
@@ -45,29 +49,18 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 /// One artifact-producing phase of the synthesis pipeline, in DAG order.
+/// Steps 3 and 4 produce no artifact: they always run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PhaseId {
     /// Step 1: ring waveguide construction (the MILP).
     Ring,
     /// Step 2: shortcut planning.
     Shortcut,
-    /// Step 3 (first half): signal mapping (pre-opening plan).
-    Mapping,
-    /// Step 3 (second half): ring opening (post-opening plan).
-    Opening,
-    /// Step 4: power distribution network.
-    Pdn,
 }
 
 impl PhaseId {
-    /// Every phase, in pipeline order.
-    pub const ALL: [PhaseId; 5] = [
-        PhaseId::Ring,
-        PhaseId::Shortcut,
-        PhaseId::Mapping,
-        PhaseId::Opening,
-        PhaseId::Pdn,
-    ];
+    /// Every artifact-producing phase, in pipeline order.
+    pub const ALL: [PhaseId; 2] = [PhaseId::Ring, PhaseId::Shortcut];
 
     /// Stable name, matching the obs span emitted when the phase is
     /// recomputed.
@@ -75,9 +68,6 @@ impl PhaseId {
         match self {
             PhaseId::Ring => "ring-milp",
             PhaseId::Shortcut => "shortcut",
-            PhaseId::Mapping => "mapping",
-            PhaseId::Opening => "opening",
-            PhaseId::Pdn => "pdn",
         }
     }
 
@@ -86,9 +76,6 @@ impl PhaseId {
         match self {
             PhaseId::Ring => "incremental.hit.ring-milp",
             PhaseId::Shortcut => "incremental.hit.shortcut",
-            PhaseId::Mapping => "incremental.hit.mapping",
-            PhaseId::Opening => "incremental.hit.opening",
-            PhaseId::Pdn => "incremental.hit.pdn",
         }
     }
 
@@ -97,9 +84,6 @@ impl PhaseId {
         match self {
             PhaseId::Ring => "incremental.miss.ring-milp",
             PhaseId::Shortcut => "incremental.miss.shortcut",
-            PhaseId::Mapping => "incremental.miss.mapping",
-            PhaseId::Opening => "incremental.miss.opening",
-            PhaseId::Pdn => "incremental.miss.pdn",
         }
     }
 }
@@ -118,27 +102,21 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Each key hashes exactly the inputs its phase reads — the option rows
 /// whose [`KeyRole`] names the phase (see [`crate::options`]), plus the
 /// floorplan for the ring — chained to the key of the phase before it, so
-/// a dirty upstream key transitively dirties every phase after it.
-/// Design-only and non-semantic rows (the deadline, the thread count)
-/// key no phase.
+/// a dirty ring key dirties the shortcut key too. The inputs of Steps 3
+/// and 4 and the non-semantic rows (the deadline, the thread count) key
+/// no phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseKeys {
     /// Step 1 key: node positions + the ring rows.
     pub ring: u64,
     /// Step 2 key: ring key + the shortcut rows.
     pub shortcut: u64,
-    /// Step 3a key: shortcut key + the mapping rows.
-    pub mapping: u64,
-    /// Step 3b key: mapping key + the opening rows.
-    pub opening: u64,
-    /// Step 4 key: opening key + the PDN rows.
-    pub pdn: u64,
 }
 
 impl PhaseKeys {
-    /// Computes all five keys for `(net, options)`.
+    /// Computes both keys for `(net, options)`.
     pub fn compute(net: &NetworkSpec, o: &SynthesisOptions) -> PhaseKeys {
-        let mut keys = [0u64; 5];
+        let mut keys = [0u64; PhaseId::ALL.len()];
         let mut upstream = 0u64;
         for (key, phase) in keys.iter_mut().zip(PhaseId::ALL) {
             // Phase tag, upstream key, then the phase's own inputs.
@@ -151,14 +129,8 @@ impl PhaseKeys {
             *key = fnv1a64(&bytes);
             upstream = *key;
         }
-        let [ring, shortcut, mapping, opening, pdn] = keys;
-        PhaseKeys {
-            ring,
-            shortcut,
-            mapping,
-            opening,
-            pdn,
-        }
+        let [ring, shortcut] = keys;
+        PhaseKeys { ring, shortcut }
     }
 
     /// The key of one phase.
@@ -166,15 +138,12 @@ impl PhaseKeys {
         match phase {
             PhaseId::Ring => self.ring,
             PhaseId::Shortcut => self.shortcut,
-            PhaseId::Mapping => self.mapping,
-            PhaseId::Opening => self.opening,
-            PhaseId::Pdn => self.pdn,
         }
     }
 
     /// Phases whose keys differ between `self` and `other` — the dirty
-    /// set a re-synthesis must recompute (always a suffix of the DAG, by
-    /// key chaining).
+    /// set a re-synthesis must recompute (a dirty ring dirties the
+    /// shortcut phase too, by key chaining).
     pub fn dirty_against(&self, other: &PhaseKeys) -> Vec<PhaseId> {
         PhaseId::ALL
             .into_iter()
@@ -191,26 +160,9 @@ pub enum PhaseArtifact {
     Ring(RingOutcome),
     /// Step 2 (empty when Step 2 was disabled).
     Shortcut(ShortcutPlan),
-    /// Step 3a: the mapped plan before any ring was opened.
-    Mapping(MappingPlan),
-    /// Step 3b: the plan after the opening pass, and what it did.
-    Opening((MappingPlan, OpeningStats)),
-    /// Step 4 (`None` when Step 4 was disabled).
-    Pdn(Option<PdnDesign>),
 }
 
 impl PhaseArtifact {
-    /// Which phase produced this artifact.
-    pub fn phase(&self) -> PhaseId {
-        match self {
-            PhaseArtifact::Ring(_) => PhaseId::Ring,
-            PhaseArtifact::Shortcut(_) => PhaseId::Shortcut,
-            PhaseArtifact::Mapping(_) => PhaseId::Mapping,
-            PhaseArtifact::Opening(_) => PhaseId::Opening,
-            PhaseArtifact::Pdn(_) => PhaseId::Pdn,
-        }
-    }
-
     /// Approximate heap footprint, for byte-budgeted stores.
     pub fn approx_bytes(&self) -> usize {
         let base = std::mem::size_of::<Self>();
@@ -220,23 +172,8 @@ impl PhaseArtifact {
                 ring.cycle.len() * 96
             }
             PhaseArtifact::Shortcut(plan) => plan.shortcuts.len() * std::mem::size_of::<Shortcut>(),
-            PhaseArtifact::Mapping(plan) | PhaseArtifact::Opening((plan, _)) => plan_bytes(plan),
-            PhaseArtifact::Pdn(pdn) => pdn.as_ref().map_or(0, |p| {
-                p.sender_loss_db.len() * 32 + p.trees.len() * 40 + p.crossed_waveguides.len() * 8
-            }),
         }
     }
-}
-
-fn plan_bytes(plan: &MappingPlan) -> usize {
-    let mut bytes = plan.routes.len() * std::mem::size_of::<crate::mapping::SignalRoute>();
-    for wg in &plan.ring_waveguides {
-        bytes += 64;
-        for lane in &wg.lanes {
-            bytes += 24 + lane.arcs.len() * std::mem::size_of::<crate::mapping::LaneArc>();
-        }
-    }
-    bytes
 }
 
 /// Persistence for phase artifacts, keyed by `(phase, content key)`.
@@ -307,7 +244,7 @@ impl ArtifactStore for MemoryArtifactStore {
 pub struct IncrementalReport {
     /// Phases replayed verbatim from the store.
     pub hits: Vec<PhaseId>,
-    /// Phases recomputed (the dirty suffix).
+    /// Persisted phases recomputed (the dirty ones).
     pub misses: Vec<PhaseId>,
     /// Whether the request was finished without the store: an
     /// artifact-assembled design failed its audit and was re-run as a
@@ -317,14 +254,9 @@ pub struct IncrementalReport {
 }
 
 impl IncrementalReport {
-    /// Number of phases served from the store.
+    /// Number of phases served from the store (0–2).
     pub fn phases_reused(&self) -> usize {
         self.hits.len()
-    }
-
-    /// True when `phase` was replayed from the store.
-    pub fn reused(&self, phase: PhaseId) -> bool {
-        self.hits.contains(&phase)
     }
 }
 
@@ -366,8 +298,9 @@ pub(crate) fn replay_phase<T: Clone>(
 }
 
 impl Synthesizer {
-    /// Re-synthesizes `net`, replaying clean phases from `store` and
-    /// recomputing only the dirty suffix of the phase DAG.
+    /// Re-synthesizes `net`, replaying the ring and shortcut phases from
+    /// `store` when their keys are clean. Mapping, opening and PDN always
+    /// run.
     ///
     /// Phase keys are content hashes of each phase's actual inputs
     /// ([`PhaseKeys::compute`]); a phase whose key is present in `store`
@@ -450,6 +383,7 @@ impl Synthesizer {
 mod tests {
     use super::*;
     use crate::netspec::NodeId;
+    use crate::options::design_key;
     use crate::ring::RingBuilder;
     use crate::traffic::Traffic;
     use xring_geom::Point;
@@ -486,7 +420,7 @@ mod tests {
     }
 
     #[test]
-    fn traffic_edit_dirties_only_mapping_suffix() {
+    fn traffic_edit_dirties_only_the_design_key() {
         let net = NetworkSpec::proton_8();
         let a = PhaseKeys::compute(&net, &opts());
         let edited = SynthesisOptions {
@@ -494,20 +428,19 @@ mod tests {
             ..opts()
         };
         let b = PhaseKeys::compute(&net, &edited);
-        assert_eq!(
-            a.dirty_against(&b),
-            vec![PhaseId::Mapping, PhaseId::Opening, PhaseId::Pdn]
-        );
+        assert_eq!(a.dirty_against(&b), vec![]);
+        assert_ne!(design_key(&net, &opts()), design_key(&net, &edited));
     }
 
     #[test]
-    fn loss_edit_dirties_only_pdn() {
+    fn loss_edit_dirties_only_the_design_key() {
         let net = NetworkSpec::proton_8();
         let a = PhaseKeys::compute(&net, &opts());
         let mut o = opts();
         o.loss.crossing_db += 0.01;
         let b = PhaseKeys::compute(&net, &o);
-        assert_eq!(a.dirty_against(&b), vec![PhaseId::Pdn]);
+        assert_eq!(a.dirty_against(&b), vec![]);
+        assert_ne!(design_key(&net, &opts()), design_key(&net, &o));
     }
 
     #[test]
@@ -546,10 +479,10 @@ mod tests {
         let (cold, r0) = synth
             .synthesize_incremental(&net, &store)
             .expect("cold run");
-        assert_eq!(r0.misses.len(), 5);
-        assert_eq!(store.len(), 5);
+        assert_eq!(r0.misses, PhaseId::ALL.to_vec());
+        assert_eq!(store.len(), 2);
         let (hot, r1) = synth.synthesize_incremental(&net, &store).expect("hot run");
-        assert_eq!(r1.hits.len(), 5);
+        assert_eq!(r1.hits, PhaseId::ALL.to_vec());
         assert!(r1.misses.is_empty());
         assert_eq!(cold.describe(), hot.describe());
     }
@@ -570,7 +503,7 @@ mod tests {
     }
 
     #[test]
-    fn demand_edit_recomputes_only_mapping_suffix() {
+    fn demand_edit_replays_ring_and_shortcut() {
         let net = NetworkSpec::proton_8();
         let store = MemoryArtifactStore::new();
         let synth = Synthesizer::new(opts());
@@ -586,14 +519,20 @@ mod tests {
             ),
             ..opts()
         });
+        let keys = PhaseKeys::compute(&net, edited.options());
+        assert_eq!(
+            keys.dirty_against(&PhaseKeys::compute(&net, &opts())),
+            vec![]
+        );
+        assert_ne!(
+            design_key(&net, &opts()),
+            design_key(&net, edited.options())
+        );
         let (design, report) = edited
             .synthesize_incremental(&net, &store)
             .expect("edited run");
         assert_eq!(report.hits, vec![PhaseId::Ring, PhaseId::Shortcut]);
-        assert_eq!(
-            report.misses,
-            vec![PhaseId::Mapping, PhaseId::Opening, PhaseId::Pdn]
-        );
+        assert!(report.misses.is_empty());
         // The edited design matches a cold synthesis of the edited spec.
         let cold = edited.synthesize(&net).expect("cold");
         assert_eq!(design.describe(), cold.describe());
@@ -696,9 +635,6 @@ mod tests {
             traffic: Traffic::Custom(vec![(NodeId(0), NodeId(2))]),
             ..opts()
         };
-        assert_ne!(
-            PhaseKeys::compute(&net, &t1).mapping,
-            PhaseKeys::compute(&net, &t2).mapping
-        );
+        assert_ne!(design_key(&net, &t1), design_key(&net, &t2));
     }
 }

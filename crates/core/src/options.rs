@@ -28,11 +28,12 @@ use xring_phot::{CrosstalkParams, LossParams, PowerParams};
 /// Which content keys an option takes part in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KeyRole {
-    /// An input of one pipeline phase: it keys that phase and, through
-    /// key chaining, every later phase and the design.
+    /// An input of one persisted pipeline phase: it keys that phase and,
+    /// through key chaining, every later persisted phase and the design.
     Phase(PhaseId),
-    /// Shapes the released design but no phase artifact (the degradation
-    /// policy, the ring spacing): it keys only the design.
+    /// Shapes the released design but no phase artifact (the inputs of
+    /// mapping, openings and PDN, the degradation policy, the ring
+    /// spacing): it keys only the design.
     Design,
     /// Never changes a completed synthesis (the deadline, the solver
     /// thread count): it keys nothing.
@@ -41,9 +42,6 @@ pub enum KeyRole {
 
 pub(crate) const RING: KeyRole = KeyRole::Phase(PhaseId::Ring);
 pub(crate) const SHORTCUT: KeyRole = KeyRole::Phase(PhaseId::Shortcut);
-pub(crate) const MAPPING: KeyRole = KeyRole::Phase(PhaseId::Mapping);
-pub(crate) const OPENING: KeyRole = KeyRole::Phase(PhaseId::Opening);
-pub(crate) const PDN: KeyRole = KeyRole::Phase(PhaseId::Pdn);
 pub(crate) const DESIGN: KeyRole = KeyRole::Design;
 pub(crate) const NON_SEMANTIC: KeyRole = KeyRole::NonSemantic;
 
@@ -555,6 +553,22 @@ mod tests {
                 field.name
             );
         }
+        // Only the ring and shortcut inputs key a persisted phase.
+        let phase_rows: Vec<&str> = SynthesisOptions::FIELDS
+            .iter()
+            .filter(|f| matches!(f.role, KeyRole::Phase(_)))
+            .map(|f| f.name)
+            .collect();
+        assert_eq!(
+            phase_rows,
+            [
+                "ring_algorithm",
+                "shortcuts",
+                "lp_backend",
+                "pricing",
+                "factorization"
+            ]
+        );
     }
 
     #[test]

@@ -6,9 +6,7 @@ use crate::fault::SpareConfig;
 use crate::incremental::{replay_phase, PhaseArtifact, PhaseId, Replay};
 use crate::netspec::NetworkSpec;
 use crate::opening::{open_rings, OpeningStats};
-use crate::options::{
-    option_table, positive, Flag, DESIGN, MAPPING, NON_SEMANTIC, OPENING, PDN, RING, SHORTCUT,
-};
+use crate::options::{option_table, positive, Flag, DESIGN, NON_SEMANTIC, RING, SHORTCUT};
 use crate::pdn::design_pdn;
 use crate::ring::{RingAlgorithm, RingBuilder};
 use crate::shortcut::{plan_shortcuts, ShortcutPlan};
@@ -89,29 +87,29 @@ option_table! {
         ring_algorithm: RingAlgorithm = RingAlgorithm::Milp, role RING, json "ring_algorithm",
             cli Flag::Value("--ring") => "ring construction algorithm";
         /// `#wl`: maximum wavelengths per ring waveguide.
-        max_wavelengths: usize = 16, parse positive, role MAPPING, json "max_wavelengths",
+        max_wavelengths: usize = 16, parse positive, role DESIGN, json "max_wavelengths",
             cli Flag::Value("--wl") => "maximum wavelengths per ring waveguide (#wl)";
         /// Maximum ring waveguides (0 = unlimited).
-        max_waveguides: usize = 0, role MAPPING, json "max_waveguides";
+        max_waveguides: usize = 0, role DESIGN, json "max_waveguides";
         /// Enable Step 2 (shortcut construction).
         shortcuts: bool = true, role SHORTCUT, json "shortcuts",
             cli Flag::Disable("--no-shortcuts") => "skip Step 2 (shortcut construction)";
         /// Enable ring openings (second half of Step 3).
-        openings: bool = true, role OPENING, json "openings",
+        openings: bool = true, role DESIGN, json "openings",
             cli Flag::Disable("--no-openings") => "skip the ring openings of Step 3";
         /// Enable Step 4 (PDN synthesis); when false, reports omit laser
         /// power, matching Table I's no-PDN comparison.
-        pdn: bool = true, role PDN, json "pdn",
+        pdn: bool = true, role DESIGN, json "pdn",
             cli Flag::Disable("--no-pdn") => "skip Step 4 (PDN; reports omit laser power)";
         /// Ring-pair spacing constants.
         spacing: RingSpacing = RingSpacing::default(), role DESIGN;
         /// On-die coupling point of the off-chip laser.
-        laser: Point = Point::new(-1_000, -1_000), role PDN;
+        laser: Point = Point::new(-1_000, -1_000), role DESIGN;
         /// Which node pairs communicate (default: the paper's all-to-all).
-        traffic: Traffic = Traffic::AllToAll, role MAPPING, json "traffic";
+        traffic: Traffic = Traffic::AllToAll, role DESIGN, json "traffic";
         /// Loss parameters (used during PDN design; evaluation may use the
         /// same or another set).
-        loss: LossParams = LossParams::default(), role PDN;
+        loss: LossParams = LossParams::default(), role DESIGN;
         /// Wall-clock budget for the whole pipeline (`None` = unbounded).
         /// Checked cooperatively between steps and, most importantly, once
         /// per node inside the ring-construction branch-and-bound; expiry
@@ -158,7 +156,7 @@ option_table! {
         /// post-failure auditor and fails with
         /// [`SynthesisError::SurvivabilityFailed`] rather than return an
         /// unsurvivable design (see [`crate::fault`]).
-        spares: SpareConfig = SpareConfig::default(), role MAPPING, json "spares",
+        spares: SpareConfig = SpareConfig::default(), role DESIGN, json "spares",
             with with_spares, cli Flag::Value("--spares") =>
             "spare wavelength channels and MRRs per route;\n\
              synthesis then proves every single device fault\nsurvivable";
@@ -292,9 +290,10 @@ impl Synthesizer {
     /// reported as [`SynthesisError::AuditFailed`].
     ///
     /// With no `replay` every phase runs directly: a cold synthesis.
-    /// With one, each phase is replayed from its store by the phase's
-    /// key when the artifact is there, and persisted back when it is
-    /// recomputed (see [`crate::incremental`]).
+    /// With one, the ring and shortcut phases are replayed from its
+    /// store by their keys when their artifacts are there, and persisted
+    /// back when they are recomputed (see [`crate::incremental`]).
+    /// Mapping, openings and PDN always run.
     pub(crate) fn walk(
         &self,
         net: &NetworkSpec,
@@ -365,9 +364,7 @@ impl Synthesizer {
 
         // Step 3a: mapping. Spare wavelengths are reserved by mapping
         // into a reduced budget: the top `k_wavelengths` channels stay
-        // dark until a fault repair claims them. The budget check
-        // precedes any replay, so such a spec fails identically with or
-        // without a store.
+        // dark until a fault repair claims them.
         check_deadline()?;
         let effective_wavelengths = o.max_wavelengths.saturating_sub(o.spares.k_wavelengths);
         if o.spares.k_wavelengths > 0 && effective_wavelengths == 0 {
@@ -376,66 +373,33 @@ impl Synthesizer {
                 max_waveguides: o.max_waveguides,
             });
         }
-        let mapped = replay_phase(
-            &mut replay,
-            PhaseId::Mapping,
-            |a| match a {
-                PhaseArtifact::Mapping(plan) => Some(plan),
-                _ => None,
-            },
-            PhaseArtifact::Mapping,
-            || {
-                let _s = xring_obs::span("mapping");
-                crate::mapping::map_signals_with_traffic(
-                    net,
-                    &ring.cycle,
-                    &shortcuts,
-                    &o.traffic,
-                    effective_wavelengths,
-                    o.max_waveguides,
-                )
-            },
-        )?;
+        let mut plan = {
+            let _s = xring_obs::span("mapping");
+            crate::mapping::map_signals_with_traffic(
+                net,
+                &ring.cycle,
+                &shortcuts,
+                &o.traffic,
+                effective_wavelengths,
+                o.max_waveguides,
+            )?
+        };
 
         // Step 3b: openings.
         check_deadline()?;
-        let (plan, opening_stats) = replay_phase(
-            &mut replay,
-            PhaseId::Opening,
-            |a| match a {
-                PhaseArtifact::Opening(opened) => Some(opened),
-                _ => None,
-            },
-            PhaseArtifact::Opening,
-            || {
-                let mut plan = mapped;
-                let stats = if o.openings {
-                    let _s = xring_obs::span("opening");
-                    open_rings(&ring.cycle, &mut plan, effective_wavelengths)
-                } else {
-                    OpeningStats::default()
-                };
-                Ok((plan, stats))
-            },
-        )?;
+        let opening_stats = if o.openings {
+            let _s = xring_obs::span("opening");
+            open_rings(&ring.cycle, &mut plan, effective_wavelengths)
+        } else {
+            OpeningStats::default()
+        };
 
         // Step 4: PDN.
         check_deadline()?;
-        let pdn = replay_phase(
-            &mut replay,
-            PhaseId::Pdn,
-            |a| match a {
-                PhaseArtifact::Pdn(pdn) => Some(pdn),
-                _ => None,
-            },
-            PhaseArtifact::Pdn,
-            || {
-                Ok(o.pdn.then(|| {
-                    let _s = xring_obs::span("pdn");
-                    design_pdn(net, &ring.cycle, &plan, &shortcuts, &o.loss, o.laser)
-                }))
-            },
-        )?;
+        let pdn = o.pdn.then(|| {
+            let _s = xring_obs::span("pdn");
+            design_pdn(net, &ring.cycle, &plan, &shortcuts, &o.loss, o.laser)
+        });
 
         let layout = {
             let _s = xring_obs::span("realize");

@@ -39,8 +39,8 @@
 //! # Phase artifacts
 //!
 //! Besides whole designs, the cache doubles as the engine's
-//! [`ArtifactStore`]: each pipeline phase's output (ring, shortcuts,
-//! mapping, opening, PDN) is stored under an `(phase, content key)`
+//! [`ArtifactStore`]: the outputs of the two persisted pipeline phases
+//! (ring and shortcuts) are stored under a `(phase, content key)`
 //! address derived from [`PhaseKeys`](xring_core::PhaseKeys). Artifacts
 //! share the byte budget and the recency queue with whole designs, so a
 //! hot edit loop keeps its phase prefix resident while cold designs age
@@ -219,12 +219,6 @@ impl CounterRow for CacheCounter {
         Series::local("cache.phase_misses.ring-milp"),
         Series::local("cache.phase_hits.shortcut"),
         Series::local("cache.phase_misses.shortcut"),
-        Series::local("cache.phase_hits.mapping"),
-        Series::local("cache.phase_misses.mapping"),
-        Series::local("cache.phase_hits.opening"),
-        Series::local("cache.phase_misses.opening"),
-        Series::local("cache.phase_hits.pdn"),
-        Series::local("cache.phase_misses.pdn"),
     ];
 
     fn index(self) -> usize {
@@ -440,38 +434,42 @@ impl DesignCache {
         }
     }
 
-    /// Corrupts the phase artifact at `(phase, key)` in place and reports
-    /// whether it did. The payload vectors of a shortcut, mapping,
-    /// opening or PDN artifact are cleared, so a design assembled from
-    /// it cannot pass its audit. A ring artifact is left alone and
-    /// reports `false`: its geometry is private to `xring-core`, so this
-    /// hook has nothing it could damage detectably (core's own tests
-    /// swap in a ring of another floorplan instead). Fault-injection
-    /// hook for the incremental path: the next re-synthesis that
-    /// consumes a cleared artifact must detect the damage and fall back
-    /// to a cold run.
+    /// Re-routes the first shortcut of the plan stored under `keys`
+    /// straight across the longest segment of the ring stored beside it,
+    /// and reports whether it did (both artifacts present, the plan not
+    /// empty). The audit rejects a design assembled from that plan; it
+    /// would not see a well-formed but wrong one, such as a plan with a
+    /// shortcut dropped. A ring is never damaged: its geometry is private
+    /// to `xring-core`. Fault-injection hook: the next re-synthesis that
+    /// replays the plan must detect the damage and fall back to a cold run.
     #[cfg(any(test, feature = "fault-inject"))]
-    pub fn corrupt_artifact(&self, phase: PhaseId, key: u64) -> bool {
+    pub fn corrupt_artifact(&self, keys: &xring_core::PhaseKeys) -> bool {
+        use xring_geom::{LRoute, Point, RouteOption};
         let mut inner = self.lock();
-        match inner.map.get_mut(&artifact_key(phase, key)) {
-            Some(Entry {
-                payload: Payload::Artifact(artifact),
-                ..
-            }) => {
-                match artifact {
-                    PhaseArtifact::Ring(_) => return false,
-                    PhaseArtifact::Shortcut(plan) => plan.shortcuts.clear(),
-                    PhaseArtifact::Mapping(plan) | PhaseArtifact::Opening((plan, _)) => {
-                        plan.routes.clear()
-                    }
-                    PhaseArtifact::Pdn(pdn) => {
-                        if let Some(p) = pdn {
-                            p.sender_loss_db.clear();
-                        }
-                    }
-                }
-                true
-            }
+        let ring = inner.map.get(&artifact_key(PhaseId::Ring, keys.ring));
+        let Some(Payload::Artifact(PhaseArtifact::Ring(ring))) = ring.map(|e| &e.payload) else {
+            return false;
+        };
+        let segments = ring.cycle.polyline().segments();
+        let seg = segments
+            .iter()
+            .max_by_key(|s| s.length())
+            .expect("a ring has segments");
+        let (a, b) = (seg.start(), seg.end());
+        let mid = Point::new((a.x + b.x) / 2, (a.y + b.y) / 2);
+        let (dx, dy) = if seg.is_horizontal() { (0, 1) } else { (1, 0) };
+        let across = LRoute::new(
+            Point::new(mid.x - dx, mid.y - dy),
+            Point::new(mid.x + dx, mid.y + dy),
+            RouteOption::HorizontalFirst,
+        );
+        let key = artifact_key(PhaseId::Shortcut, keys.shortcut);
+        match inner.map.get_mut(&key).map(|e| &mut e.payload) {
+            Some(Payload::Artifact(PhaseArtifact::Shortcut(plan))) => plan
+                .shortcuts
+                .first_mut()
+                .map(|s| s.route = across)
+                .is_some(),
             _ => false,
         }
     }
@@ -560,7 +558,7 @@ impl ArtifactStore for DesignCache {
 mod tests {
     use super::*;
     use std::time::Duration;
-    use xring_core::{NetworkSpec, RingAlgorithm, RingBuilder, SynthesisOptions, Traffic};
+    use xring_core::{NetworkSpec, SynthesisOptions, Traffic};
 
     fn job(label: &str, wl: usize) -> SynthesisJob {
         SynthesisJob::new(
@@ -814,7 +812,16 @@ mod tests {
             assert_eq!(name(CacheCounter::PhaseHits(phase)), hits);
             assert_eq!(name(CacheCounter::PhaseMisses(phase)), misses);
         }
-        assert_eq!(CacheCounter::TABLE.len(), 7 + 2 * PhaseId::ALL.len());
+        let phase_rows: Vec<&str> = CacheCounter::TABLE[7..].iter().map(|s| s.name).collect();
+        assert_eq!(
+            phase_rows,
+            [
+                "cache.phase_hits.ring-milp",
+                "cache.phase_misses.ring-milp",
+                "cache.phase_hits.shortcut",
+                "cache.phase_misses.shortcut",
+            ]
+        );
     }
 
     #[test]
@@ -934,28 +941,45 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_artifact_clears_payload() {
+    fn corrupt_artifact_routes_a_shortcut_across_the_ring() {
+        let net = NetworkSpec::psion_16();
+        let options = SynthesisOptions::with_wavelengths(16);
+        let keys = xring_core::PhaseKeys::compute(&net, &options);
         let cache = DesignCache::new();
-        cache.put_artifact(PhaseId::Shortcut, 3, shortcut_artifact(2));
-        assert!(cache.corrupt_artifact(PhaseId::Shortcut, 3));
-        match cache.get_artifact(PhaseId::Shortcut, 3) {
-            Some(PhaseArtifact::Shortcut(plan)) => assert!(plan.shortcuts.is_empty()),
-            other => panic!("expected corrupted shortcut artifact, got {other:?}"),
+        assert!(!cache.corrupt_artifact(&keys), "nothing stored yet");
+        xring_core::Synthesizer::new(options.clone())
+            .synthesize_incremental(&net, &cache)
+            .expect("seed run");
+        let Some(PhaseArtifact::Ring(ring)) = cache.get_artifact(PhaseId::Ring, keys.ring) else {
+            panic!("seed run stored no ring artifact");
+        };
+        assert!(cache.corrupt_artifact(&keys));
+        match cache.get_artifact(PhaseId::Shortcut, keys.shortcut) {
+            Some(PhaseArtifact::Shortcut(plan)) => {
+                let ring_segments = ring.cycle.polyline().segments();
+                assert!(
+                    plan.shortcuts[0]
+                        .route
+                        .proper_crossings_with(&ring_segments)
+                        > 0
+                );
+            }
+            other => panic!("expected the damaged shortcut artifact, got {other:?}"),
         }
-        // No ring artifact under key 3: nothing to corrupt.
-        assert!(!cache.corrupt_artifact(PhaseId::Ring, 3));
-        // A stored ring artifact is reported untouched and replays as
-        // stored.
-        let ring = RingBuilder::new()
-            .with_algorithm(RingAlgorithm::Heuristic)
-            .build(&NetworkSpec::proton_8())
-            .expect("ring");
-        cache.put_artifact(PhaseId::Ring, 4, PhaseArtifact::Ring(ring.clone()));
-        assert!(!cache.corrupt_artifact(PhaseId::Ring, 4));
-        match cache.get_artifact(PhaseId::Ring, 4) {
+        // The ring artifact replays as stored.
+        match cache.get_artifact(PhaseId::Ring, keys.ring) {
             Some(PhaseArtifact::Ring(stored)) => assert_eq!(stored.cycle, ring.cycle),
             other => panic!("expected the stored ring artifact, got {other:?}"),
         }
+        // An empty plan has no shortcut to re-route.
+        let none = SynthesisOptions {
+            shortcuts: false,
+            ..options
+        };
+        xring_core::Synthesizer::new(none.clone())
+            .synthesize_incremental(&net, &cache)
+            .expect("run without shortcuts");
+        assert!(!cache.corrupt_artifact(&xring_core::PhaseKeys::compute(&net, &none)));
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub struct JobOutput {
     /// Whether the design came from the cache.
     pub cache_hit: bool,
     /// How many pipeline phases were replayed from cached artifacts
-    /// (0–5; only [`Engine::resynthesize`](crate::Engine::resynthesize)
+    /// (0–2: ring and shortcuts; only [`Engine::resynthesize`](crate::Engine::resynthesize)
     /// sets this — plain batch jobs report 0).
     pub phases_reused: usize,
 }

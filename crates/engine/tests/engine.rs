@@ -221,6 +221,38 @@ fn a_resynthesis_does_not_depend_on_the_previous_job() {
 }
 
 #[test]
+fn toggling_openings_or_pdn_replays_only_ring_and_shortcut() {
+    // Openings and PDN key no persisted phase: after a base run, either
+    // toggle replays the ring and the shortcuts and runs Steps 3 and 4
+    // exactly as a cold synthesis does.
+    let net = NetworkSpec::irregular(16, 8_000, 5).expect("valid");
+    let options = SynthesisOptions::with_wavelengths(8);
+    let engine = Engine::new().with_workers(1);
+    engine
+        .resynthesize(&SynthesisJob::new("base", net.clone(), options.clone()))
+        .expect("base run");
+    let no_openings = SynthesisOptions {
+        openings: false,
+        ..options.clone()
+    };
+    for (label, toggled) in [
+        ("no-openings", no_openings),
+        ("no-pdn", options.without_pdn()),
+    ] {
+        let out = engine
+            .resynthesize(&SynthesisJob::new(label, net.clone(), toggled.clone()))
+            .expect("toggled run");
+        let cold = Synthesizer::new(toggled)
+            .synthesize(&net)
+            .expect("cold run");
+        assert!(!out.cache_hit, "{label}");
+        assert_eq!(out.phases_reused, 2, "{label}");
+        assert_eq!(out.design.describe(), cold.describe(), "{label}");
+        assert_eq!(out.design.plan, cold.plan, "{label}");
+    }
+}
+
+#[test]
 fn duplicate_jobs_share_one_synthesis() {
     let net = NetworkSpec::proton_8();
     let job =

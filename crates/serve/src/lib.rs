@@ -40,9 +40,9 @@
 //!   LRU eviction serves all requests — repeated specs cost a lookup.
 //! * **Incremental re-synthesis**: `/synth` runs through
 //!   [`Engine::resynthesize`](xring_engine::Engine::resynthesize): a
-//!   request replays every pipeline phase whose key an earlier request
-//!   stored in the cache and recomputes only the rest, so an edited spec
-//!   recomputes only its dirty suffix. `/metrics` exposes
+//!   request replays the ring and shortcut phases when an earlier
+//!   request stored their keys in the cache, and runs mapping, openings
+//!   and PDN as a cold synthesis does. `/metrics` exposes
 //!   `xring_serve_incremental_total` and per-phase
 //!   `xring_cache_phase_{hits,misses}_*` counters.
 //! * **Live metrics** ([`metrics`]): always-on lock-free histograms

@@ -450,7 +450,7 @@ mod tests {
         assert!(text.contains("xring_cache_artifact_hits_total 0"));
         assert!(text.contains("xring_cache_artifact_misses_total 0"));
         assert!(text.contains("xring_cache_phase_hits_ring_milp_total 0"));
-        assert!(text.contains("xring_cache_phase_misses_pdn_total 0"));
+        assert!(text.contains("xring_cache_phase_misses_shortcut_total 0"));
         assert!(text.contains("xring_serve_inflight 1"));
         assert!(text.contains("xring_serve_request_wall_us_bucket"));
         assert!(text.contains("xring_serve_request_wall_us_count 2"));

@@ -18,8 +18,8 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use xring::core::{
-    MemoryArtifactStore, NetworkSpec, RingAlgorithm, RingBuilder, SpareConfig, SweepObjective,
-    SynthesisOptions, Synthesizer, Traffic,
+    MemoryArtifactStore, NetworkSpec, PhaseId, RingAlgorithm, RingBuilder, SpareConfig,
+    SweepObjective, SynthesisOptions, Synthesizer, Traffic,
 };
 use xring::engine::{DesignCache, Engine, SynthesisJob};
 use xring::obs::{RequestCtx, RequestId, Trace};
@@ -123,12 +123,12 @@ proton_8 wl8                       1       1       0      21       0       0    
 psion_16 wl16                      2       2       8      80       1       1       0      74       6       0    12    3127
 psion_32 wl16                     50      50      84     675      50      49       0     384      16       2    14  105913
 irr16 wl8                          7       7      20      88       6       6       0      78       7       2    14    5346
-irr16 wl8 drop-0 edit              0       0       0       0       0       0       0       0       0       0     7    1289  reused 2/5
+irr16 wl8 drop-0 edit              0       0       0       0       0       0       0       0       0       0     7    1053  reused 2/2
 irr64 ring                        71      71      82    8592      72      70       0       0       0       0     1  441432
 irr128 s1 knn3-heur                0       0       0       0       0       0       0    1376      58      12    37    1561
 irr128 s2 knn3-heur                0       0       0       0       0       0       1    1319      58      10    22    1478
 irr128 s3 knn3-heur                0       0       0       0       0       0       0    1390      54       9    21    1378
-irr128 s1 knn3-heur resynth        0       0       0       0       0       0       0    1376      58      12    39    1786
+irr128 s1 knn3-heur resynth        0       0       0       0       0       0       0    1376      58      12    39    1622
 batch proton_8 x2                  3       3       0      63       0       0       0      12       6       0    46       -  hits 3 misses 3
 sweep proton_8 #wl 2/4/8           1       1       0      21       0       0       0       4       2       0    32       -  best #wl=2
 fault-sweep proton_8               2       2       0      42       0       0       0       8       4       0   191       -  scenarios 191 margins 9/96 95/95
@@ -155,7 +155,7 @@ fn fixture_work_matches_the_golden_counters() {
     }
 
     // An incremental edit: the store is seeded outside the capture, then
-    // dropping demand 0 replays ring and shortcut and recomputes the rest.
+    // dropping demand 0 replays ring and shortcut and runs the rest.
     let net = NetworkSpec::irregular(16, 8_000, 5).expect("irregular");
     let options = SynthesisOptions::with_wavelengths(8);
     let store = MemoryArtifactStore::new();
@@ -174,7 +174,7 @@ fn fixture_work_matches_the_golden_counters() {
             .expect("edit synthesizes")
     });
     assert!(design.provenance.audit.is_clean());
-    let outcome = format!("reused {}/5", report.phases_reused());
+    let outcome = format!("reused {}/{}", report.phases_reused(), PhaseId::ALL.len());
     rows.push(row("irr16 wl8 drop-0 edit", &trace, Some(allocs), &outcome));
 
     // The 64-node ring MILP: the deepest branch-and-bound tree pinned.
@@ -200,7 +200,8 @@ fn fixture_work_matches_the_golden_counters() {
 
     // A served /synth: `Engine::resynthesize` into a byte-budgeted cache
     // the size of perfbench's, on the calling thread, so the count sees
-    // the phase artifacts the cache stores alongside the design.
+    // the ring and shortcut artifacts the cache stores alongside the
+    // design.
     let net = NetworkSpec::irregular(128, 28_000, 1).expect("irregular");
     let job = SynthesisJob::new(
         "irr128 s1",

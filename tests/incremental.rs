@@ -9,9 +9,9 @@
 //! 2. **Dirty-suffix-only recompute** — a single-demand edit replays
 //!    the ring and shortcut phases verbatim (no `ring-milp` /
 //!    `shortcut` spans in the trace, no LP solve and no simplex pivot,
-//!    where a cold synthesis of the edited spec does both) and
-//!    recomputes exactly the mapping → opening → PDN suffix.
-//! 3. **Fault containment** (`--features fault-inject`) — a phase
+//!    where a cold synthesis of the edited spec does both) and runs
+//!    mapping → opening → PDN once each, as a cold synthesis does.
+//! 3. **Fault containment** (`--features fault-inject`) — a shortcut
 //!    artifact corrupted mid-edit is detected by the audit, evicted,
 //!    and the request falls back to a cold synthesis with the same
 //!    byte-identical result.
@@ -103,13 +103,14 @@ fn edit_recomputes_only_the_dirty_suffix_of_the_phase_dag() {
         let count = trace.spans.iter().filter(|s| s.name == phase).count();
         assert_eq!(count, 0, "replayed phase {phase} recomputed {count}x");
     }
-    // ...while the dirty suffix recomputes exactly once each.
+    // ...while mapping, opening and PDN, which persist nothing, run
+    // exactly once each.
     for phase in ["mapping", "opening", "pdn"] {
         let count = trace.spans.iter().filter(|s| s.name == phase).count();
         assert_eq!(count, 1, "dirty phase {phase} ran {count}x");
     }
     assert_eq!(trace.total("incremental.phase_hits"), 2);
-    assert_eq!(trace.total("incremental.phase_misses"), 3);
+    assert_eq!(trace.total("incremental.phase_misses"), 0);
     assert_eq!(trace.total("incremental.fallbacks"), 0);
 
     // The edit is cheaper in work, not only in wall time: it solves no
@@ -130,35 +131,31 @@ fn edit_recomputes_only_the_dirty_suffix_of_the_phase_dag() {
     }
 }
 
-/// A mapping artifact corrupted between the seed run and the edit: the
-/// edit (an openings toggle, which keeps ring/shortcut/mapping keys
-/// clean) would replay the damaged plan, so the audit must catch it,
-/// evict the artifacts and re-run cold — same bytes as an honest cold
-/// synthesis, no error surfaced to the caller.
+/// A shortcut artifact corrupted between the seed run and the edit: the
+/// edit (a dropped demand, which keeps the ring and shortcut keys clean)
+/// replays the damaged plan, so the audit must catch it, evict the
+/// artifacts and re-run cold — same bytes as an honest cold synthesis,
+/// no error surfaced to the caller.
 #[cfg(feature = "fault-inject")]
 #[test]
 fn corrupted_artifact_mid_edit_falls_back_to_cold_synthesis() {
-    use xring::core::{PhaseId, PhaseKeys};
+    use xring::core::PhaseKeys;
 
     let _lock = obs::test_guard();
-    let (base, _) = fixture();
-    let mut edited = base.clone();
-    edited.label = "edit-no-openings".to_owned();
-    edited.options.openings = false;
+    let (base, edited) = fixture();
 
     let engine = Engine::new().with_workers(1);
     engine
         .resynthesize(&base)
         .expect("pinned edit workload is feasible");
 
-    // The mapping key ignores the openings flag, so the edit would
-    // replay this (now damaged) artifact verbatim.
+    // Traffic keys no persisted phase, so the edit would replay this
+    // (now damaged) shortcut plan verbatim.
     let keys = PhaseKeys::compute(&base.net, &base.options);
+    assert_eq!(keys, PhaseKeys::compute(&edited.net, &edited.options));
     assert!(
-        engine
-            .cache()
-            .corrupt_artifact(PhaseId::Mapping, keys.mapping),
-        "seed run must have persisted a mapping artifact"
+        engine.cache().corrupt_artifact(&keys),
+        "seed run must have persisted a ring and a non-empty shortcut plan"
     );
 
     obs::start();
