@@ -146,6 +146,18 @@ echo "==> fault-sweep smoke (CLI Pareto report over spare levels)"
 echo "==> sweep smoke (CLI #wl sweep marks a winner)"
 ./target/release/xring sweep --grid 2x4 --wl 8 | grep -q '<= best'
 
+echo "==> batch smoke (a ring shared by a batch's #wl points is solved once)"
+batch_nodes() {
+    ./target/release/xring --jobs 1 batch --irregular 32,5,16000 --wl-list "$1" \
+        | sed -n 's/.*milp: \([0-9]*\) nodes.*/\1/p'
+}
+nodes_one=$(batch_nodes 16)
+nodes_five=$(batch_nodes 12,16,20,24,28)
+if [ -z "$nodes_one" ] || [ "$nodes_one" != "$nodes_five" ]; then
+    echo "batch: 5 #wl points explored '$nodes_five' B&B nodes, 1 point '$nodes_one'" >&2
+    exit 1
+fi
+
 echo "==> table smoke (Table III's XRing rows come from the audited engine sweep)"
 cargo run -q --release --offline -p xring-bench --bin table3 | grep -q '^XRing'
 

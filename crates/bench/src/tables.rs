@@ -67,7 +67,8 @@ fn paper_options(wl: usize) -> SynthesisOptions {
 }
 
 /// Runs whole-pipeline jobs as an engine batch and unwraps the reports,
-/// propagating the first failure in job order.
+/// propagating the first failure in job order. Rows sharing a ring solve
+/// it once; a replayed row's `T(s)` is its own Steps 2–4.
 fn batch_reports(
     engine: &Engine,
     jobs: Vec<SynthesisJob>,

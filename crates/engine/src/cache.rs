@@ -261,13 +261,17 @@ impl std::fmt::Debug for DesignCache {
     }
 }
 
+/// Whether a design may be stored: a clean audit (which validated its
+/// layout) and one layout signal per mapped route.
+fn entry_is_storable(design: &XRingDesign) -> bool {
+    design.provenance.audit.is_clean() && design.layout.signals.len() == design.plan.routes.len()
+}
+
 /// Whether a cached design still satisfies the invariants it was stored
 /// with. Entries are validated on every read — a corrupted design (bit
 /// rot, an injected fault, a bug elsewhere) must never be served.
 fn entry_is_intact(design: &XRingDesign) -> bool {
-    design.provenance.audit.is_clean()
-        && design.layout.signals.len() == design.plan.routes.len()
-        && design.layout.validate().is_ok()
+    entry_is_storable(design) && design.layout.validate().is_ok()
 }
 
 impl DesignCache {
@@ -347,16 +351,15 @@ impl DesignCache {
 
     /// Stores a freshly synthesized design. Concurrent duplicate inserts
     /// (two workers racing on the same key) keep the first entry so
-    /// already-shared `Arc`s stay canonical. Designs that fail the
-    /// intactness check (unaudited, dirty audit, misaligned layout) are
-    /// refused — the cache never holds an entry it would evict on read —
-    /// and so are designs degraded by deadline expiry (see the module
-    /// docs).
+    /// already-shared `Arc`s stay canonical. Unaudited, dirty-audit and
+    /// misaligned designs are refused (the audit validated the layout;
+    /// reads validate it again), and so are designs degraded by deadline
+    /// expiry (see the module docs).
     ///
     /// Under a byte budget, inserting may evict least-recently-used
     /// entries until the estimated total fits again.
     pub fn insert(&self, key: Vec<u8>, design: Arc<XRingDesign>, report: RouterReport) {
-        if !entry_is_intact(&design) || design.provenance.degraded_by_deadline() {
+        if !entry_is_storable(&design) || design.provenance.degraded_by_deadline() {
             return;
         }
         let bytes = approx_entry_bytes(key.len(), &design, &report);

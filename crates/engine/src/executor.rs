@@ -1,12 +1,13 @@
 //! The worker-pool executor.
 
+use std::collections::HashSet;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Instant;
-use xring_core::{audit_report_bounds, SynthesisError, Synthesizer, XRingDesign};
+use xring_core::{audit_report_bounds, PhaseKeys, SynthesisError, Synthesizer, XRingDesign};
 use xring_phot::RouterReport;
 
 use crate::cache::{canonical_key, DesignCache};
@@ -112,9 +113,10 @@ impl Engine {
         &self.cache
     }
 
-    fn emit(&self, event: EngineEvent) {
+    /// Builds and emits an event only when a sink is attached.
+    fn emit(&self, event: impl FnOnce() -> EngineEvent) {
         if let Some(sink) = &self.sink {
-            sink.emit(&event);
+            sink.emit(&event());
         }
     }
 
@@ -173,6 +175,11 @@ impl Engine {
 
     /// Runs a batch of synthesis jobs and returns per-job outcomes in
     /// submission order plus aggregated [`BatchMetrics`].
+    ///
+    /// The first job of each ring-key ([`PhaseKeys`]) group runs first
+    /// and stores its ring and shortcut artifacts; the rest then replay
+    /// them (or hit an identical job's design), so a shared ring is
+    /// solved once.
     pub fn run_batch(&self, jobs: Vec<SynthesisJob>) -> BatchResult {
         let _span = xring_obs::span_labelled("batch", format!("{} jobs", jobs.len()));
         let t0 = Instant::now();
@@ -181,12 +188,21 @@ impl Engine {
         // batch metrics carry percentiles even without tracing; the
         // global registry copy only records under `--trace`.
         let queue_wait = xring_obs::Histogram::new();
-        let outcomes = self.run_tasks(jobs.len(), |i| {
-            let wait_us = t0.elapsed().as_micros() as u64;
-            queue_wait.record(wait_us);
-            xring_obs::record_hist("engine.queue_wait_us", wait_us);
-            self.run_job(i, &jobs[i])
-        });
+        let mut seen = HashSet::new();
+        let (leaders, followers): (Vec<usize>, Vec<usize>) = (0..jobs.len())
+            .partition(|&i| seen.insert(PhaseKeys::compute(&jobs[i].net, &jobs[i].options).ring));
+        let mut ran = Vec::with_capacity(jobs.len());
+        for order in [leaders, followers] {
+            let outcomes = self.run_tasks(order.len(), |k| {
+                let wait_us = t0.elapsed().as_micros() as u64;
+                queue_wait.record(wait_us);
+                xring_obs::record_hist("engine.queue_wait_us", wait_us);
+                self.run_job(order[k], &jobs[order[k]])
+            });
+            ran.extend(order.into_iter().zip(outcomes));
+        }
+        ran.sort_unstable_by_key(|&(i, _)| i);
+        let outcomes: Vec<_> = ran.into_iter().map(|(_, outcome)| outcome).collect();
         let mut metrics = BatchMetrics::default();
         for outcome in &outcomes {
             metrics.record(outcome);
@@ -197,14 +213,15 @@ impl Engine {
         metrics.queue_wait_p90_us = waits.quantile(0.9);
         metrics.queue_wait_p99_us = waits.quantile(0.99);
         metrics.queue_wait_max_us = waits.max;
-        self.emit(EngineEvent::BatchFinished {
+        self.emit(|| EngineEvent::BatchFinished {
             metrics: metrics.clone(),
         });
         BatchResult { outcomes, metrics }
     }
 
-    /// Synthesizes `job`, replaying the phase artifacts that earlier
-    /// runs on this engine persisted in its [`DesignCache`].
+    /// Runs `job` alone on the calling thread, as a one-job batch runs
+    /// it, replaying the phase artifacts that earlier jobs on this engine
+    /// persisted in its [`DesignCache`].
     ///
     /// Each pipeline phase is keyed on a content hash of its actual
     /// inputs ([`xring_core::PhaseKeys`]); a phase whose key is in the
@@ -247,32 +264,9 @@ impl Engine {
     /// As for a batch job: [`JobError::Synthesis`] once the incremental
     /// path's cold fallback is exhausted, [`JobError::DeadlineExceeded`]
     /// on deadline expiry, [`JobError::Panicked`] if the pipeline
-    /// panics.
+    /// panics on every attempt.
     pub fn resynthesize(&self, job: &SynthesisJob) -> Result<JobOutput, JobError> {
-        let _span = xring_obs::span_labelled("resynthesize", job.label.clone());
-        let t0 = Instant::now();
-        let key = canonical_key(job);
-        if let Some((design, report)) = self.cache.lookup(&key, &job.label) {
-            return Ok(JobOutput {
-                wall: t0.elapsed(),
-                ..cached(job, design, report)
-            });
-        }
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let synthesizer = Synthesizer::new(job.options.clone());
-            let (design, inc) =
-                synthesizer.synthesize_incremental(&job.net, self.cache.as_ref())?;
-            self.finish_fresh(key, job, design, inc.phases_reused())
-        }))
-        .unwrap_or_else(|p| Err(JobError::Panicked(panic_message(p.as_ref()))));
-        result.map(|mut out| {
-            out.wall = t0.elapsed();
-            xring_obs::record_hist("engine.resynthesize_wall_us", out.wall.as_micros() as u64);
-            if out.phases_reused > 0 {
-                xring_obs::counter("engine.incremental_jobs", 1);
-            }
-            out
-        })
+        self.run_job(0, job)
     }
 
     /// Runs one job: cache lookup, else synthesize + evaluate + insert.
@@ -282,7 +276,7 @@ impl Engine {
     /// [`JobError::Panicked`] surfaces.
     fn run_job(&self, index: usize, job: &SynthesisJob) -> Result<JobOutput, JobError> {
         let _span = xring_obs::span_labelled("job", job.label.clone());
-        self.emit(EngineEvent::JobStarted {
+        self.emit(|| EngineEvent::JobStarted {
             index,
             label: job.label.clone(),
         });
@@ -314,7 +308,7 @@ impl Engine {
             Err(JobError::Synthesis(_)) => ("error", false, "-"),
             Err(JobError::Panicked(_)) => ("panic", false, "-"),
         };
-        self.emit(EngineEvent::JobFinished {
+        self.emit(|| EngineEvent::JobFinished {
             index,
             label: job.label.clone(),
             status,
@@ -325,8 +319,11 @@ impl Engine {
         result
     }
 
-    /// One synthesis attempt. `index`/`attempt` drive fault injection
-    /// (faults fire on attempt 0 only) and are otherwise unused.
+    /// One synthesis attempt: the design-cache lookup, else
+    /// [`Synthesizer::synthesize_incremental`] against the engine's
+    /// artifact store and [`finish_fresh`](Self::finish_fresh).
+    /// `index`/`attempt` drive fault injection (faults fire on attempt 0
+    /// only) and are otherwise unused.
     fn synthesize_job(
         &self,
         index: usize,
@@ -341,32 +338,44 @@ impl Engine {
         // can never leak into a neighbour's solve on the same worker.
         #[cfg(feature = "fault-inject")]
         let _armed = self.inject_fault(index, attempt, &key);
-        if let Some((design, report)) = self.cache.lookup(&key, &job.label) {
-            #[cfg(feature = "fault-inject")]
-            self.check_device_fault(index, attempt, &design, job)?;
-            return Ok(cached(job, design, report));
+        let cached = self.cache.lookup(&key, &job.label);
+        let cache_hit = cached.is_some();
+        let (design, report, phases_reused) = match cached {
+            Some((design, report)) => (design, report, 0),
+            None => {
+                let (design, inc) = Synthesizer::new(job.options.clone())
+                    .synthesize_incremental(&job.net, self.cache.as_ref())?;
+                let (design, report) = self.finish_fresh(key, job, design)?;
+                (design, report, inc.phases_reused())
+            }
+        };
+        if phases_reused > 0 {
+            xring_obs::counter("engine.incremental_jobs", 1);
         }
-        let design = Synthesizer::new(job.options.clone()).synthesize(&job.net)?;
-        let out = self.finish_fresh(key, job, design, 0)?;
-        // The design is good and cached; an injected device fault is an
-        // external event striking it afterwards, so it fails only this
-        // job, never the cache entry.
+        // A fresh design is good and cached by now; an injected device
+        // fault is an external event striking it afterwards, so it fails
+        // only this job, never the cache entry.
         #[cfg(feature = "fault-inject")]
-        self.check_device_fault(index, attempt, &out.design, job)?;
-        Ok(out)
+        self.check_device_fault(index, attempt, &design, job)?;
+        Ok(JobOutput {
+            label: job.label.clone(),
+            design,
+            report,
+            wall: Default::default(),
+            cache_hit,
+            phases_reused,
+        })
     }
 
-    /// The tail every freshly synthesized design goes through, from a
-    /// batch job or a re-synthesis: re-check its provenance audit,
-    /// evaluate the job's report, bound-check it and cache the design
-    /// under `key`.
+    /// The tail every freshly synthesized design goes through: re-check
+    /// its provenance audit, evaluate the job's report, bound-check it
+    /// and cache the design under `key`.
     fn finish_fresh(
         &self,
         key: Vec<u8>,
         job: &SynthesisJob,
         design: XRingDesign,
-        phases_reused: usize,
-    ) -> Result<JobOutput, JobError> {
+    ) -> Result<(Arc<XRingDesign>, RouterReport), JobError> {
         // The synthesizer audited the design already; re-check here so a
         // design that somehow bypassed it (or a future code path that
         // forgets) can neither be cached nor returned.
@@ -387,14 +396,7 @@ impl Engine {
             }));
         }
         self.cache.insert(key, Arc::clone(&design), report.clone());
-        Ok(JobOutput {
-            label: job.label.clone(),
-            design,
-            report,
-            wall: Default::default(),
-            cache_hit: false,
-            phases_reused,
-        })
+        Ok((design, report))
     }
 
     /// Applies the fault plan's decision for `(index, attempt)`. Solver
@@ -469,18 +471,6 @@ impl Engine {
                 summary: format!("injected device fault {fault}: {}", audit.report.summary()),
             }))
         }
-    }
-}
-
-/// The output of a whole-design cache hit for `job`.
-fn cached(job: &SynthesisJob, design: Arc<XRingDesign>, report: RouterReport) -> JobOutput {
-    JobOutput {
-        label: job.label.clone(),
-        design,
-        report,
-        wall: Default::default(),
-        cache_hit: true,
-        phases_reused: 0,
     }
 }
 

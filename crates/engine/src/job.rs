@@ -76,8 +76,9 @@ pub struct JobOutput {
     /// Whether the design came from the cache.
     pub cache_hit: bool,
     /// How many pipeline phases were replayed from cached artifacts
-    /// (0–2: ring and shortcuts; only [`Engine::resynthesize`](crate::Engine::resynthesize)
-    /// sets this — plain batch jobs report 0).
+    /// (0–2: ring and shortcuts). A job replays the artifacts an earlier
+    /// job on the same cache stored, such as the first job of its ring
+    /// group in a batch; a design-cache hit reports 0.
     pub phases_reused: usize,
 }
 

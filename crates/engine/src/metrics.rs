@@ -29,19 +29,18 @@ pub struct BatchMetrics {
     pub total_job_wall: Duration,
     /// The slowest single job.
     pub max_job_wall: Duration,
-    /// Branch-and-bound nodes explored, summed over fresh (non-cached)
-    /// successful jobs.
+    /// Branch-and-bound nodes explored, summed over the jobs that solved
+    /// their ring (no design-cache hit, no replayed ring).
     pub milp_nodes: usize,
-    /// LP relaxations solved, summed over fresh successful jobs.
+    /// LP relaxations solved, summed over those jobs.
     pub milp_lp_solves: usize,
-    /// Lazy conflict constraints separated, summed over fresh successful
-    /// jobs.
+    /// Lazy conflict constraints separated, summed over those jobs.
     pub milp_lazy_cuts: usize,
     /// LP solves that adopted a parent basis (warm starts), summed over
-    /// fresh successful jobs.
+    /// those jobs.
     pub milp_warm_starts: usize,
-    /// LP solves that were offered a parent basis, summed over fresh
-    /// successful jobs — the denominator of the warm-start rate.
+    /// LP solves that were offered a parent basis, summed over those
+    /// jobs — the denominator of the warm-start rate.
     pub milp_warm_eligible: usize,
     /// Successful jobs whose design came from the perturbed-objective
     /// MILP retry (provenance [`DegradationLevel::RetriedPerturbed`]).
@@ -66,7 +65,7 @@ pub struct BatchMetrics {
     pub queue_wait_p99_us: u64,
     /// Largest queue wait, in microseconds.
     pub queue_wait_max_us: u64,
-    /// Fresh successful jobs whose ring MILP carried convergence
+    /// Jobs that solved their ring MILP and whose solve carried convergence
     /// telemetry (0 when telemetry was off; see
     /// [`RingStats::convergence`](xring_core::RingStats)).
     pub convergence_reports: usize,
@@ -94,6 +93,10 @@ impl BatchMetrics {
                     self.cache_hits += 1;
                 } else {
                     self.cache_misses += 1;
+                }
+                // A replayed ring carries the statistics of the job that
+                // solved it, which counted them already.
+                if !out.cache_hit && out.phases_reused == 0 {
                     let s = &out.design.ring_stats;
                     self.milp_nodes += s.milp_nodes;
                     self.milp_lp_solves += s.lp_solves;

@@ -15,12 +15,12 @@ use std::time::{Duration, Instant};
 
 use xring_core::{
     apply_fault, audit_degraded, enumerate_single_faults, DegradedDesign, DeviceFault, FaultAudit,
-    NetworkSpec, RepairSummary, SpareConfig, SynthesisOptions, Synthesizer,
+    NetworkSpec, RepairSummary, SpareConfig, SynthesisOptions,
 };
 use xring_phot::{CrosstalkParams, PowerParams};
 
 use crate::executor::Engine;
-use crate::job::JobError;
+use crate::job::{JobError, SynthesisJob};
 
 /// One spare level's outcome in a fault sweep.
 #[derive(Debug, Clone)]
@@ -73,11 +73,14 @@ impl FaultSweepResult {
 
 impl Engine {
     /// Sweeps `levels` spare configurations over `net`: per level,
-    /// synthesize under `base` with that level's spares, enumerate every
+    /// synthesize under `base` with that level's spares through
+    /// [`resynthesize`](Self::resynthesize), enumerate every
     /// single-fault scenario and audit the degraded designs across the
-    /// worker pool. Pass `xtalk` to score post-failure SNR (loss-only
-    /// audits otherwise). Fails fast if any level's synthesis fails —
-    /// e.g. when the spare reservation leaves no usable channel.
+    /// worker pool. Spares key no persisted phase, so every level after
+    /// the first replays the first level's ring and shortcuts. Pass
+    /// `xtalk` to score post-failure SNR (loss-only audits otherwise).
+    /// Fails fast if any level's synthesis fails — e.g. when the spare
+    /// reservation leaves no usable channel.
     pub fn fault_sweep(
         &self,
         net: &NetworkSpec,
@@ -90,16 +93,16 @@ impl Engine {
         for &spares in levels {
             let t0 = Instant::now();
             let options = base.clone().with_spares(spares);
-            let design = Synthesizer::new(options.clone())
-                .synthesize(net)
-                .map_err(JobError::Synthesis)?;
-            let healthy = design.report(
-                format!("fault-sweep {spares}"),
-                &options.loss,
-                xtalk,
-                &PowerParams::default(),
-            );
-            let faults = enumerate_single_faults(&design);
+            let out = self.resynthesize(&SynthesisJob {
+                label: format!("fault-sweep {spares}"),
+                net: net.clone(),
+                options: options.clone(),
+                loss: options.loss.clone(),
+                xtalk: xtalk.cloned(),
+                power: PowerParams::default(),
+            })?;
+            let design = &*out.design;
+            let faults = enumerate_single_faults(design);
             // Scenarios whose repair leaves the design untouched all
             // share this baseline audit instead of re-evaluating it.
             let baseline = audit_degraded(
@@ -116,7 +119,7 @@ impl Engine {
                 xtalk,
             );
             let audits = self.run_tasks(faults.len(), |i| {
-                let degraded = apply_fault(&design, faults[i], &options);
+                let degraded = apply_fault(design, faults[i], &options);
                 if degraded.unchanged {
                     Ok(FaultAudit {
                         fault: degraded.fault,
@@ -171,7 +174,7 @@ impl Engine {
                 spares,
                 wavelengths: design.plan.wavelengths_used(),
                 waveguides: design.plan.ring_waveguides.len(),
-                total_power_w: healthy.total_power_w,
+                total_power_w: out.report.total_power_w,
                 scenarios,
                 survived,
                 fault_margin: margin,

@@ -15,13 +15,11 @@ impl Engine {
     /// under `objective` ([`pick_best_index`]).
     ///
     /// `base` carries everything except `max_wavelengths`, which the
-    /// sweep overrides per candidate. Every candidate goes through
-    /// [`resynthesize`](Self::resynthesize): the first runs alone and
-    /// stores its ring and shortcut artifacts in the engine's cache, and
-    /// the rest run on the worker pool and replay them (neither phase key
-    /// depends on `#wl`), so each point equals its cold synthesis.
-    /// Repeated points hit the design cache. A sweep emits no per-job
-    /// engine events.
+    /// sweep overrides per candidate. The candidates run as one
+    /// [`run_batch`](Self::run_batch): they share one ring key (neither
+    /// phase key depends on `#wl`), so the first solves the ring and
+    /// plans the shortcuts and the rest replay them, and each point
+    /// equals its cold synthesis. Repeated points hit the design cache.
     ///
     /// # Errors
     ///
@@ -55,11 +53,8 @@ impl Engine {
                 power: power.clone(),
             })
             .collect();
-        let first = self.resynthesize(&jobs[0]);
-        let rest = self.run_tasks(jobs.len() - 1, |i| self.resynthesize(&jobs[i + 1]));
-
         let mut points = Vec::new();
-        for (&wl, outcome) in candidates.iter().zip(std::iter::once(first).chain(rest)) {
+        for (&wl, outcome) in candidates.iter().zip(self.run_batch(jobs).outcomes) {
             match outcome {
                 Ok(out) => points.push(SweepPoint {
                     wavelengths: wl,

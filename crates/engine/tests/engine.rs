@@ -254,25 +254,97 @@ fn toggling_openings_or_pdn_replays_only_ring_and_shortcut() {
 
 #[test]
 fn duplicate_jobs_share_one_synthesis() {
-    let net = NetworkSpec::proton_8();
+    // The first copy leads its ring group and the others run after it,
+    // so they hit its design on any worker count. The floorplan's ring
+    // MILP takes long enough (~0.1 s) that two workers would otherwise
+    // race on it.
+    let net = NetworkSpec::irregular(32, 16_000, 5).expect("valid");
     let job =
         |label: &str| SynthesisJob::new(label, net.clone(), SynthesisOptions::with_wavelengths(8));
-    let engine = Engine::new().with_workers(1);
-    let batch = engine.run_batch(vec![job("first"), job("second"), job("third")]);
-    assert_eq!(batch.metrics.cache_misses, 1);
-    assert_eq!(batch.metrics.cache_hits, 2);
-    let outs: Vec<_> = batch.successes().collect();
-    assert!(Arc::ptr_eq(&outs[0].design, &outs[1].design));
-    assert!(Arc::ptr_eq(&outs[0].design, &outs[2].design));
-    // Labels stay per-job even though the design is shared.
-    assert_eq!(outs[1].report.label, "second");
+    for workers in [1, 2] {
+        let engine = Engine::new().with_workers(workers);
+        let batch = engine.run_batch(vec![job("first"), job("second"), job("third")]);
+        assert_eq!(batch.metrics.cache_misses, 1, "{workers} workers");
+        assert_eq!(batch.metrics.cache_hits, 2, "{workers} workers");
+        let outs: Vec<_> = batch.successes().collect();
+        assert!(Arc::ptr_eq(&outs[0].design, &outs[1].design));
+        assert!(Arc::ptr_eq(&outs[0].design, &outs[2].design));
+        // Labels stay per-job even though the design is shared.
+        assert_eq!(outs[1].report.label, "second");
+        assert_eq!(
+            outs[0].report.normalized(),
+            xring_phot::RouterReport {
+                label: "first".to_owned(),
+                ..outs[1].report.normalized()
+            }
+        );
+    }
+}
+
+#[test]
+fn a_batch_sharing_a_ring_counts_its_milp_work_once() {
+    // Five `#wl` points on one floorplan share one ring key: the first
+    // job solves the ring and the other four replay it, so the batch
+    // reports the MILP work of a one-job batch.
+    let net = NetworkSpec::irregular(32, 16_000, 5).expect("valid");
+    let batch = |wls: &[usize]| {
+        let jobs = wls
+            .iter()
+            .map(|&wl| {
+                SynthesisJob::new(
+                    format!("#wl={wl}"),
+                    net.clone(),
+                    SynthesisOptions::with_wavelengths(wl),
+                )
+            })
+            .collect();
+        Engine::new().with_workers(1).run_batch(jobs).metrics
+    };
+    let one = batch(&[16]);
+    let five = batch(&[12, 16, 20, 24, 28]);
+    assert_eq!(five.succeeded, 5, "{}", five.summary());
+    assert!(one.milp_nodes > 0);
+    assert_eq!(five.milp_nodes, one.milp_nodes);
+    assert_eq!(five.milp_lp_solves, one.milp_lp_solves);
+}
+
+#[test]
+fn a_degraded_attempt_leaves_no_ring_in_the_store() {
+    // A rushed job leads its ring group and degrades to the heuristic
+    // ring; the calm job after it, with the same ring key, must find no
+    // artifact to replay and solve the exact ring itself.
+    let net = NetworkSpec::irregular(16, 8_000, 3).expect("valid");
+    let options = SynthesisOptions::with_wavelengths(8).with_degradation(DegradationPolicy::Allow);
+    let rushed = SynthesisJob::new("rushed", net.clone(), options.clone())
+        .with_deadline(Duration::from_nanos(1));
+    let calm = SynthesisJob::new("calm", net.clone(), options.clone());
+
+    // Runs `f` under a request trace and counts its LP solves.
+    fn lp_solves<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let ctx = RequestCtx::new(RequestId::mint(0x5eed, 1, 0));
+        let scope = ctx.attach();
+        let out = f();
+        drop(scope);
+        (out, ctx.finish().total("milp.lp_solves"))
+    }
+    let (cold, cold_solves) = lp_solves(|| {
+        Synthesizer::new(options)
+            .synthesize(&net)
+            .expect("cold synthesis")
+    });
+    let (batch, batch_solves) =
+        lp_solves(|| Engine::new().with_workers(1).run_batch(vec![rushed, calm]));
+    let rushed_out = batch.outcomes[0].as_ref().expect("degrades");
     assert_eq!(
-        outs[0].report.normalized(),
-        xring_phot::RouterReport {
-            label: "first".to_owned(),
-            ..outs[1].report.normalized()
-        }
+        rushed_out.design.provenance.degradation,
+        DegradationLevel::Heuristic
     );
+    let calm_out = batch.outcomes[1].as_ref().expect("synthesizes");
+    assert!(!calm_out.cache_hit);
+    assert_eq!(calm_out.phases_reused, 0);
+    assert!(cold_solves > 0);
+    assert_eq!(batch_solves, cold_solves);
+    assert_eq!(calm_out.design.describe(), cold.describe());
 }
 
 /// Records every event, for asserting the emission contract.

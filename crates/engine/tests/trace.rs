@@ -7,7 +7,9 @@ use xring_obs as obs;
 
 /// Deterministic job mix: seeded irregular placements (the workspace's
 /// SplitMix64-style generator) plus the paper's 8-node floorplan, all
-/// with distinct cache keys so every job synthesizes exactly once.
+/// with distinct cache keys so every job synthesizes exactly once. The
+/// two 8-node jobs differ only in `#wl`, so they share one ring key:
+/// six jobs, five rings.
 fn jobs() -> Vec<SynthesisJob> {
     let mut jobs: Vec<SynthesisJob> = (0..4)
         .map(|i| {
@@ -28,6 +30,10 @@ fn jobs() -> Vec<SynthesisJob> {
     }
     jobs
 }
+
+/// Distinct ring keys in [`jobs`]: each is solved, and its shortcuts
+/// planned, once.
+const RINGS: usize = 5;
 
 fn run_traced(workers: usize) -> obs::Trace {
     let _lock = obs::test_guard();
@@ -60,9 +66,10 @@ fn concurrent_workers_record_consistent_spans_and_counters() {
         expected.iter().map(String::as_str).collect::<Vec<_>>()
     );
 
-    // Every synthesis attempt nests under a job span on its worker's
-    // thread, and each job span contains the full phase chain.
-    for synth in trace.spans.iter().filter(|s| s.name == "synth") {
+    // Every synthesis walk nests under a job span on its worker's
+    // thread. Each ring group solves its ring and plans its shortcuts
+    // once; every job runs the rest of the phase chain.
+    for synth in trace.spans.iter().filter(|s| s.name == "synth-incremental") {
         let parent = trace
             .spans
             .iter()
@@ -71,15 +78,25 @@ fn concurrent_workers_record_consistent_spans_and_counters() {
         assert_eq!(parent.name, "job");
         assert_eq!(parent.thread, synth.thread, "span stacks are per-thread");
     }
-    for phase in ["ring-milp", "shortcut", "mapping", "audit", "evaluation"] {
+    let walks = trace
+        .spans
+        .iter()
+        .filter(|s| s.name == "synth-incremental")
+        .count();
+    assert_eq!(walks, n_jobs);
+    for phase in ["ring-milp", "shortcut"] {
+        let count = trace.spans.iter().filter(|s| s.name == phase).count();
+        assert_eq!(count, RINGS, "phase {phase}");
+    }
+    for phase in ["mapping", "audit", "evaluation"] {
         let count = trace.spans.iter().filter(|s| s.name == phase).count();
         assert!(count >= n_jobs, "phase {phase}: {count} < {n_jobs}");
     }
 
-    // Counter totals aggregate across all workers: every job solved a
-    // MILP (distinct keys -> all misses, no hits).
-    assert!(trace.total("milp.nodes") >= n_jobs as u64);
-    assert!(trace.total("milp.lp_solves") >= n_jobs as u64);
+    // Counter totals aggregate across all workers: every ring solved a
+    // MILP (distinct keys -> all design misses, no hits).
+    assert!(trace.total("milp.nodes") >= RINGS as u64);
+    assert!(trace.total("milp.lp_solves") >= RINGS as u64);
     assert!(trace.total("simplex.pivots") > 0);
     assert_eq!(trace.total("cache.misses"), n_jobs as u64);
     assert_eq!(trace.total("cache.hits"), 0);
@@ -99,7 +116,8 @@ fn concurrent_workers_record_consistent_spans_and_counters() {
 
 #[test]
 fn counter_totals_are_worker_count_invariant() {
-    // Synthesis is deterministic and every key is distinct, so the
+    // Synthesis is deterministic, every design key is distinct and a
+    // shared ring is solved by the first job of its group, so the
     // solver-side totals must not depend on how jobs interleave.
     let serial = run_traced(1);
     let parallel = run_traced(4);

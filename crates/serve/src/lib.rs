@@ -38,10 +38,10 @@
 //! * **Bounded shared cache**: one content-addressed
 //!   [`DesignCache`](xring_engine::DesignCache) with a byte budget and
 //!   LRU eviction serves all requests — repeated specs cost a lookup.
-//! * **Incremental re-synthesis**: `/synth` runs through
-//!   [`Engine::resynthesize`](xring_engine::Engine::resynthesize): a
-//!   request replays the ring and shortcut phases when an earlier
-//!   request stored their keys in the cache, and runs mapping, openings
+//! * **Incremental re-synthesis**: `/synth` and `/batch` jobs run one
+//!   engine job path ([`Engine::resynthesize`](xring_engine::Engine::resynthesize)
+//!   is its one-job call): a job replays the ring and shortcut phases
+//!   when an earlier job stored their keys in the cache, and runs mapping, openings
 //!   and PDN as a cold synthesis does. `/metrics` exposes
 //!   `xring_serve_incremental_total` and per-phase
 //!   `xring_cache_phase_{hits,misses}_*` counters.

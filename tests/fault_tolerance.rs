@@ -14,10 +14,16 @@ use xring::engine::{
     CacheCounter, Engine, FaultClass, FaultPlan, FaultRates, JobError, SynthesisJob,
 };
 
+/// The seeded 8-node floorplan of job `index`. Every job of a suite
+/// gets its own, so no job replays a ring another job solved: an armed
+/// solver fault always meets the LP solves it is aimed at.
+fn floorplan(index: usize) -> NetworkSpec {
+    NetworkSpec::irregular(8, 6_000, 0xFA17_0000 + index as u64).expect("valid placement")
+}
+
 /// 32 distinct jobs (8 `#wl` settings × shortcuts on/off × openings
-/// on/off on the 8-node network), all allowing degradation.
+/// on/off, each on its own 8-node floorplan), all allowing degradation.
 fn jobs_32() -> Vec<SynthesisJob> {
-    let net = NetworkSpec::proton_8();
     let mut jobs = Vec::new();
     for wl in 2..=9usize {
         for shortcuts in [true, false] {
@@ -28,7 +34,7 @@ fn jobs_32() -> Vec<SynthesisJob> {
                 options.openings = openings;
                 jobs.push(SynthesisJob::new(
                     format!("wl{wl}-s{}-o{}", shortcuts as u8, openings as u8),
-                    net.clone(),
+                    floorplan(jobs.len()),
                     options,
                 ));
             }
@@ -175,12 +181,11 @@ fn revised_backend_degrades_through_the_same_chain() {
         "need a mix of faulted and clean jobs"
     );
 
-    let net = NetworkSpec::proton_8();
     let jobs: Vec<SynthesisJob> = (0..12)
         .map(|i| {
             SynthesisJob::new(
                 format!("job{i}"),
-                net.clone(),
+                floorplan(i),
                 SynthesisOptions::with_wavelengths(2 + (i % 7))
                     .with_degradation(DegradationPolicy::Allow)
                     .with_lp_backend(LpBackendKind::Revised),
@@ -247,12 +252,11 @@ fn forbid_policy_isolates_injected_failures() {
         "need a mix of faulted and clean jobs"
     );
 
-    let net = NetworkSpec::proton_8();
     let jobs: Vec<SynthesisJob> = (0..8)
         .map(|i| {
             SynthesisJob::new(
                 format!("job{i}"),
-                net.clone(),
+                floorplan(i),
                 SynthesisOptions::with_wavelengths(2 + i),
             )
         })

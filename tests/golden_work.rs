@@ -129,9 +129,9 @@ irr128 s1 knn3-heur                0       0       0       0       0       0    
 irr128 s2 knn3-heur                0       0       0       0       0       0       1    1319      58      10    22    1478
 irr128 s3 knn3-heur                0       0       0       0       0       0       0    1390      54       9    21    1378
 irr128 s1 knn3-heur resynth        0       0       0       0       0       0       0    1376      58      12    39    1622
-batch proton_8 x2                  3       3       0      63       0       0       0      12       6       0    46       -  hits 3 misses 3
-sweep proton_8 #wl 2/4/8           1       1       0      21       0       0       0       4       2       0    32       -  best #wl=2
-fault-sweep proton_8               2       2       0      42       0       0       0       8       4       0   191       -  scenarios 191 margins 9/96 95/95
+batch proton_8 x2                  1       1       0      21       0       0       0       4       2       0    36       -  hits 3 misses 3
+sweep proton_8 #wl 2/4/8           1       1       0      21       0       0       0       4       2       0    33       -  best #wl=2
+fault-sweep proton_8               1       1       0      21       0       0       0       4       2       0   188       -  scenarios 191 margins 9/96 95/95
 ";
 
 #[test]
@@ -220,7 +220,9 @@ fn fixture_work_matches_the_golden_counters() {
     rows.push(row("irr128 s1 knn3-heur resynth", &trace, Some(allocs), ""));
 
     // Batch: three jobs submitted twice on one worker, so the second
-    // round always finds the first round's designs cached.
+    // round always finds the first round's designs cached. The three
+    // `#wl` points share one ring: the first solves it and plans the
+    // shortcuts, the other two replay them.
     let jobs: Vec<SynthesisJob> = (0..2)
         .flat_map(|round| {
             [2usize, 4, 8].map(|wl| {
@@ -238,9 +240,10 @@ fn fixture_work_matches_the_golden_counters() {
     let outcome = format!("hits {} misses {}", m.cache_hits, m.cache_misses);
     rows.push(row("batch proton_8 x2", &trace, None, &outcome));
 
-    // A `#wl` sweep on one worker: the first candidate builds the ring and
-    // the shortcuts, the other two replay them, so the ring MILP and the
-    // shortcut planner each run once, not once per candidate.
+    // A `#wl` sweep on one worker runs as a batch: the first candidate
+    // builds the ring and the shortcuts, the other two replay them, so
+    // the ring MILP and the shortcut planner each run once, not once per
+    // candidate.
     let (sweep, trace, _) = capture(|| {
         Engine::new()
             .with_workers(1)
@@ -258,7 +261,9 @@ fn fixture_work_matches_the_golden_counters() {
     let outcome = format!("best #wl={}", sweep.best_point().wavelengths);
     rows.push(row("sweep proton_8 #wl 2/4/8", &trace, None, &outcome));
 
-    // Fault sweep: zero spares against one spare of each class.
+    // Fault sweep: zero spares against one spare of each class. Spares
+    // key no persisted phase, so the second level replays the first
+    // level's ring and shortcuts.
     let levels = [SpareConfig::default(), SpareConfig::uniform(1)];
     let (sweep, trace, _) = capture(|| {
         Engine::new()

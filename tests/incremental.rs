@@ -35,8 +35,8 @@ fn fixture() -> (SynthesisJob, SynthesisJob) {
     )
 }
 
-/// A cold synthesis of `job`: one batch job on a fresh engine, which
-/// runs the pipeline with no artifact store at all.
+/// A cold synthesis of `job`: one batch job on a fresh engine, whose
+/// artifact store is empty, so every phase runs.
 fn cold(job: &SynthesisJob) -> JobOutput {
     Engine::new()
         .with_workers(1)
