@@ -146,6 +146,17 @@ echo "==> fault-sweep smoke (CLI Pareto report over spare levels)"
 echo "==> sweep smoke (CLI #wl sweep marks a winner)"
 ./target/release/xring sweep --grid 2x4 --wl 8 | grep -q '<= best'
 
+echo "==> floorplan limit smoke (the CLI refuses an oversized floorplan before building it)"
+for floorplan in "--irregular 100000,1,100000000" "--grid 4x4 --pitch 4000000000000000000"; do
+    status=0
+    # The floorplan is two or four words: split it.
+    limit_out=$(timeout 10 ./target/release/xring synth $floorplan 2>&1) || status=$?
+    if [ "$status" -ne 1 ] || ! echo "$limit_out" | grep -q '^error: .* exceeds the limit of'; then
+        echo "floorplan: 'xring synth $floorplan' exited $status: $limit_out" >&2
+        exit 1
+    fi
+done
+
 echo "==> batch smoke (a ring shared by a batch's #wl points is solved once)"
 batch_nodes() {
     ./target/release/xring --jobs 1 batch --irregular 32,5,16000 --wl-list "$1" \

@@ -68,7 +68,7 @@ fn paper_options(wl: usize) -> SynthesisOptions {
 
 /// Runs whole-pipeline jobs as an engine batch and unwraps the reports,
 /// propagating the first failure in job order. Rows sharing a ring solve
-/// it once; a replayed row's `T(s)` is its own Steps 2–4.
+/// it once; each row's `T(s)` is that solve plus its own Steps 2–4.
 fn batch_reports(
     engine: &Engine,
     jobs: Vec<SynthesisJob>,
@@ -102,13 +102,11 @@ impl RingContext {
     ///
     /// Propagates MILP failures.
     pub fn milp(engine: &Engine, net: NetworkSpec) -> Result<Self, SynthesisError> {
-        let t0 = Instant::now();
         // Dense kernel pinned for the same reason as [`paper_options`].
         let out = RingBuilder::new()
             .with_lp_backend(LpBackendKind::Dense)
             .build(&net)?;
-        let ring_time = t0.elapsed();
-        let cycle = out.cycle.clone();
+        let (cycle, ring_time) = (out.cycle.clone(), out.elapsed);
         // The ring key does not depend on `#wl`.
         let key = PhaseKeys::compute(&net, &paper_options(1)).ring;
         engine
@@ -161,7 +159,6 @@ pub fn xring_sweep(
         .into_iter()
         .map(|p| RouterReport {
             label: format!("XRing (#wl={})", p.wavelengths),
-            synthesis_time: ctx.ring_time + p.report.synthesis_time,
             ..p.report
         })
         .collect())

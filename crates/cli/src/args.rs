@@ -1,8 +1,11 @@
 //! A small, dependency-free argument parser for the `xring` CLI.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
-use xring_core::{DegradationPolicy, SynthesisOptions};
+use xring_core::{
+    DegradationPolicy, Floorplan, FloorplanForm, NetworkSpec, SynthesisError, SynthesisOptions,
+    MAX_COORD_UM, MAX_NODES,
+};
 use xring_obs::TraceFormat;
 
 /// A fully parsed command line: the global flags plus the subcommand.
@@ -52,17 +55,11 @@ pub enum Command {
 }
 
 /// Options of the `synth` subcommand.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SynthArgs {
-    /// Grid rows (with [`SynthArgs::cols`]); mutually exclusive with
-    /// `irregular`.
-    pub rows: usize,
-    /// Grid columns.
-    pub cols: usize,
-    /// Grid pitch in µm.
-    pub pitch_um: i64,
-    /// Irregular placement: `(node count, seed, die µm)`.
-    pub irregular: Option<(usize, u64, i64)>,
+    /// The floorplan its flags gave ([`FloorplanForm::flags`]); `None`:
+    /// [`DEFAULT_FLOORPLAN`].
+    pub floorplan: Option<Floorplan>,
     /// The synthesis options, set through the option table's flags
     /// ([`SynthesisOptions::apply_flag`]).
     pub options: SynthesisOptions,
@@ -82,21 +79,17 @@ pub struct SynthArgs {
     pub metrics_out: Option<String>,
 }
 
-impl Default for SynthArgs {
-    fn default() -> Self {
-        SynthArgs {
-            rows: 4,
-            cols: 4,
-            pitch_um: 2_000,
-            irregular: None,
-            options: SynthesisOptions::default(),
-            svg: None,
-            describe: false,
-            trace: None,
-            trace_format: TraceFormat::default(),
-            solver_log: None,
-            metrics_out: None,
-        }
+/// The floorplan of a command that gives none.
+pub const DEFAULT_FLOORPLAN: Floorplan = Floorplan::Grid {
+    rows: 4,
+    cols: 4,
+    pitch_um: 2_000,
+};
+
+impl SynthArgs {
+    /// The network of the floorplan, checked and built by the table.
+    pub fn network(&self) -> Result<NetworkSpec, SynthesisError> {
+        self.floorplan.clone().unwrap_or(DEFAULT_FLOORPLAN).build()
     }
 }
 
@@ -197,10 +190,21 @@ impl fmt::Display for ParseArgsError {
 
 impl std::error::Error for ParseArgsError {}
 
-/// The usage text; its synthesis-option section is generated from the
-/// option table ([`SynthesisOptions::flag_help`]).
+/// The usage text; its floorplan section is generated from the floorplan
+/// table ([`FloorplanForm::ALL`]) and its synthesis-option section from
+/// the option table ([`SynthesisOptions::flag_help`]).
 pub fn usage() -> String {
-    format!("{USAGE_HEAD}{}{USAGE_TAIL}", SynthesisOptions::flag_help())
+    let mut floorplan = String::new();
+    for form in FloorplanForm::ALL.iter().filter(|f| !f.flags.is_empty()) {
+        let flags: Vec<String> = form.flags.iter().map(|(f, v)| format!("{f} {v}")).collect();
+        let (flags, fields) = (flags.join(" "), form.fields.join(", "));
+        let _ = writeln!(floorplan, "  {flags:<28}serve's {}: {fields}", form.json);
+    }
+    format!(
+        "{USAGE_HEAD}{floorplan}  at most {MAX_NODES} nodes, |x| and |y| at most {MAX_COORD_UM} um\n\n\
+         {USAGE_OPTIONS}{}{USAGE_TAIL}",
+        SynthesisOptions::flag_help()
+    )
 }
 
 const USAGE_HEAD: &str = "\
@@ -209,8 +213,7 @@ xring — crosstalk-aware synthesis of optical ring routers (DATE 2023 reproduct
 USAGE:
   xring [--jobs N] [--log-level L] [--log-out FILE] <command>
 
-  xring synth [--grid RxC] [--pitch UM] [--irregular N,SEED,DIE_UM]
-              [synthesis options] [--svg FILE] [--describe]
+  xring synth [floorplan] [synthesis options] [--svg FILE] [--describe]
               [--trace FILE] [--trace-format jsonl|folded]
               [--solver-log FILE] [--metrics-out FILE]
   xring sweep [synth flags] [--objective il|power|snr]
@@ -236,6 +239,11 @@ GLOBAL FLAGS:
                   stderr; each event carries a timestamp, level, target
                   and — inside the daemon — the request id
 
+FLOORPLAN (synth, sweep, batch, fault-sweep, edit; one form, default
+--grid 4x4 --pitch 2000):
+";
+
+const USAGE_OPTIONS: &str = "\
 SYNTHESIS OPTIONS (synth, sweep, batch, fault-sweep, edit; a value flag
 also takes the --flag=V form):
 ";
@@ -323,48 +331,10 @@ fn apply_synth_flag<'a, I>(
 where
     I: Iterator<Item = &'a String>,
 {
+    if apply_floorplan_flag(flag, it, out)? {
+        return Ok(true);
+    }
     match flag {
-        "--grid" => {
-            let v = it
-                .next()
-                .ok_or_else(|| ParseArgsError("--grid needs RxC".into()))?;
-            let (r, c) = v
-                .split_once(['x', 'X'])
-                .ok_or_else(|| ParseArgsError(format!("bad grid {v}")))?;
-            out.rows = r
-                .parse()
-                .map_err(|_| ParseArgsError(format!("bad rows {r}")))?;
-            out.cols = c
-                .parse()
-                .map_err(|_| ParseArgsError(format!("bad cols {c}")))?;
-        }
-        "--pitch" => {
-            let v = it
-                .next()
-                .ok_or_else(|| ParseArgsError("--pitch needs µm".into()))?;
-            out.pitch_um = v
-                .parse()
-                .map_err(|_| ParseArgsError(format!("bad pitch {v}")))?;
-        }
-        "--irregular" => {
-            let v = it
-                .next()
-                .ok_or_else(|| ParseArgsError("--irregular needs N,SEED,DIE_UM".into()))?;
-            let parts: Vec<&str> = v.split(',').collect();
-            if parts.len() != 3 {
-                return Err(ParseArgsError(format!("bad irregular spec {v}")));
-            }
-            let n = parts[0]
-                .parse()
-                .map_err(|_| ParseArgsError(format!("bad N {}", parts[0])))?;
-            let seed = parts[1]
-                .parse()
-                .map_err(|_| ParseArgsError(format!("bad seed {}", parts[1])))?;
-            let die = parts[2]
-                .parse()
-                .map_err(|_| ParseArgsError(format!("bad die {}", parts[2])))?;
-            out.irregular = Some((n, seed, die));
-        }
         "--describe" => out.describe = true,
         "--svg" => {
             let v = it
@@ -406,6 +376,60 @@ where
             }
         }
     }
+    Ok(true)
+}
+
+/// Applies a floorplan flag of the form table ([`FloorplanForm::ALL`]):
+/// the parts of its value set its fields of the form, and the form's
+/// other fields keep the values given so far ([`DEFAULT_FLOORPLAN`]'s,
+/// for `--pitch` alone). A flag of a second form is refused. Returns
+/// `Ok(false)` when `flag` is no floorplan flag.
+fn apply_floorplan_flag<'a, I>(
+    flag: &str,
+    it: &mut I,
+    out: &mut SynthArgs,
+) -> Result<bool, ParseArgsError>
+where
+    I: Iterator<Item = &'a String>,
+{
+    let parts = |value: &'a str| value.split(['x', 'X', ',']);
+    // The flag's form, its value's spelling, and the index of the first
+    // field it sets: its form's earlier flags set the fields before it.
+    let Some((form, spelling, first)) = FloorplanForm::ALL.iter().find_map(|form| {
+        let i = form.flags.iter().position(|(f, _)| *f == flag)?;
+        let first = form.flags[..i]
+            .iter()
+            .map(|(_, s)| parts(s).count())
+            .sum::<usize>();
+        Some((form, form.flags[i].1, first))
+    }) else {
+        return Ok(false);
+    };
+    let value = it
+        .next()
+        .ok_or_else(|| ParseArgsError(format!("{flag} needs {spelling}")))?;
+    let given = out.floorplan.as_ref().unwrap_or(&DEFAULT_FLOORPLAN);
+    let mut fields = match given.form().json {
+        json if json == form.json => given.fields(),
+        _ if out.floorplan.is_none() => vec![0; form.fields.len()],
+        json => {
+            return Err(ParseArgsError(format!(
+                "{flag}: a {json} floorplan is already given"
+            )))
+        }
+    };
+    if parts(value).count() != parts(spelling).count() {
+        return Err(ParseArgsError(format!("bad {flag} {value}")));
+    }
+    for (part, field) in parts(value).zip(first..) {
+        let name = form.fields[field];
+        fields[field] = part
+            .parse()
+            .ok()
+            .filter(|&v: &i64| v >= 0 || name.ends_with("_um"))
+            .ok_or_else(|| ParseArgsError(format!("bad {name} {part}")))?;
+    }
+    out.floorplan = Some(Floorplan::from_fields(form.json, &fields));
     Ok(true)
 }
 
@@ -734,6 +758,7 @@ fn parse_command(args: &[String]) -> Result<Command, ParseArgsError> {
 mod tests {
     use super::*;
     use xring_core::{FactorizationKind, LpBackendKind, PricingKind, RingAlgorithm, SpareConfig};
+    use xring_geom::Point;
 
     fn v(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -743,12 +768,26 @@ mod tests {
         parse(&v(args)).expect("parses").command
     }
 
+    fn grid(rows: usize, cols: usize, pitch_um: i64) -> Floorplan {
+        Floorplan::Grid {
+            rows,
+            cols,
+            pitch_um,
+        }
+    }
+
+    fn irregular(n: usize, seed: u64, die_um: i64) -> Floorplan {
+        Floorplan::Irregular { n, seed, die_um }
+    }
+
     #[test]
     fn help_lists_every_option_flag() {
         let text = usage();
+        let floorplan_flags = FloorplanForm::ALL.iter().flat_map(|f| f.flags);
         for flag in SynthesisOptions::FIELDS
             .iter()
             .filter_map(|f| f.flag.name())
+            .chain(floorplan_flags.map(|(flag, _)| *flag))
         {
             assert!(text.contains(flag), "{flag} missing from xring help");
         }
@@ -912,7 +951,7 @@ mod tests {
         let Command::Synth(a) = c else {
             panic!("not synth")
         };
-        assert_eq!((a.rows, a.cols, a.pitch_um), (4, 8, 2_500));
+        assert_eq!(a.floorplan, Some(grid(4, 8, 2_500)));
         assert_eq!(a.options.max_wavelengths, 20);
         assert_eq!(a.options.ring_algorithm, RingAlgorithm::Heuristic);
         assert!(!a.options.pdn && a.options.shortcuts && a.options.openings);
@@ -924,7 +963,7 @@ mod tests {
         let Command::Synth(a) = cmd(&["synth", "--irregular", "12,42,10000"]) else {
             panic!("not synth")
         };
-        assert_eq!(a.irregular, Some((12, 42, 10_000)));
+        assert_eq!(a.floorplan, Some(irregular(12, 42, 10_000)));
     }
 
     #[test]
@@ -947,10 +986,7 @@ mod tests {
         let Command::Batch(b) = c else {
             panic!("not batch")
         };
-        assert_eq!(
-            (b.synth.rows, b.synth.cols, b.synth.pitch_um),
-            (2, 4, 1_500)
-        );
+        assert_eq!(b.synth.floorplan, Some(grid(2, 4, 1_500)));
         assert_eq!(b.wl_list, vec![2, 4, 8]);
         assert_eq!(b.deadline_ms, Some(250));
         assert_eq!(b.repeat, 3);
@@ -1199,7 +1235,7 @@ mod tests {
         ]) else {
             panic!("not edit")
         };
-        assert_eq!(a.irregular, Some((16, 5, 8_000)));
+        assert_eq!(a.floorplan, Some(irregular(16, 5, 8_000)));
         assert_eq!(a.options.max_wavelengths, 8);
         assert_eq!(drop_pair, 3);
         assert!(parse(&v(&["edit", "--drop-pair"])).is_err());
@@ -1225,7 +1261,8 @@ mod tests {
         ]) else {
             panic!("not fault-sweep")
         };
-        assert_eq!((a.rows, a.cols, a.options.max_wavelengths), (2, 4, 8));
+        assert_eq!(a.floorplan, Some(grid(2, 4, 2_000)));
+        assert_eq!(a.options.max_wavelengths, 8);
         assert_eq!(levels, vec![0, 1, 2]);
         assert!(parse(&v(&["fault-sweep", "--levels"])).is_err());
         assert!(parse(&v(&["fault-sweep", "--levels", "one"])).is_err());
@@ -1238,9 +1275,119 @@ mod tests {
         let Command::Sweep(a, obj) = c else {
             panic!("not sweep")
         };
-        assert_eq!((a.rows, a.cols), (4, 4));
+        assert_eq!(a.floorplan, Some(grid(4, 4, 2_000)));
         assert_eq!(obj, "snr");
         assert!(parse(&v(&["sweep", "--objective", "bogus"])).is_err());
+    }
+
+    /// A request body giving `floorplan` in its form of the table.
+    fn request_of(floorplan: &Floorplan) -> String {
+        let form = floorplan.form();
+        let body = match floorplan {
+            Floorplan::Named(name) => format!("\"{name}\""),
+            Floorplan::Positions(points) => {
+                let points: Vec<String> = points
+                    .iter()
+                    .map(|p| format!("[{}, {}]", p.x, p.y))
+                    .collect();
+                format!("[{}]", points.join(", "))
+            }
+            _ => {
+                let fields = form.fields.iter().zip(floorplan.fields());
+                let fields: Vec<String> = fields.map(|(f, v)| format!("\"{f}\": {v}")).collect();
+                format!("{{{}}}", fields.join(", "))
+            }
+        };
+        format!("{{\"net\": {{\"{}\": {body}}}}}", form.json)
+    }
+
+    /// The `synth` command line giving `floorplan` through its form's
+    /// flags, each value's parts joined by the separator of its spelling.
+    fn command_line_of(floorplan: &Floorplan) -> Vec<String> {
+        let mut args = vec!["synth".to_owned()];
+        let mut values = floorplan.fields().into_iter().map(|v| v.to_string());
+        for (flag, spelling) in floorplan.form().flags {
+            let sep = spelling.chars().find(|c| "x,".contains(*c)).unwrap_or(',');
+            let n = spelling.split(sep).count();
+            let value: Vec<String> = values.by_ref().take(n).collect();
+            args.extend([flag.to_string(), value.join(&sep.to_string())]);
+        }
+        args
+    }
+
+    #[test]
+    fn floorplan_limits_refuse_alike_on_the_command_line_and_in_a_request() {
+        let beyond = MAX_COORD_UM + 1;
+        for form in FloorplanForm::ALL {
+            // (floorplan, serve's error code): per form, one with too
+            // many nodes and one with a coordinate out of range; a name
+            // can only be unknown.
+            let cases = match form.json {
+                "named" => vec![(Floorplan::Named("andromeda_64".into()), "unknown_network")],
+                "grid" => vec![
+                    (grid(2_147_483_648, 2_147_483_648, 1), "network_too_large"),
+                    (grid(4, 4, 4_000_000_000_000_000_000), "network_too_large"),
+                    (grid(2, 2, beyond), "network_too_large"),
+                ],
+                "positions" => vec![
+                    (
+                        Floorplan::Positions(
+                            (0..=MAX_NODES as i64).map(|x| Point::new(x, 0)).collect(),
+                        ),
+                        "network_too_large",
+                    ),
+                    (
+                        Floorplan::Positions(vec![
+                            Point::new(0, 0),
+                            Point::new(0, 1),
+                            Point::new(beyond, 0),
+                        ]),
+                        "network_too_large",
+                    ),
+                ],
+                "irregular" => vec![
+                    (irregular(100_000, 1, 100_000_000), "network_too_large"),
+                    (irregular(16, 1, beyond + 100), "network_too_large"),
+                ],
+                other => panic!("no rejection cases for the {other} form"),
+            };
+            for (floorplan, code) in cases {
+                let expected = floorplan.clone().build().expect_err("refused");
+                let request = request_of(&floorplan);
+                let refused = xring_serve::protocol::parse_synth(&request, &Default::default(), 0)
+                    .expect_err(&request);
+                assert_eq!(
+                    (refused.status, refused.code, refused.message),
+                    (422, code, expected.to_string()),
+                    "{request}"
+                );
+                if form.flags.is_empty() {
+                    continue;
+                }
+                let line = command_line_of(&floorplan);
+                let Command::Synth(a) = parse(&line).expect("parses").command else {
+                    panic!("not synth")
+                };
+                assert_eq!(a.floorplan.as_ref(), Some(&floorplan), "{line:?}");
+                assert_eq!(a.network().expect_err("refused"), expected, "{line:?}");
+            }
+        }
+        let Command::Synth(a) = cmd(&["synth", "--grid", "16x16", "--ring", "heuristic"]) else {
+            panic!("not synth")
+        };
+        assert_eq!(a.network().map(|net| net.len()), Ok(256));
+    }
+
+    #[test]
+    fn a_second_floorplan_form_is_refused() {
+        assert!(parse(&v(&["synth", "--grid", "4x4", "--irregular", "16,5,8000"])).is_err());
+        assert!(parse(&v(&["synth", "--irregular", "16,5,8000", "--pitch", "100"])).is_err());
+        let Command::Synth(a) = cmd(&["synth", "--pitch", "1500", "--grid", "2X4"]) else {
+            panic!("not synth")
+        };
+        assert_eq!(a.floorplan, Some(grid(2, 4, 1_500)));
+        assert!(parse(&v(&["synth", "--grid", "-2x4"])).is_err());
+        assert!(parse(&v(&["synth", "--irregular", "16,5"])).is_err());
     }
 
     #[test]

@@ -16,9 +16,7 @@ use xring_bench::tables::{
     ablation_pdn, ablation_ring, ablation_shortcuts, print_ring_survey, print_sections, table1,
     table2, table3,
 };
-use xring_core::{
-    DegradationLevel, NetworkSpec, PhaseId, SpareConfig, SynthesisOptions, Synthesizer, Traffic,
-};
+use xring_core::{DegradationLevel, PhaseId, SpareConfig, SynthesisOptions, Synthesizer, Traffic};
 use xring_engine::{CacheCounter, Engine, JsonlSink, SynthesisJob};
 use xring_phot::{CrosstalkParams, LossParams, PowerParams, RouterReport};
 use xring_serve::ServeCounter;
@@ -232,13 +230,6 @@ fn run_ablation(which: &str, engine: &Engine) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn network_of(args: &SynthArgs) -> Result<NetworkSpec, xring_core::SynthesisError> {
-    match args.irregular {
-        Some((n, seed, die)) => NetworkSpec::irregular(n, die, seed),
-        None => NetworkSpec::regular_grid(args.rows, args.cols, args.pitch_um),
-    }
-}
-
 /// The sweep's default candidate ladder: the powers of two up to `--wl`,
 /// plus `--wl` itself.
 fn wl_ladder(max: usize) -> Vec<usize> {
@@ -249,7 +240,7 @@ fn wl_ladder(max: usize) -> Vec<usize> {
 
 fn run_sweep(args: &SynthArgs, objective: &str, engine: &Engine) -> ExitCode {
     use xring_core::SweepObjective;
-    let net = or_fail!(network_of(args));
+    let net = or_fail!(args.network());
     let obj = match objective {
         "il" => SweepObjective::MinInsertionLoss,
         "snr" => SweepObjective::MaxSnr,
@@ -274,7 +265,7 @@ fn run_sweep(args: &SynthArgs, objective: &str, engine: &Engine) -> ExitCode {
 }
 
 fn run_batch_cmd(args: &BatchArgs, mut engine: Engine) -> ExitCode {
-    let net = or_fail!(network_of(&args.synth));
+    let net = or_fail!(args.synth.network());
     if let Some(path) = &args.metrics_jsonl {
         match std::fs::File::create(path) {
             Ok(file) => engine = engine.with_sink(Arc::new(JsonlSink::new(file))),
@@ -337,7 +328,7 @@ fn run_batch_cmd(args: &BatchArgs, mut engine: Engine) -> ExitCode {
 }
 
 fn run_fault_sweep(args: &SynthArgs, levels: &[usize], engine: &Engine) -> ExitCode {
-    let net = or_fail!(network_of(args));
+    let net = or_fail!(args.network());
     let spare_levels: Vec<SpareConfig> = levels.iter().map(|&k| SpareConfig::uniform(k)).collect();
     let result = or_fail!(engine.fault_sweep(
         &net,
@@ -389,7 +380,7 @@ fn run_fault_sweep(args: &SynthArgs, levels: &[usize], engine: &Engine) -> ExitC
 /// incrementally, and compares it against a cold batch synthesis of the
 /// same edited spec on a fresh engine.
 fn run_edit(args: &SynthArgs, drop_pair: usize, engine: &Engine) -> ExitCode {
-    let net = or_fail!(network_of(args));
+    let net = or_fail!(args.network());
     let options = args.options.clone();
     let pairs = options.traffic.pairs(&net);
     if drop_pair >= pairs.len() {
@@ -545,7 +536,7 @@ fn run_serve(args: &ServeArgs) -> ExitCode {
 }
 
 fn run_synth(args: &SynthArgs) -> ExitCode {
-    let net = or_fail!(network_of(args));
+    let net = or_fail!(args.network());
     let options = args.options.clone();
     let design = or_fail!(Synthesizer::new(options).synthesize(&net));
 

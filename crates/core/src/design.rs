@@ -113,7 +113,8 @@ pub struct XRingDesign {
     pub ring_stats: RingStats,
     /// Opening statistics.
     pub opening_stats: OpeningStats,
-    /// Wall-clock synthesis time.
+    /// Wall-clock synthesis time: the ring's construction (replayed
+    /// rings keep their solve's time) plus Steps 2–4.
     pub elapsed: Duration,
     /// How the design was produced (degradation level + audit verdicts).
     pub provenance: Provenance,

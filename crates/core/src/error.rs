@@ -1,5 +1,6 @@
 //! Synthesis error type.
 
+use crate::netspec::NAMED_FLOORPLANS;
 use std::error::Error;
 use std::fmt;
 use xring_milp::SolveError;
@@ -26,6 +27,18 @@ pub enum SynthesisError {
         nodes: usize,
         /// Distinct node sites on the die.
         cells: u64,
+    },
+    /// A [`Floorplan`](crate::Floorplan) with more than
+    /// [`MAX_NODES`](crate::MAX_NODES) nodes or a coordinate beyond
+    /// ±[`MAX_COORD_UM`](crate::MAX_COORD_UM).
+    NetworkTooLarge {
+        /// Which limit it exceeds.
+        detail: String,
+    },
+    /// A name not in [`NAMED_FLOORPLANS`].
+    UnknownNetwork {
+        /// The name.
+        name: String,
     },
     /// The ring-construction MILP failed.
     RingMilp(SolveError),
@@ -84,6 +97,13 @@ impl fmt::Display for SynthesisError {
                 f,
                 "{nodes} nodes do not fit on the die's {cells} distinct 100 um sites"
             ),
+            SynthesisError::NetworkTooLarge { detail } => write!(f, "{detail}"),
+            SynthesisError::UnknownNetwork { name } => {
+                let names: Vec<&str> = NAMED_FLOORPLANS.iter().map(|(n, _)| *n).collect();
+                let (last, rest) = names.split_last().expect("named floorplans");
+                let rest = rest.join(", ");
+                write!(f, "unknown network \"{name}\" (expected {rest} or {last})")
+            }
             SynthesisError::RingMilp(e) => write!(f, "ring-construction MILP failed: {e}"),
             SynthesisError::WavelengthBudgetExceeded {
                 max_wavelengths,

@@ -73,7 +73,9 @@ pub use incremental::{
 };
 pub use layout::{Hop, LayoutModel, NoiseSource, Station, Waveguide};
 pub use mapping::{map_signals, map_signals_with_traffic, MappingPlan, RouteKind, SignalRoute};
-pub use netspec::{NetworkSpec, NodeId};
+pub use netspec::{
+    Floorplan, FloorplanForm, NetworkSpec, NodeId, MAX_COORD_UM, MAX_NODES, NAMED_FLOORPLANS,
+};
 pub use opening::{open_rings, OpeningStats};
 pub use options::{design_key, Flag, Form, KeyRole, OptionField, OptionValue};
 pub use pdn::{design_pdn, PdnDesign, SHORTCUT_GROUP};

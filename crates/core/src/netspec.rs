@@ -210,6 +210,198 @@ impl NetworkSpec {
     }
 }
 
+/// Hard cap on the nodes of a [`Floorplan`]: synthesis cost grows
+/// super-linearly, so this bounds the largest job one command line or
+/// request can start.
+pub const MAX_NODES: usize = 256;
+
+/// Bound on the |x| and |y| of a [`Floorplan`]'s nodes, µm: 1 km, where
+/// a die is a few cm. The perimeter of a ring through [`MAX_NODES`]
+/// nodes (each edge at most `4 * MAX_COORD_UM`) then fits an `i64` with
+/// over 10 bits to spare for the products of lengths the pipeline forms
+/// (`realize` scales each edge by the spacing's extra perimeter). A bound
+/// that only kept the perimeter in range, `i64::MAX / 1024`, overflowed
+/// there.
+pub const MAX_COORD_UM: i64 = 1_000_000_000;
+const _: () = assert!((4 * MAX_NODES as i64 * MAX_COORD_UM) < i64::MAX / 1024);
+
+/// A named floorplan: its name and its constructor.
+pub type NamedFloorplan = (&'static str, fn() -> NetworkSpec);
+
+/// The paper's floorplans, by the name a request gives them.
+pub const NAMED_FLOORPLANS: &[NamedFloorplan] = &[
+    ("proton_8", NetworkSpec::proton_8),
+    ("proton_16", NetworkSpec::proton_16),
+    ("psion_8", NetworkSpec::psion_8),
+    ("psion_16", NetworkSpec::psion_16),
+    ("psion_32", NetworkSpec::psion_32),
+];
+
+/// A floorplan as a command line or a request gives it, in one of the
+/// forms of [`FloorplanForm::ALL`] (one variant per row, in order).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Floorplan {
+    /// A name of [`NAMED_FLOORPLANS`].
+    Named(String),
+    /// [`NetworkSpec::regular_grid`]`(rows, cols, pitch_um)`.
+    Grid {
+        rows: usize,
+        cols: usize,
+        pitch_um: i64,
+    },
+    /// [`NetworkSpec::new`]: explicit positions, µm.
+    Positions(Vec<Point>),
+    /// [`NetworkSpec::irregular`]`(n, die_um, seed)`.
+    Irregular { n: usize, seed: u64, die_um: i64 },
+}
+
+/// One row of the floorplan table.
+#[derive(Debug)]
+pub struct FloorplanForm {
+    /// The form's key in a request's `"net"` object.
+    pub json: &'static str,
+    /// The integer fields of its JSON object, in the order
+    /// [`Floorplan::from_fields`] takes them. A field ending in `_um` is a
+    /// length and may be negative; counts and seeds may not. Empty for
+    /// `named` (a string) and `positions` (an array of `[x, y]` pairs).
+    pub fields: &'static [&'static str],
+    /// Its command-line flags with their values, none for the request-only
+    /// forms. The parts of a value, split at `x` or `,`, set the next
+    /// fields in order.
+    pub flags: &'static [(&'static str, &'static str)],
+}
+
+impl FloorplanForm {
+    /// The table, one row per [`Floorplan`] variant in order.
+    pub const ALL: &'static [FloorplanForm] = &[
+        FloorplanForm {
+            json: "named",
+            fields: &[],
+            flags: &[],
+        },
+        FloorplanForm {
+            json: "grid",
+            fields: &["rows", "cols", "pitch_um"],
+            flags: &[("--grid", "RxC"), ("--pitch", "UM")],
+        },
+        FloorplanForm {
+            json: "positions",
+            fields: &[],
+            flags: &[],
+        },
+        FloorplanForm {
+            json: "irregular",
+            fields: &["n", "seed", "die_um"],
+            flags: &[("--irregular", "N,SEED,DIE_UM")],
+        },
+    ];
+}
+
+impl Floorplan {
+    /// The floorplan of form `json` from one value per field, in table
+    /// order. A negative count saturates, so it fails
+    /// [`build`](Self::build)'s size check.
+    ///
+    /// # Panics
+    ///
+    /// For a form without integer fields, or a wrong number of values.
+    pub fn from_fields(json: &str, values: &[i64]) -> Self {
+        let count = |v: i64| usize::try_from(v).unwrap_or(usize::MAX);
+        match (json, values) {
+            ("grid", &[rows, cols, pitch_um]) => Floorplan::Grid {
+                rows: count(rows),
+                cols: count(cols),
+                pitch_um,
+            },
+            ("irregular", &[n, seed, die_um]) => Floorplan::Irregular {
+                n: count(n),
+                seed: seed as u64,
+                die_um,
+            },
+            _ => panic!("no form {json} of {} integer fields", values.len()),
+        }
+    }
+
+    /// Its integer field values: the inverse of
+    /// [`from_fields`](Self::from_fields), empty for the other forms.
+    pub fn fields(&self) -> Vec<i64> {
+        match *self {
+            Floorplan::Grid {
+                rows,
+                cols,
+                pitch_um,
+            } => vec![rows as i64, cols as i64, pitch_um],
+            Floorplan::Irregular { n, seed, die_um } => vec![n as i64, seed as i64, die_um],
+            _ => Vec::new(),
+        }
+    }
+
+    /// Its row of [`FloorplanForm::ALL`].
+    pub fn form(&self) -> &'static FloorplanForm {
+        let row = match self {
+            Floorplan::Named(_) => 0,
+            Floorplan::Grid { .. } => 1,
+            Floorplan::Positions(_) => 2,
+            Floorplan::Irregular { .. } => 3,
+        };
+        &FloorplanForm::ALL[row]
+    }
+
+    /// Checks the node count and the largest |x| or |y| of each form,
+    /// worked out from its fields by checked arithmetic before anything
+    /// is allocated, against [`MAX_NODES`] and [`MAX_COORD_UM`]; then
+    /// builds the network with the form's constructor.
+    ///
+    /// # Errors
+    ///
+    /// [`SynthesisError::NetworkTooLarge`] past the limits,
+    /// [`SynthesisError::UnknownNetwork`], or the constructor's error.
+    pub fn build(self) -> Result<NetworkSpec, SynthesisError> {
+        match self {
+            Floorplan::Named(name) => match NAMED_FLOORPLANS.iter().find(|(n, _)| *n == name) {
+                Some((_, net)) => Ok(net()),
+                None => Err(SynthesisError::UnknownNetwork { name }),
+            },
+            Floorplan::Grid {
+                rows,
+                cols,
+                pitch_um,
+            } => {
+                let span = rows.max(cols).saturating_sub(1) as u64;
+                check_size(
+                    rows.checked_mul(cols),
+                    span.checked_mul(pitch_um.unsigned_abs()),
+                )?;
+                NetworkSpec::regular_grid(rows, cols, pitch_um)
+            }
+            Floorplan::Positions(points) => {
+                let extent = points
+                    .iter()
+                    .map(|p| p.x.unsigned_abs().max(p.y.unsigned_abs()));
+                check_size(Some(points.len()), Some(extent.max().unwrap_or(0)))?;
+                NetworkSpec::new(points)
+            }
+            Floorplan::Irregular { n, seed, die_um } => {
+                // Sites lie in [0, die_um).
+                check_size(Some(n), Some(die_um.max(0) as u64))?;
+                NetworkSpec::irregular(n, die_um, seed)
+            }
+        }
+    }
+}
+
+/// Refuses `nodes` above [`MAX_NODES`] or a largest |x| or |y| of
+/// `extent` above [`MAX_COORD_UM`] (`None`: the arithmetic overflowed).
+fn check_size(nodes: Option<usize>, extent: Option<u64>) -> Result<(), SynthesisError> {
+    let detail = match (nodes, extent) {
+        (Some(n), _) if n > MAX_NODES => format!("{n} nodes exceeds the limit of {MAX_NODES}"),
+        (None, _) => format!("more than {MAX_NODES} nodes (the count overflows)"),
+        (_, Some(c)) if c <= MAX_COORD_UM as u64 => return Ok(()),
+        _ => format!("a coordinate exceeds the limit of +-{MAX_COORD_UM} um"),
+    };
+    Err(SynthesisError::NetworkTooLarge { detail })
+}
+
 /// Floorplans the kernel oracle tests compare each fast kernel with its
 /// reference on: seeded irregular placements of 5–8, 16, 64 and 128
 /// nodes (small dies make dense ones, whose nodes share coordinates),

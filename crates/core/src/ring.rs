@@ -18,6 +18,7 @@ use crate::error::SynthesisError;
 use crate::heuristics::{heuristic_tour, perimeter_tour, tour_length};
 use crate::netspec::{NetworkSpec, NodeId};
 use crate::variation::SplitMix64;
+use std::time::{Duration, Instant};
 use xring_geom::{classify_edge_pair, LRoute, Point, Polyline, RouteOption, TwoSat};
 use xring_milp::{
     progress, BranchAndBound, ConvergenceCollector, ConvergenceSummary, FactorizationKind, LinExpr,
@@ -404,7 +405,7 @@ fn overlapping_box_pairs(segments: &[(Point, Point)]) -> Vec<(u32, u32)> {
 pub struct RingBuilder {
     algorithm: RingAlgorithm,
     max_milp_nodes: usize,
-    deadline: Option<std::time::Instant>,
+    deadline: Option<Instant>,
     objective_perturbation: Option<u64>,
     lp_backend: LpBackendKind,
     solver_threads: usize,
@@ -434,6 +435,8 @@ pub struct RingOutcome {
     pub cycle: RingCycle,
     /// Construction statistics.
     pub stats: RingStats,
+    /// Wall time of the construction; a replayed ring keeps its solve's.
+    pub elapsed: Duration,
 }
 
 impl RingBuilder {
@@ -459,7 +462,7 @@ impl RingBuilder {
     /// [`SynthesisError::DeadlineExceeded`]. The heuristic algorithms run
     /// to completion regardless — they are fast and have no node loop to
     /// interrupt.
-    pub fn with_deadline(mut self, deadline: Option<std::time::Instant>) -> Self {
+    pub fn with_deadline(mut self, deadline: Option<Instant>) -> Self {
         self.deadline = deadline;
         self
     }
@@ -518,33 +521,29 @@ impl RingBuilder {
     /// solution does not decode to one Hamiltonian cycle (the heuristic
     /// algorithms cannot fail).
     pub fn build(&self, net: &NetworkSpec) -> Result<RingOutcome, SynthesisError> {
-        match self.algorithm {
-            RingAlgorithm::Perimeter => {
-                let (cycle, fb) = RingCycle::from_order(net, perimeter_tour(net));
-                Ok(RingOutcome {
-                    cycle,
-                    stats: RingStats {
-                        twosat_fallback: fb,
-                        ..RingStats::default()
-                    },
-                })
-            }
-            RingAlgorithm::Heuristic => {
-                let (cycle, fb) = RingCycle::from_order(net, heuristic_tour(net));
-                Ok(RingOutcome {
-                    cycle,
-                    stats: RingStats {
-                        twosat_fallback: fb,
-                        ..RingStats::default()
-                    },
-                })
-            }
-            RingAlgorithm::Milp => self.build_milp(net),
-        }
+        let t0 = Instant::now();
+        let from_tour = |order| {
+            let (cycle, twosat_fallback) = RingCycle::from_order(net, order);
+            let stats = RingStats {
+                twosat_fallback,
+                ..RingStats::default()
+            };
+            (cycle, stats)
+        };
+        let (cycle, stats) = match self.algorithm {
+            RingAlgorithm::Perimeter => from_tour(perimeter_tour(net)),
+            RingAlgorithm::Heuristic => from_tour(heuristic_tour(net)),
+            RingAlgorithm::Milp => self.build_milp(net)?,
+        };
+        Ok(RingOutcome {
+            cycle,
+            stats,
+            elapsed: t0.elapsed(),
+        })
     }
 
     #[allow(clippy::needless_range_loop)] // index loops mirror the b_ij matrix notation
-    fn build_milp(&self, net: &NetworkSpec) -> Result<RingOutcome, SynthesisError> {
+    fn build_milp(&self, net: &NetworkSpec) -> Result<(RingCycle, RingStats), SynthesisError> {
         let n = net.len();
         let mut model = Model::new();
 
@@ -688,7 +687,7 @@ impl RingBuilder {
             twosat_fallback: fb,
             convergence,
         };
-        Ok(RingOutcome { cycle, stats })
+        Ok((cycle, stats))
     }
 }
 

@@ -342,6 +342,9 @@ impl Synthesizer {
             },
         )?;
 
+        // Steps 2–4 are timed from here; the ring brings its own time.
+        let steps = Instant::now();
+
         // Step 2: shortcuts.
         check_deadline()?;
         let shortcuts = replay_phase(
@@ -414,7 +417,7 @@ impl Synthesizer {
             layout,
             ring_stats: ring.stats,
             opening_stats,
-            elapsed: t0.elapsed(),
+            elapsed: ring.elapsed + steps.elapsed(),
             provenance: Provenance::default(),
         };
 

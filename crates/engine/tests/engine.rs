@@ -3,7 +3,10 @@
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use xring_core::{DegradationLevel, DegradationPolicy, NetworkSpec, SynthesisOptions, Synthesizer};
+use xring_core::{
+    ArtifactStore, DegradationLevel, DegradationPolicy, NetworkSpec, PhaseArtifact, PhaseId,
+    PhaseKeys, SynthesisOptions, Synthesizer,
+};
 use xring_engine::{BatchResult, Engine, EngineEvent, EventSink, JobError, SynthesisJob};
 use xring_obs::{RequestCtx, RequestId};
 
@@ -306,6 +309,37 @@ fn a_batch_sharing_a_ring_counts_its_milp_work_once() {
     assert!(one.milp_nodes > 0);
     assert_eq!(five.milp_nodes, one.milp_nodes);
     assert_eq!(five.milp_lp_solves, one.milp_lp_solves);
+}
+
+#[test]
+fn every_report_of_a_shared_ring_counts_its_solve_time() {
+    // The four jobs after the first replay its ring; each report's
+    // `synthesis_time` must still include the ring's solve, as a cold
+    // synthesis's does.
+    let net = NetworkSpec::irregular(32, 16_000, 5).expect("valid");
+    let jobs = [12, 16, 20, 24, 28]
+        .map(|wl| {
+            let options = SynthesisOptions::with_wavelengths(wl);
+            SynthesisJob::new(format!("#wl={wl}"), net.clone(), options)
+        })
+        .to_vec();
+    let engine = Engine::new().with_workers(1);
+    let batch = engine.run_batch(jobs);
+    let key = PhaseKeys::compute(&net, &SynthesisOptions::with_wavelengths(12)).ring;
+    let Some(PhaseArtifact::Ring(ring)) = engine.cache().get_artifact(PhaseId::Ring, key) else {
+        panic!("the leader stored its ring");
+    };
+    assert!(ring.elapsed > Duration::ZERO);
+    for outcome in batch.outcomes {
+        let out = outcome.expect("synthesizes");
+        assert!(
+            out.report.synthesis_time >= ring.elapsed,
+            "{}: {:?} < ring solve {:?}",
+            out.label,
+            out.report.synthesis_time,
+            ring.elapsed
+        );
+    }
 }
 
 #[test]

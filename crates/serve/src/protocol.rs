@@ -20,6 +20,11 @@
 //! }
 //! ```
 //!
+//! `"net"` takes one form of the floorplan table
+//! ([`xring_core::FloorplanForm::ALL`]), which the CLI's floorplan flags
+//! read too; [`xring_core::Floorplan::build`] refuses an oversized one
+//! with 422 `network_too_large` before it builds anything.
+//!
 //! `"options"` takes the JSON field of any row of the option table
 //! ([`xring_core::options`]): an integer, boolean or name as the row's
 //! [`Form`] says, parsed by the table's text setter (`"deadline_ms"` is a
@@ -37,7 +42,10 @@ use std::time::Duration;
 
 #[cfg(test)]
 use xring_core::RingAlgorithm;
-use xring_core::{DegradationPolicy, Form, NetworkSpec, SpareConfig, SynthesisOptions, Traffic};
+use xring_core::{
+    DegradationPolicy, Floorplan, FloorplanForm, Form, NetworkSpec, SpareConfig, SynthesisError,
+    SynthesisOptions, Traffic,
+};
 use xring_engine::{JobError, JobOutput, SynthesisJob};
 use xring_geom::Point;
 
@@ -47,9 +55,8 @@ use crate::json::{self, fmt_f64, str_field, Json};
 /// request can pin regardless of admission settings.
 pub const MAX_BATCH_JOBS: usize = 64;
 
-/// Hard cap on nodes per network: synthesis cost grows super-linearly,
-/// so this bounds the largest job a request can submit.
-pub const MAX_NODES: usize = 256;
+/// The floorplan table's cap on nodes per network.
+pub use xring_core::MAX_NODES;
 
 /// A protocol-level rejection: HTTP status, stable machine-readable
 /// code, human-readable message.
@@ -183,50 +190,40 @@ fn job_from_json(
     Ok(SynthesisJob::new(label, net, options))
 }
 
+/// Decodes `"net"` through the floorplan table ([`FloorplanForm::ALL`]):
+/// the key picks the form, whose body is a name, an array of `[x, y]`
+/// pairs or an object of the form's integer fields. [`Floorplan::build`]
+/// then checks the size and builds the network.
 fn net_from_json(v: &Json) -> Result<NetworkSpec, ProtocolError> {
     let obj = v
         .as_obj()
         .ok_or_else(|| ProtocolError::bad_request("bad_request", "\"net\" must be an object"))?;
     if obj.len() != 1 {
+        let forms: Vec<&str> = FloorplanForm::ALL.iter().map(|f| f.json).collect();
         return Err(ProtocolError::bad_request(
             "bad_request",
-            "\"net\" must have exactly one of: named, grid, positions, irregular",
+            format!("\"net\" must have exactly one of: {}", forms.join(", ")),
         ));
     }
     let (kind, body) = obj.iter().next().expect("len == 1");
-    match kind.as_str() {
-        "named" => {
-            let name = body.as_str().ok_or_else(|| {
-                ProtocolError::bad_request("bad_request", "\"named\" must be a string")
-            })?;
-            match name {
-                "proton_8" => Ok(NetworkSpec::proton_8()),
-                "proton_16" => Ok(NetworkSpec::proton_16()),
-                "psion_8" => Ok(NetworkSpec::psion_8()),
-                "psion_16" => Ok(NetworkSpec::psion_16()),
-                "psion_32" => Ok(NetworkSpec::psion_32()),
-                other => Err(ProtocolError::unprocessable(
-                    "unknown_network",
-                    format!(
-                        "unknown network \"{other}\" (expected proton_8, proton_16, psion_8, psion_16 or psion_32)"
-                    ),
-                )),
-            }
-        }
-        "grid" => {
-            let rows = require_usize(body, "rows", "grid")?;
-            let cols = require_usize(body, "cols", "grid")?;
-            let pitch = require_i64(body, "pitch_um", "grid")?;
-            check_keys(body, &["rows", "cols", "pitch_um"], "grid")?;
-            check_node_count(rows.checked_mul(cols))?;
-            NetworkSpec::regular_grid(rows, cols, pitch)
-                .map_err(|e| ProtocolError::unprocessable("invalid_network", e.to_string()))
-        }
+    let form = FloorplanForm::ALL
+        .iter()
+        .find(|f| f.json == kind)
+        .ok_or_else(|| {
+            ProtocolError::bad_request("bad_request", format!("unknown net kind \"{kind}\""))
+        })?;
+    let floorplan = match form.json {
+        "named" => Floorplan::Named(
+            body.as_str()
+                .ok_or_else(|| {
+                    ProtocolError::bad_request("bad_request", "\"named\" must be a string")
+                })?
+                .to_owned(),
+        ),
         "positions" => {
             let arr = body.as_arr().ok_or_else(|| {
                 ProtocolError::bad_request("bad_request", "\"positions\" must be an array")
             })?;
-            check_node_count(Some(arr.len()))?;
             let mut points = Vec::with_capacity(arr.len());
             for (i, p) in arr.iter().enumerate() {
                 let pair = p.as_arr().filter(|a| a.len() == 2).ok_or_else(|| {
@@ -239,39 +236,37 @@ fn net_from_json(v: &Json) -> Result<NetworkSpec, ProtocolError> {
                 let y = pair[1].as_i64().ok_or_else(|| bad_coord(i))?;
                 points.push(Point::new(x, y));
             }
-            NetworkSpec::new(points)
-                .map_err(|e| ProtocolError::unprocessable("invalid_network", e.to_string()))
+            Floorplan::Positions(points)
         }
-        "irregular" => {
-            let n = require_usize(body, "n", "irregular")?;
-            let die = require_i64(body, "die_um", "irregular")?;
-            let seed = require_usize(body, "seed", "irregular")? as u64;
-            check_keys(body, &["n", "die_um", "seed"], "irregular")?;
-            check_node_count(Some(n))?;
-            NetworkSpec::irregular(n, die, seed)
-                .map_err(|e| ProtocolError::unprocessable("invalid_network", e.to_string()))
+        _ => {
+            let mut values = Vec::with_capacity(form.fields.len());
+            for &field in form.fields {
+                // A length (`_um`) may be negative, and one past the i64
+                // range saturates, so it fails the size check; a count or
+                // seed is a non-negative integer of at most 2^53.
+                let signed = field.ends_with("_um");
+                let n = body.get(field).and_then(Json::as_f64).filter(|n| {
+                    n.fract() == 0.0 && (signed || (0.0..=9_007_199_254_740_992.0).contains(n))
+                });
+                let kind = if signed { "an" } else { "a non-negative" };
+                values.push(n.ok_or_else(|| {
+                    let form = form.json;
+                    let message = format!("\"{form}\" needs {kind} integer \"{field}\"");
+                    ProtocolError::bad_request("bad_request", message)
+                })? as i64);
+            }
+            check_keys(body, form.fields, form.json)?;
+            Floorplan::from_fields(form.json, &values)
         }
-        other => Err(ProtocolError::bad_request(
-            "bad_request",
-            format!("unknown net kind \"{other}\""),
-        )),
-    }
-}
-
-/// Rejects a network of `nodes` nodes (`None`: the count overflows)
-/// above [`MAX_NODES`]. Checked on the request, before the network is
-/// built, so an oversized request costs no allocation or placement work.
-fn check_node_count(nodes: Option<usize>) -> Result<(), ProtocolError> {
-    match nodes {
-        Some(n) if n <= MAX_NODES => Ok(()),
-        n => Err(ProtocolError::unprocessable(
-            "network_too_large",
-            match n {
-                Some(n) => format!("{n} nodes exceeds the limit of {MAX_NODES}"),
-                None => format!("more than {MAX_NODES} nodes (the count overflows)"),
-            },
-        )),
-    }
+    };
+    floorplan.build().map_err(|e| {
+        let code = match e {
+            SynthesisError::UnknownNetwork { .. } => "unknown_network",
+            SynthesisError::NetworkTooLarge { .. } => "network_too_large",
+            _ => "invalid_network",
+        };
+        ProtocolError::unprocessable(code, e.to_string())
+    })
 }
 
 fn bad_coord(i: usize) -> ProtocolError {
@@ -298,15 +293,6 @@ fn require_usize(v: &Json, key: &str, context: &str) -> Result<usize, ProtocolEr
         ProtocolError::bad_request(
             "bad_request",
             format!("\"{context}\" needs a non-negative integer \"{key}\""),
-        )
-    })
-}
-
-fn require_i64(v: &Json, key: &str, context: &str) -> Result<i64, ProtocolError> {
-    v.get(key).and_then(Json::as_i64).ok_or_else(|| {
-        ProtocolError::bad_request(
-            "bad_request",
-            format!("\"{context}\" needs an integer \"{key}\""),
         )
     })
 }
