@@ -169,6 +169,20 @@ if [ -z "$nodes_one" ] || [ "$nodes_one" != "$nodes_five" ]; then
     exit 1
 fi
 
+echo "==> deadline smoke (an LP solve stops at the deadline: the 8x8 job degrades in ~3 s)"
+# The 8x8 grid's B&B reaches a dual-degenerate LP after ~1.5 s that runs
+# for minutes unless the pivot loop honours the deadline. Every design a
+# job returns has passed the audit, so "1 ok" is an audit-clean design.
+deadline_out=$(timeout 20 ./target/release/xring --jobs 1 batch --grid 8x8 --wl-list 16 \
+    --deadline-ms 3000 --degradation allow) || {
+    echo "deadline: the 8x8 job did not finish within 20 s: $deadline_out" >&2
+    exit 1
+}
+echo "$deadline_out" | grep -q '1 ok, 0 failed.*1 heuristic' && echo "$deadline_out" | grep -q '\[heuristic\]' || {
+    echo "deadline: the 8x8 job did not degrade to a heuristic design: $deadline_out" >&2
+    exit 1
+}
+
 echo "==> table smoke (Table III's XRing rows come from the audited engine sweep)"
 cargo run -q --release --offline -p xring-bench --bin table3 | grep -q '^XRing'
 

@@ -29,8 +29,8 @@ pub enum SynthesisError {
         cells: u64,
     },
     /// A [`Floorplan`](crate::Floorplan) with more than
-    /// [`MAX_NODES`](crate::MAX_NODES) nodes or a coordinate beyond
-    /// ±[`MAX_COORD_UM`](crate::MAX_COORD_UM).
+    /// [`MAX_NODES`](crate::MAX_NODES) nodes, or any network with a
+    /// coordinate beyond ±[`MAX_COORD_UM`](crate::MAX_COORD_UM).
     NetworkTooLarge {
         /// Which limit it exceeds.
         detail: String,

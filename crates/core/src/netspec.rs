@@ -51,7 +51,10 @@ impl NetworkSpec {
     ///
     /// # Errors
     ///
-    /// [`SynthesisError::TooFewNodes`] for fewer than 3 nodes, or
+    /// [`SynthesisError::TooFewNodes`] for fewer than 3 nodes,
+    /// [`SynthesisError::NetworkTooLarge`] for a coordinate beyond
+    /// ±[`MAX_COORD_UM`] (which keeps every length sum and product the
+    /// pipeline forms inside `i64`), or
     /// [`SynthesisError::DuplicateNodePositions`] when two nodes coincide.
     pub fn new(positions: Vec<Point>) -> Result<Self, SynthesisError> {
         if positions.len() < 3 {
@@ -59,6 +62,11 @@ impl NetworkSpec {
                 got: positions.len(),
             });
         }
+        let extent = positions
+            .iter()
+            .map(|p| p.x.unsigned_abs().max(p.y.unsigned_abs()))
+            .max();
+        check_extent(extent)?;
         for i in 0..positions.len() {
             for j in i + 1..positions.len() {
                 if positions[i] == positions[j] {
@@ -74,8 +82,12 @@ impl NetworkSpec {
     ///
     /// # Errors
     ///
-    /// As for [`new`](Self::new).
+    /// As for [`new`](Self::new); a pitch that puts the far corner
+    /// beyond ±[`MAX_COORD_UM`] is refused before any position is
+    /// computed.
     pub fn regular_grid(rows: usize, cols: usize, pitch_um: i64) -> Result<Self, SynthesisError> {
+        let span = rows.max(cols).saturating_sub(1) as u64;
+        check_extent(span.checked_mul(pitch_um.unsigned_abs()))?;
         let mut positions = Vec::with_capacity(rows * cols);
         for r in 0..rows {
             for c in 0..cols {
@@ -393,13 +405,23 @@ impl Floorplan {
 /// Refuses `nodes` above [`MAX_NODES`] or a largest |x| or |y| of
 /// `extent` above [`MAX_COORD_UM`] (`None`: the arithmetic overflowed).
 fn check_size(nodes: Option<usize>, extent: Option<u64>) -> Result<(), SynthesisError> {
-    let detail = match (nodes, extent) {
-        (Some(n), _) if n > MAX_NODES => format!("{n} nodes exceeds the limit of {MAX_NODES}"),
-        (None, _) => format!("more than {MAX_NODES} nodes (the count overflows)"),
-        (_, Some(c)) if c <= MAX_COORD_UM as u64 => return Ok(()),
-        _ => format!("a coordinate exceeds the limit of +-{MAX_COORD_UM} um"),
+    let detail = match nodes {
+        Some(n) if n > MAX_NODES => format!("{n} nodes exceeds the limit of {MAX_NODES}"),
+        None => format!("more than {MAX_NODES} nodes (the count overflows)"),
+        Some(_) => return check_extent(extent),
     };
     Err(SynthesisError::NetworkTooLarge { detail })
+}
+
+/// Refuses a largest |x| or |y| of `extent` above [`MAX_COORD_UM`]
+/// (`None`: the arithmetic overflowed).
+fn check_extent(extent: Option<u64>) -> Result<(), SynthesisError> {
+    match extent {
+        Some(c) if c <= MAX_COORD_UM as u64 => Ok(()),
+        _ => Err(SynthesisError::NetworkTooLarge {
+            detail: format!("a coordinate exceeds the limit of +-{MAX_COORD_UM} um"),
+        }),
+    }
 }
 
 /// Floorplans the kernel oracle tests compare each fast kernel with its
@@ -441,6 +463,30 @@ mod tests {
         assert_eq!(net.len(), 6);
         assert_eq!(net.position(NodeId(0)), Point::new(0, 0));
         assert_eq!(net.position(NodeId(5)), Point::new(200, 100));
+    }
+
+    #[test]
+    fn library_constructors_refuse_coordinates_beyond_the_limit() {
+        // A 1e15 µm pitch once reached `realize`'s unchecked length
+        // products and panicked there in debug builds; now the
+        // constructors refuse it with the floorplan table's error.
+        let far = 1_000_000_000_000_000;
+        for pitch in [far, -far, i64::MAX, i64::MIN] {
+            let err = NetworkSpec::regular_grid(4, 4, pitch);
+            assert!(
+                matches!(err, Err(SynthesisError::NetworkTooLarge { .. })),
+                "pitch {pitch}: {err:?}"
+            );
+        }
+        let err = NetworkSpec::new(vec![Point::new(0, 0), Point::new(far, 0), Point::new(0, 1)]);
+        assert!(matches!(err, Err(SynthesisError::NetworkTooLarge { .. })));
+        // The limit itself is inside.
+        let edge = NetworkSpec::regular_grid(2, 2, MAX_COORD_UM).expect("at the limit");
+        assert_eq!(
+            edge.position(NodeId(3)),
+            Point::new(MAX_COORD_UM, MAX_COORD_UM)
+        );
+        assert!(NetworkSpec::regular_grid(3, 3, MAX_COORD_UM).is_err());
     }
 
     #[test]

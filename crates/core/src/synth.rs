@@ -112,7 +112,8 @@ option_table! {
         loss: LossParams = LossParams::default(), role DESIGN;
         /// Wall-clock budget for the whole pipeline (`None` = unbounded).
         /// Checked cooperatively between steps and, most importantly, once
-        /// per node inside the ring-construction branch-and-bound; expiry
+        /// per node inside the ring-construction branch-and-bound and every
+        /// 32 simplex iterations inside its LP solves; expiry
         /// aborts with [`SynthesisError::DeadlineExceeded`]. The budget does
         /// not change the result of a synthesis that completes within it.
         deadline: Option<Duration> = None, role NON_SEMANTIC, json "deadline_ms";

@@ -13,6 +13,12 @@
 //!   simplex with native `lb ≤ x ≤ ub` handling and dual-simplex warm
 //!   starts. This is the default ([`LpBackendKind::Revised`]).
 //!
+//! The trait serves one-off solves (tests, the differential suites). A
+//! branch-and-bound search instead keeps one LP per worker, built once
+//! from the model rows and extended in place by lazy cuts: the revised
+//! kernel's workspace, or the dense tableau's row list, which that
+//! kernel rebuilds into a tableau per solve.
+//!
 //! Observability attribution happens here, not inside the raw kernels:
 //! each backend records `simplex.pivots` / `simplex.degenerate_pivots`
 //! (aggregates) plus per-backend variants (`simplex.pivots.dense`,
@@ -23,6 +29,7 @@
 
 use std::fmt;
 use std::str::FromStr;
+use std::time::Instant;
 
 use crate::revised::RevisedSimplex;
 use crate::simplex::{LpOutcome, LpProblem};
@@ -137,30 +144,36 @@ impl LpBackend for DenseBackend {
     }
 
     fn solve(&self, lp: &LpProblem) -> BackendSolve {
-        let mut pivots = 0usize;
-        let mut degenerate = 0usize;
-        let outcome = lp.solve_counted(&mut pivots, &mut degenerate);
-        record_counters(
-            "dense",
-            SolveTelemetry {
-                pivots,
-                degenerate,
-                warmed: false,
-                refactorizations: 0,
-                fill_in: 0,
-            },
-        );
-        BackendSolve {
-            outcome,
-            basis: None,
-            warmed: false,
-        }
+        solve_dense(lp, None)
     }
 
     fn solve_warm(&self, lp: &LpProblem, _warm: &Basis) -> BackendSolve {
         // The tableau is rebuilt from scratch every time; a warm basis
         // cannot be exploited, so this counts as a cold start.
         self.solve(lp)
+    }
+}
+
+/// One dense-tableau solve with its counters recorded, interrupted once
+/// `deadline` has passed (see [`LpOutcome::Interrupted`]).
+pub(crate) fn solve_dense(lp: &LpProblem, deadline: Option<Instant>) -> BackendSolve {
+    let mut pivots = 0usize;
+    let mut degenerate = 0usize;
+    let outcome = lp.solve_counted(&mut pivots, &mut degenerate, deadline);
+    record_counters(
+        "dense",
+        SolveTelemetry {
+            pivots,
+            degenerate,
+            warmed: false,
+            refactorizations: 0,
+            fill_in: 0,
+        },
+    );
+    BackendSolve {
+        outcome,
+        basis: None,
+        warmed: false,
     }
 }
 

@@ -4,9 +4,15 @@
 //! Nodes fix binaries through their *bounds* (`lb = ub`) rather than by
 //! substituting them out of the LP, so every node shares the parent's
 //! variable space and the LP basis transfers: each node carries an
-//! `Arc<Basis>` from its parent's optimal solve and hands it to
-//! [`LpBackend::solve_warm`], turning child solves into short
-//! dual-simplex cleanups on the [`crate::revised`] backend.
+//! `Arc<Basis>` from its parent's optimal solve, turning child solves
+//! into short dual-simplex cleanups on the [`crate::revised`] backend.
+//!
+//! The LP itself is built once per search: each worker keeps one
+//! [`crate::revised`] workspace (or, on the dense reference backend, one
+//! row list) that holds the model rows, takes every lazy cut in place,
+//! and solves a node from just its bound vectors and warm basis. The
+//! search's deadline reaches the LP's pivot loop too, so an expired
+//! deadline interrupts a long solve, not only the next node.
 //!
 //! # Deterministic parallel search
 //!
@@ -36,14 +42,14 @@
 //! before any branching, so best-bound pruning has a cutoff from round
 //! one.
 
-use crate::backend::{Basis, DenseBackend, LpBackend, LpBackendKind};
+use crate::backend::{solve_dense, BackendSolve, Basis, LpBackendKind};
 use crate::error::SolveError;
 use crate::expr::{LinExpr, VarId};
 use crate::factor::FactorizationKind;
 use crate::model::{Model, Relation, VarKind};
 use crate::pricing::PricingKind;
 use crate::progress::{self, ProgressEvent, ProgressKind, ProgressObserver};
-use crate::revised::RevisedConfig;
+use crate::revised::{LpWorkspace, RevisedConfig};
 use crate::simplex::{LpOutcome, LpProblem, LpRow};
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
@@ -226,6 +232,71 @@ impl ProgressState<'_> {
     }
 }
 
+/// One worker's LP relaxation for a whole search: built from the model
+/// rows once, extended in place by each lazy cut, and solved per node
+/// from that node's bound vectors and warm basis.
+enum NodeLp {
+    /// The dense reference tableau's problem; that kernel builds its
+    /// tableau afresh on every solve and cannot warm-start.
+    Dense {
+        lp: LpProblem,
+        deadline: Option<Instant>,
+    },
+    /// The revised simplex's workspace.
+    Revised(Box<LpWorkspace>),
+}
+
+impl NodeLp {
+    fn new(
+        kind: LpBackendKind,
+        config: RevisedConfig,
+        objective: &[f64],
+        deadline: Option<Instant>,
+    ) -> Self {
+        match kind {
+            LpBackendKind::Dense => NodeLp::Dense {
+                lp: LpProblem {
+                    num_vars: objective.len(),
+                    lb: vec![0.0; objective.len()],
+                    ub: vec![0.0; objective.len()],
+                    objective: objective.to_vec(),
+                    rows: Vec::new(),
+                },
+                deadline,
+            },
+            LpBackendKind::Revised => {
+                let mut ws = LpWorkspace::new(config, objective);
+                ws.set_deadline(deadline);
+                NodeLp::Revised(Box::new(ws))
+            }
+        }
+    }
+
+    /// Appends the rows of `rows` this LP has not seen yet (the search's
+    /// rows only ever grow at the end).
+    fn sync(&mut self, rows: &[LpRow]) {
+        match self {
+            NodeLp::Dense { lp, .. } => lp.rows.extend_from_slice(&rows[lp.rows.len()..]),
+            NodeLp::Revised(ws) => {
+                for r in &rows[ws.num_rows()..] {
+                    ws.add_row(&r.terms, r.relation, r.rhs);
+                }
+            }
+        }
+    }
+
+    fn solve(&mut self, lb: &[f64], ub: &[f64], warm: Option<&Basis>) -> BackendSolve {
+        match self {
+            NodeLp::Dense { lp, deadline } => {
+                lp.lb.copy_from_slice(lb);
+                lp.ub.copy_from_slice(ub);
+                solve_dense(lp, *deadline)
+            }
+            NodeLp::Revised(ws) => ws.solve(lb, ub, warm),
+        }
+    }
+}
+
 impl BranchAndBound {
     /// Creates a solver with default limits.
     pub fn new() -> Self {
@@ -241,7 +312,8 @@ impl BranchAndBound {
     }
 
     /// Sets a cooperative wall-clock deadline, checked once per
-    /// branch-and-bound node alongside the node limit. When the deadline
+    /// branch-and-bound node alongside the node limit and every few
+    /// simplex iterations inside each LP solve. When the deadline
     /// passes mid-search the solve aborts with
     /// [`SolveError::Interrupted`] — a hard stop (no incumbent fallback),
     /// since the caller's time budget is already spent. `None` clears a
@@ -527,17 +599,19 @@ impl BranchAndBound {
         }
         stats.presolve_fixed = pre.fixed.len();
 
-        // The backend is built per solve so the revised kernel picks up
-        // this solver's pricing/factorization knobs.
-        let backend_owned: Box<dyn LpBackend> = match self.lp_backend {
-            LpBackendKind::Dense => Box::new(DenseBackend),
-            LpBackendKind::Revised => Box::new(
+        // One LP per worker for the whole search, built from the model
+        // rows on first use; lazy cuts reach it at the next round start.
+        let new_lp = || {
+            NodeLp::new(
+                self.lp_backend,
                 RevisedConfig::default()
                     .with_factorization(self.factorization)
                     .with_pricing(self.pricing),
-            ),
+                &objective,
+                self.deadline,
+            )
         };
-        let backend: &dyn LpBackend = backend_owned.as_ref();
+        let mut workers: Vec<NodeLp> = vec![new_lp()];
         let dense_backend = self.lp_backend == LpBackendKind::Dense;
         let binaries: Vec<usize> = model.binary_vars().iter().map(|v| v.index()).collect();
         let is_binary = {
@@ -726,50 +800,52 @@ impl BranchAndBound {
 
             // --- Parallel LP solves: each item is a pure function of
             // the round-start rows, its fixes, and its warm basis, so
-            // the schedule cannot affect any result.
-            let solve_item = |item: &WorkItem| {
-                let lp = LpProblem {
-                    num_vars: n,
-                    lb: item.lb.clone(),
-                    ub: item.ub.clone(),
-                    objective: objective.clone(),
-                    rows: rows.clone(),
-                };
-                match &item.node.basis {
-                    Some(basis) => backend.solve_warm(&lp, basis),
-                    None => backend.solve(&lp),
-                }
+            // neither the schedule nor which worker's LP solves it can
+            // affect any result.
+            let nw = if items.len() > 1 {
+                threads.min(items.len())
+            } else {
+                1
             };
-            let results: Vec<crate::backend::BackendSolve> = if threads > 1 && items.len() > 1 {
-                let nw = threads.min(items.len());
+            while workers.len() < nw {
+                workers.push(new_lp());
+            }
+            for lp in &mut workers[..nw] {
+                lp.sync(&rows);
+            }
+            let solve_item = |lp: &mut NodeLp, item: &WorkItem| {
+                lp.solve(&item.lb, &item.ub, item.node.basis.as_deref())
+            };
+            let results: Vec<BackendSolve> = if nw > 1 {
                 let claimed: Vec<AtomicBool> =
                     (0..items.len()).map(|_| AtomicBool::new(false)).collect();
-                let slots: Vec<Mutex<Option<crate::backend::BackendSolve>>> =
+                let slots: Vec<Mutex<Option<BackendSolve>>> =
                     (0..items.len()).map(|_| Mutex::new(None)).collect();
                 let steals = AtomicUsize::new(0);
                 // Per-worker stripes first, then a global scan that
                 // steals whatever slower workers have not claimed.
-                let worker = |w: usize| {
+                let worker = |w: usize, lp: &mut NodeLp| {
                     let mut i = w;
                     while i < items.len() {
                         if !claimed[i].swap(true, Ordering::Relaxed) {
-                            *slots[i].lock().unwrap() = Some(solve_item(&items[i]));
+                            *slots[i].lock().unwrap() = Some(solve_item(lp, &items[i]));
                         }
                         i += nw;
                     }
                     for i in 0..items.len() {
                         if !claimed[i].swap(true, Ordering::Relaxed) {
                             steals.fetch_add(1, Ordering::Relaxed);
-                            *slots[i].lock().unwrap() = Some(solve_item(&items[i]));
+                            *slots[i].lock().unwrap() = Some(solve_item(lp, &items[i]));
                         }
                     }
                 };
+                let (first, helpers) = workers[..nw].split_first_mut().expect("one worker");
                 std::thread::scope(|scope| {
-                    for w in 1..nw {
+                    for (w, lp) in helpers.iter_mut().enumerate() {
                         let worker = &worker;
-                        scope.spawn(move || worker(w));
+                        scope.spawn(move || worker(w + 1, lp));
                     }
-                    worker(0);
+                    worker(0, first);
                 });
                 xring_obs::counter("bnb.steals", steals.load(Ordering::Relaxed) as u64);
                 slots
@@ -777,7 +853,8 @@ impl BranchAndBound {
                     .map(|slot| slot.into_inner().unwrap().expect("item processed"))
                     .collect()
             } else {
-                items.iter().map(solve_item).collect()
+                let lp = &mut workers[0];
+                items.iter().map(|item| solve_item(lp, item)).collect()
             };
 
             // --- Serial merge, in batch order: the only place that
@@ -802,6 +879,9 @@ impl BranchAndBound {
                         return Err(SolveError::Unbounded);
                     }
                     LpOutcome::IterationLimit => return Err(SolveError::Numerical),
+                    LpOutcome::Interrupted => {
+                        return Err(SolveError::Interrupted { nodes: stats.nodes })
+                    }
                 };
                 let node_obj = sol.objective;
                 // Every LP solve of the root node (including re-queues

@@ -109,7 +109,12 @@ impl FactorCtx<'_> {
 /// A basis factorization: the linear-algebra kernel behind the revised
 /// simplex. All vectors are length `m`; `ftran` results are indexed by
 /// basis position, `btran` results by constraint row.
-pub trait Factorization: fmt::Debug {
+///
+/// The solves write their `m`-vector result into a caller-owned `out`
+/// buffer (cleared first), so a simplex iteration reuses its `y`, `ρ`
+/// and `α` vectors instead of allocating them; they take `&mut self`
+/// for the factorization's own scratch space.
+pub trait Factorization: fmt::Debug + Send {
     /// Stable lowercase name ("dense-eta", "sparse-lu").
     fn name(&self) -> &'static str;
 
@@ -122,20 +127,20 @@ pub trait Factorization: fmt::Debug {
     fn refresh(&mut self, ctx: &FactorCtx<'_>, basic: &[usize]) -> bool;
 
     /// `B⁻¹·a` for a sparse column `a` (duplicate rows accumulate).
-    fn ftran_sparse(&self, col: &[(usize, f64)]) -> Vec<f64>;
+    fn ftran_sparse(&mut self, col: &[(usize, f64)], out: &mut Vec<f64>);
 
     /// `B⁻¹·eᵣₒᵥᵥ` — the column of `B⁻¹` for one constraint row.
-    fn ftran_unit(&self, row: usize) -> Vec<f64>;
+    fn ftran_unit(&mut self, row: usize, out: &mut Vec<f64>);
 
     /// `B⁻¹·r` for a dense right-hand side.
-    fn ftran_dense(&self, rhs: &[f64]) -> Vec<f64>;
+    fn ftran_dense(&mut self, rhs: &[f64], out: &mut Vec<f64>);
 
     /// `cᵀ·B⁻¹` for a dense basic-cost vector (indexed by basis
     /// position); the result is indexed by constraint row.
-    fn btran(&self, c: &[f64]) -> Vec<f64>;
+    fn btran(&mut self, c: &[f64], out: &mut Vec<f64>);
 
     /// Row `r` of `B⁻¹` (`eᵣᵀ·B⁻¹`), the dual simplex's pivot row.
-    fn row(&self, r: usize) -> Vec<f64>;
+    fn row(&mut self, r: usize, out: &mut Vec<f64>);
 
     /// Rank-1 update after `alpha = ftran(entering)` pivots at basis row
     /// `r`. Returns `false` when the update is refused on stability
@@ -235,49 +240,50 @@ impl Factorization for DenseEta {
         true
     }
 
-    fn ftran_sparse(&self, col: &[(usize, f64)]) -> Vec<f64> {
+    fn ftran_sparse(&mut self, col: &[(usize, f64)], out: &mut Vec<f64>) {
         let m = self.m;
-        let mut alpha = vec![0.0; m];
+        out.clear();
+        out.resize(m, 0.0);
         for &(row, c) in col {
-            for (i, a) in alpha.iter_mut().enumerate() {
+            for (i, a) in out.iter_mut().enumerate() {
                 *a += self.binv[i * m + row] * c;
             }
         }
-        alpha
     }
 
-    fn ftran_unit(&self, row: usize) -> Vec<f64> {
+    fn ftran_unit(&mut self, row: usize, out: &mut Vec<f64>) {
         let m = self.m;
-        (0..m).map(|i| self.binv[i * m + row]).collect()
+        out.clear();
+        out.extend((0..m).map(|i| self.binv[i * m + row]));
     }
 
-    fn ftran_dense(&self, rhs: &[f64]) -> Vec<f64> {
+    fn ftran_dense(&mut self, rhs: &[f64], out: &mut Vec<f64>) {
         let m = self.m;
-        (0..m)
-            .map(|i| {
-                let brow = &self.binv[i * m..(i + 1) * m];
-                brow.iter().zip(rhs).map(|(b, r)| b * r).sum()
-            })
-            .collect()
+        out.clear();
+        out.extend((0..m).map(|i| {
+            let brow = &self.binv[i * m..(i + 1) * m];
+            brow.iter().zip(rhs).map(|(b, r)| b * r).sum::<f64>()
+        }));
     }
 
-    fn btran(&self, c: &[f64]) -> Vec<f64> {
+    fn btran(&mut self, c: &[f64], out: &mut Vec<f64>) {
         let m = self.m;
-        let mut y = vec![0.0; m];
+        out.clear();
+        out.resize(m, 0.0);
         for (i, &ci) in c.iter().enumerate() {
             if ci == 0.0 {
                 continue;
             }
             let brow = &self.binv[i * m..(i + 1) * m];
-            for (t, yv) in y.iter_mut().enumerate() {
+            for (t, yv) in out.iter_mut().enumerate() {
                 *yv += ci * brow[t];
             }
         }
-        y
     }
 
-    fn row(&self, r: usize) -> Vec<f64> {
-        self.binv[r * self.m..(r + 1) * self.m].to_vec()
+    fn row(&mut self, r: usize, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend_from_slice(&self.binv[r * self.m..(r + 1) * self.m]);
     }
 
     fn update(&mut self, r: usize, alpha: &[f64]) -> bool {
@@ -336,6 +342,8 @@ pub struct SparseLu {
     etas: Vec<(usize, Vec<(usize, f64)>)>,
     /// Factor nonzeros minus basis nonzeros at the last refresh.
     fill: usize,
+    /// Scratch vector (indexed by original row) reused by every solve.
+    work: Vec<f64>,
 }
 
 impl SparseLu {
@@ -354,15 +362,18 @@ impl SparseLu {
             pos_of_row: Vec::new(),
             etas: Vec::new(),
             fill: 0,
+            work: Vec::new(),
         };
         lu.reset_identity(m);
         lu
     }
 
-    /// LU solve (no etas): `rhs` indexed by original row in `work`;
-    /// returns `B₀⁻¹·rhs` indexed by basis position.
-    fn lu_ftran(&self, work: &mut [f64]) -> Vec<f64> {
+    /// Full ftran: the right-hand side, indexed by original row, sits
+    /// in `self.work`; writes `B⁻¹·rhs` (LU solve, then the etas in
+    /// order) into `x`, indexed by basis position.
+    fn ftran_work(&mut self, x: &mut Vec<f64>) {
         let m = self.m;
+        let work = &mut self.work;
         // Forward: L·z = P·rhs. After step k, work[perm[k]] is final.
         for k in 0..m {
             let v = work[self.perm[k]];
@@ -372,7 +383,8 @@ impl SparseLu {
                 }
             }
         }
-        let mut x: Vec<f64> = (0..m).map(|k| work[self.perm[k]]).collect();
+        x.clear();
+        x.extend((0..m).map(|k| work[self.perm[k]]));
         // Backward: U·x = z, column-oriented.
         for j in (0..m).rev() {
             let xj = x[j] / self.u_diag[j];
@@ -383,7 +395,51 @@ impl SparseLu {
                 }
             }
         }
-        x
+        self.apply_etas(x);
+    }
+
+    /// Zeroes `self.work` to length `m` before a sparse right-hand side
+    /// is scattered into it.
+    fn clear_work(&mut self) {
+        self.work.clear();
+        self.work.resize(self.m, 0.0);
+    }
+
+    /// Full btran: the basic-cost vector, indexed by basis position,
+    /// sits in `self.work`; writes `cᵀ·B⁻¹` into `y`, indexed by row.
+    fn btran_work(&mut self, y: &mut Vec<f64>) {
+        let m = self.m;
+        let z = &mut self.work;
+        // Etas in reverse: (cᵀE)ᵣ = cᵀ·eta_col, other entries unchanged.
+        for (r, entries) in self.etas.iter().rev() {
+            let mut v = 0.0;
+            for &(i, e) in entries {
+                v += z[i] * e;
+            }
+            z[*r] = v;
+        }
+        // Uᵀ·z = c (lower triangular in pivot order, column-oriented).
+        for k in 0..m {
+            let mut v = z[k];
+            for t in self.u_ptr[k]..self.u_ptr[k + 1] {
+                v -= self.u_val[t] * z[self.u_idx[t]];
+            }
+            z[k] = v / self.u_diag[k];
+        }
+        // Lᵀ·w = z (upper triangular in pivot order).
+        for k in (0..m).rev() {
+            let mut v = z[k];
+            for t in self.l_ptr[k]..self.l_ptr[k + 1] {
+                v -= self.l_val[t] * z[self.pos_of_row[self.l_idx[t]]];
+            }
+            z[k] = v;
+        }
+        // yᵀ = wᵀ·P: scatter back to original row indices.
+        y.clear();
+        y.resize(m, 0.0);
+        for k in 0..m {
+            y[self.perm[k]] = z[k];
+        }
     }
 
     /// Applies the eta file (in order) to an ftran result in place.
@@ -523,71 +579,36 @@ impl Factorization for SparseLu {
         true
     }
 
-    fn ftran_sparse(&self, col: &[(usize, f64)]) -> Vec<f64> {
-        let mut work = vec![0.0; self.m];
+    fn ftran_sparse(&mut self, col: &[(usize, f64)], out: &mut Vec<f64>) {
+        self.clear_work();
         for &(row, c) in col {
-            work[row] += c;
+            self.work[row] += c;
         }
-        let mut x = self.lu_ftran(&mut work);
-        self.apply_etas(&mut x);
-        x
+        self.ftran_work(out);
     }
 
-    fn ftran_unit(&self, row: usize) -> Vec<f64> {
-        let mut work = vec![0.0; self.m];
-        work[row] = 1.0;
-        let mut x = self.lu_ftran(&mut work);
-        self.apply_etas(&mut x);
-        x
+    fn ftran_unit(&mut self, row: usize, out: &mut Vec<f64>) {
+        self.clear_work();
+        self.work[row] = 1.0;
+        self.ftran_work(out);
     }
 
-    fn ftran_dense(&self, rhs: &[f64]) -> Vec<f64> {
-        let mut work = rhs.to_vec();
-        let mut x = self.lu_ftran(&mut work);
-        self.apply_etas(&mut x);
-        x
+    fn ftran_dense(&mut self, rhs: &[f64], out: &mut Vec<f64>) {
+        self.work.clear();
+        self.work.extend_from_slice(rhs);
+        self.ftran_work(out);
     }
 
-    fn btran(&self, c: &[f64]) -> Vec<f64> {
-        let m = self.m;
-        let mut c = c.to_vec();
-        // Etas in reverse: (cᵀE)ᵣ = cᵀ·eta_col, other entries unchanged.
-        for (r, entries) in self.etas.iter().rev() {
-            let mut v = 0.0;
-            for &(i, e) in entries {
-                v += c[i] * e;
-            }
-            c[*r] = v;
-        }
-        // Uᵀ·z = c (lower triangular in pivot order, column-oriented).
-        let mut z = c;
-        for k in 0..m {
-            let mut v = z[k];
-            for t in self.u_ptr[k]..self.u_ptr[k + 1] {
-                v -= self.u_val[t] * z[self.u_idx[t]];
-            }
-            z[k] = v / self.u_diag[k];
-        }
-        // Lᵀ·w = z (upper triangular in pivot order).
-        for k in (0..m).rev() {
-            let mut v = z[k];
-            for t in self.l_ptr[k]..self.l_ptr[k + 1] {
-                v -= self.l_val[t] * z[self.pos_of_row[self.l_idx[t]]];
-            }
-            z[k] = v;
-        }
-        // yᵀ = wᵀ·P: scatter back to original row indices.
-        let mut y = vec![0.0; m];
-        for k in 0..m {
-            y[self.perm[k]] = z[k];
-        }
-        y
+    fn btran(&mut self, c: &[f64], out: &mut Vec<f64>) {
+        self.work.clear();
+        self.work.extend_from_slice(c);
+        self.btran_work(out);
     }
 
-    fn row(&self, r: usize) -> Vec<f64> {
-        let mut e = vec![0.0; self.m];
-        e[r] = 1.0;
-        self.btran(&e)
+    fn row(&mut self, r: usize, out: &mut Vec<f64>) {
+        self.clear_work();
+        self.work[r] = 1.0;
+        self.btran_work(out);
     }
 
     fn update(&mut self, r: usize, alpha: &[f64]) -> bool {
@@ -673,6 +694,13 @@ mod tests {
         (cols, basic)
     }
 
+    /// Collects one buffer-writing solve into a fresh vector.
+    fn out(solve: impl FnOnce(&mut Vec<f64>)) -> Vec<f64> {
+        let mut v = Vec::new();
+        solve(&mut v);
+        v
+    }
+
     fn close(a: &[f64], b: &[f64], tol: f64) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x - y).abs() < tol)
     }
@@ -699,20 +727,35 @@ mod tests {
             factored += 1;
             let rhs: Vec<f64> = (0..m).map(|_| rng.unit() * 2.0 - 1.0).collect();
             assert!(
-                close(&dense.ftran_dense(&rhs), &lu.ftran_dense(&rhs), 1e-8),
+                close(
+                    &out(|o| dense.ftran_dense(&rhs, o)),
+                    &out(|o| lu.ftran_dense(&rhs, o)),
+                    1e-8
+                ),
                 "ftran mismatch"
             );
-            assert!(close(&dense.btran(&rhs), &lu.btran(&rhs), 1e-8));
+            assert!(close(
+                &out(|o| dense.btran(&rhs, o)),
+                &out(|o| lu.btran(&rhs, o)),
+                1e-8
+            ));
             for r in 0..m {
-                assert!(close(&dense.row(r), &lu.row(r), 1e-8), "row {r}");
-                assert!(close(&dense.ftran_unit(r), &lu.ftran_unit(r), 1e-8));
+                assert!(
+                    close(&out(|o| dense.row(r, o)), &out(|o| lu.row(r, o)), 1e-8),
+                    "row {r}"
+                );
+                assert!(close(
+                    &out(|o| dense.ftran_unit(r, o)),
+                    &out(|o| lu.ftran_unit(r, o)),
+                    1e-8
+                ));
             }
             let col: Vec<(usize, f64)> = (0..2)
                 .map(|_| ((rng.next() as usize) % m, rng.unit()))
                 .collect();
             assert!(close(
-                &dense.ftran_sparse(&col),
-                &lu.ftran_sparse(&col),
+                &out(|o| dense.ftran_sparse(&col, o)),
+                &out(|o| lu.ftran_sparse(&col, o)),
                 1e-8
             ));
         }
@@ -736,21 +779,29 @@ mod tests {
             // where its alpha is usable, mirroring simplex updates.
             for _ in 0..3 {
                 let q = (rng.next() as usize) % n;
-                let alpha = dense.ftran_sparse(&cols[q]);
+                let alpha = out(|o| dense.ftran_sparse(&cols[q], o));
                 let Some(r) = (0..m).find(|&i| alpha[i].abs() > 0.1) else {
                     continue;
                 };
                 if !dense.update(r, &alpha) {
                     continue;
                 }
-                let alpha_lu = lu.ftran_sparse(&cols[q]);
+                let alpha_lu = out(|o| lu.ftran_sparse(&cols[q], o));
                 assert!(lu.update(r, &alpha_lu), "lu refused a dense-accepted pivot");
                 let rhs: Vec<f64> = (0..m).map(|_| rng.unit()).collect();
                 assert!(
-                    close(&dense.ftran_dense(&rhs), &lu.ftran_dense(&rhs), 1e-7),
+                    close(
+                        &out(|o| dense.ftran_dense(&rhs, o)),
+                        &out(|o| lu.ftran_dense(&rhs, o)),
+                        1e-7
+                    ),
                     "post-update ftran mismatch"
                 );
-                assert!(close(&dense.btran(&rhs), &lu.btran(&rhs), 1e-7));
+                assert!(close(
+                    &out(|o| dense.btran(&rhs, o)),
+                    &out(|o| lu.btran(&rhs, o)),
+                    1e-7
+                ));
             }
             assert_eq!(dense.updates_since_refresh(), lu.updates_since_refresh());
         }
@@ -771,7 +822,7 @@ mod tests {
         ] {
             assert!(!factor.refresh(&ctx, &[0, 1]), "singular must be rejected");
             // The identity factors must still answer queries.
-            let x = factor.ftran_dense(&[3.0, -2.0]);
+            let x = out(|o| factor.ftran_dense(&[3.0, -2.0], o));
             assert!(close(&x, &[3.0, -2.0], 1e-12));
             assert!(factor.refresh(&ctx, &[0, 3]), "mixed basis is regular");
         }
@@ -797,7 +848,7 @@ mod tests {
         };
         let mut lu = SparseLu::identity(0);
         assert!(lu.refresh(&ctx, &[]));
-        assert!(lu.ftran_dense(&[]).is_empty());
-        assert!(lu.btran(&[]).is_empty());
+        assert!(out(|o| lu.ftran_dense(&[], o)).is_empty());
+        assert!(out(|o| lu.btran(&[], o)).is_empty());
     }
 }

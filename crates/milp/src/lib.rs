@@ -11,8 +11,9 @@
 //!   backend, and [`revised`], a revised bounded-variable simplex with
 //!   native bound handling and dual-simplex warm starts (the default),
 //! * [`BranchAndBound`] — an exact branch-and-bound search over the binary
-//!   variables, with warm-start incumbents, per-node LP basis reuse
-//!   through [`LpBackend::solve_warm`], and lazy-constraint callbacks
+//!   variables, with warm-start incumbents, one LP per worker built once
+//!   and solved per node from that node's bounds and its parent's basis,
+//!   and lazy-constraint callbacks
 //!   (the mechanism the ring builder uses to separate conflict constraints
 //!   on demand instead of enumerating all `O(|E|²)` pairs up front).
 //!

@@ -89,7 +89,7 @@ impl FromStr for PricingKind {
 /// column `j` — already sign-adjusted for the bound the variable rests
 /// at — when `j` is a strictly eligible nonbasic candidate, and `None`
 /// otherwise. Rates are negative; more negative is better.
-pub trait Pricing: fmt::Debug {
+pub trait Pricing: fmt::Debug + Send {
     /// Stable lowercase rule name ("dantzig", "devex", "partial").
     fn name(&self) -> &'static str;
 

@@ -6,6 +6,8 @@
 //! guarantee termination, and upper bounds are handled as explicit rows.
 
 use crate::model::Relation;
+use crate::revised::DEADLINE_STRIDE;
+use std::time::Instant;
 
 /// Feasibility tolerance used throughout the solver.
 pub(crate) const EPS: f64 = 1e-9;
@@ -57,6 +59,9 @@ pub enum LpOutcome {
     Unbounded,
     /// The iteration limit was exceeded (numerical trouble).
     IterationLimit,
+    /// The solve's deadline passed before it finished (checked every
+    /// few simplex iterations; only solves given a deadline end so).
+    Interrupted,
 }
 
 impl LpProblem {
@@ -71,7 +76,7 @@ impl LpProblem {
     pub fn solve(&self) -> LpOutcome {
         let mut pivots = 0usize;
         let mut degenerate = 0usize;
-        self.solve_counted(&mut pivots, &mut degenerate)
+        self.solve_counted(&mut pivots, &mut degenerate, None)
     }
 
     /// Number of rows the dense tableau materializes for this problem:
@@ -98,8 +103,15 @@ impl LpProblem {
     /// pinned by presolve implications or branch-and-bound fixes) are
     /// substituted out first: their columns disappear, their redundant
     /// ub rows are never emitted, and rows left with no free terms are
-    /// checked for consistency directly.
-    pub(crate) fn solve_counted(&self, pivots: &mut usize, degenerate: &mut usize) -> LpOutcome {
+    /// checked for consistency directly. A `deadline` is checked every
+    /// [`DEADLINE_STRIDE`] iterations of the pivot loop; once it has
+    /// passed the solve ends as [`LpOutcome::Interrupted`].
+    pub(crate) fn solve_counted(
+        &self,
+        pivots: &mut usize,
+        degenerate: &mut usize,
+        deadline: Option<Instant>,
+    ) -> LpOutcome {
         assert_eq!(self.lb.len(), self.num_vars);
         assert_eq!(self.ub.len(), self.num_vars);
         assert_eq!(self.objective.len(), self.num_vars);
@@ -111,7 +123,7 @@ impl LpProblem {
             })
             .collect();
         if !fixed.iter().any(|&f| f) {
-            return self.solve_impl(pivots, degenerate);
+            return self.solve_impl(pivots, degenerate, deadline);
         }
 
         // Substitute fixed variables out.
@@ -169,7 +181,7 @@ impl LpProblem {
             objective,
             rows,
         };
-        match reduced.solve_impl(pivots, degenerate) {
+        match reduced.solve_impl(pivots, degenerate, deadline) {
             LpOutcome::Optimal(s) => {
                 let mut values = vec![0.0; self.num_vars];
                 for j in 0..self.num_vars {
@@ -187,7 +199,12 @@ impl LpProblem {
     }
 
     #[allow(clippy::needless_range_loop)] // tableau code reads best with explicit indices
-    fn solve_impl(&self, pivots: &mut usize, degenerate: &mut usize) -> LpOutcome {
+    fn solve_impl(
+        &self,
+        pivots: &mut usize,
+        degenerate: &mut usize,
+        deadline: Option<Instant>,
+    ) -> LpOutcome {
         assert_eq!(self.lb.len(), self.num_vars);
         assert_eq!(self.ub.len(), self.num_vars);
         assert_eq!(self.objective.len(), self.num_vars);
@@ -388,6 +405,11 @@ impl LpProblem {
                 if *iterations > iteration_limit {
                     return Err(LpOutcome::IterationLimit);
                 }
+                if iterations.is_multiple_of(DEADLINE_STRIDE)
+                    && deadline.is_some_and(|d| Instant::now() >= d)
+                {
+                    return Err(LpOutcome::Interrupted);
+                }
                 let use_bland = *iterations > bland_threshold;
                 // Entering column.
                 let mut enter = None;
@@ -567,6 +589,36 @@ mod tests {
             LpOutcome::Optimal(s) => s,
             other => panic!("expected optimal, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn expired_deadline_stops_the_tableau_within_the_stride() {
+        // max Σx over 80 boxed variables: every column enters once and
+        // its bound row blocks it, one pivot each.
+        let k = 80;
+        let p = LpProblem {
+            num_vars: k,
+            lb: vec![0.0; k],
+            ub: vec![1.0; k],
+            objective: vec![-1.0; k],
+            rows: vec![row(
+                (0..k).map(|j| (j, 1.0)).collect(),
+                Relation::Le,
+                k as f64,
+            )],
+        };
+        let (mut pivots, mut degenerate) = (0, 0);
+        let full = p.solve_counted(&mut pivots, &mut degenerate, None);
+        assert!((optimal(full).objective + k as f64).abs() < 1e-9);
+        assert!(pivots > 2 * DEADLINE_STRIDE, "{pivots} pivots");
+
+        let (mut pivots, mut degenerate) = (0, 0);
+        let cut_short = p.solve_counted(&mut pivots, &mut degenerate, Some(Instant::now()));
+        assert!(matches!(cut_short, LpOutcome::Interrupted));
+        assert!(
+            pivots <= DEADLINE_STRIDE,
+            "{pivots} pivots after the deadline"
+        );
     }
 
     #[test]

@@ -104,6 +104,7 @@ fn outcome_class(o: &LpOutcome) -> &'static str {
         LpOutcome::Infeasible => "infeasible",
         LpOutcome::Unbounded => "unbounded",
         LpOutcome::IterationLimit => "iteration-limit",
+        LpOutcome::Interrupted => "interrupted",
     }
 }
 

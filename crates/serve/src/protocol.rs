@@ -40,8 +40,6 @@
 
 use std::time::Duration;
 
-#[cfg(test)]
-use xring_core::RingAlgorithm;
 use xring_core::{
     DegradationPolicy, Floorplan, FloorplanForm, Form, NetworkSpec, SpareConfig, SynthesisError,
     SynthesisOptions, Traffic,
@@ -481,6 +479,7 @@ fn render_error_with_label(label: Option<&str>, status: u16, code: &str, message
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xring_core::RingAlgorithm;
 
     fn defaults() -> RequestDefaults {
         RequestDefaults::default()

@@ -119,12 +119,12 @@ fn synth_row(fixture: &str, net: &NetworkSpec, options: SynthesisOptions) -> Str
 
 const GOLDEN: &str = "
 fixture                        nodes     lps    cuts  pivots   refac    warm 2sat-fb sc-cand  sc-sel     cse spans  allocs  outcome
-proton_8 wl8                       1       1       0      21       0       0       0       4       2       0    12     931
-psion_16 wl16                      2       2       8      80       1       1       0      74       6       0    12    3127
-psion_32 wl16                     50      50      84     675      50      49       0     384      16       2    14  105913
-irr16 wl8                          7       7      20      88       6       6       0      78       7       2    14    5346
+proton_8 wl8                       1       1       0      21       0       0       0       4       2       0    12     761
+psion_16 wl16                      2       2       8      80       1       1       0      74       6       0    12    2192
+psion_32 wl16                     50      50      84     675      50      49       0     384      16       2    14   13940
+irr16 wl8                          7       7      20      88       6       6       0      78       7       2    14    2743
 irr16 wl8 drop-0 edit              0       0       0       0       0       0       0       0       0       0     7    1053  reused 2/2
-irr64 ring                        71      71      82    8592      72      70       0       0       0       0     1  441432
+irr64 ring                        71      71      82    8592      72      70       0       0       0       0     1   27852
 irr128 s1 knn3-heur                0       0       0       0       0       0       0    1376      58      12    37    1561
 irr128 s2 knn3-heur                0       0       0       0       0       0       1    1319      58      10    22    1478
 irr128 s3 knn3-heur                0       0       0       0       0       0       0    1390      54       9    21    1378
