@@ -184,7 +184,22 @@ echo "$deadline_out" | grep -q '1 ok, 0 failed.*1 heuristic' && echo "$deadline_
 }
 
 echo "==> table smoke (Table III's XRing rows come from the audited engine sweep)"
-cargo run -q --release --offline -p xring-bench --bin table3 | grep -q '^XRing'
+./target/release/xring table 3 | grep -q '^XRing'
+
+echo "==> flag spelling smoke (every value flag takes --flag=V; batch refuses --deadline-ms 0)"
+folded="target/ci-synth.folded"
+rm -f "$folded"
+./target/release/xring synth --grid=2x4 --wl=8 --trace-format=folded --trace="$folded" >/dev/null
+grep -q '^[^ ]* [0-9][0-9]*$' "$folded" || {
+    echo "flags: synth --trace-format=folded --trace=$folded wrote no folded stacks" >&2
+    exit 1
+}
+status=0
+deadline_err=$(./target/release/xring batch --grid 2x2 --wl-list 4 --deadline-ms 0 2>&1) || status=$?
+if [ "$status" -ne 1 ] || ! echo "$deadline_err" | grep -q '^error: --deadline-ms: must be at least 1'; then
+    echo "flags: 'xring batch --deadline-ms 0' exited $status: $deadline_err" >&2
+    exit 1
+fi
 
 echo "==> incremental edit smoke (CLI edit loop, byte-identity check, ring + shortcut replayed)"
 edit_out=$(./target/release/xring edit --irregular 16,5,8000 --wl 8)

@@ -561,6 +561,107 @@ pub fn print_sections(sections: &[(String, Vec<RouterReport>)]) {
     }
 }
 
+/// One printed experiment of the paper: its name on the command line
+/// (`xring table 1`, `xring ablation pdn`), its title, and how it prints
+/// its rows.
+#[derive(Debug)]
+pub struct Experiment {
+    /// The name that selects it.
+    pub name: &'static str,
+    /// Printed above its rows, then a blank line.
+    pub title: &'static str,
+    /// Computes and prints its rows.
+    pub print: fn(&Engine) -> Result<(), SynthesisError>,
+}
+
+impl PartialEq for Experiment {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+    }
+}
+
+impl Experiment {
+    /// Prints the title, then the rows.
+    ///
+    /// # Errors
+    ///
+    /// The first synthesis failure of its rows.
+    pub fn run(&self, engine: &Engine) -> Result<(), SynthesisError> {
+        println!("{}\n", self.title);
+        (self.print)(engine)
+    }
+}
+
+/// The paper's tables (E1–E3).
+pub static TABLES: [Experiment; 3] = [
+    Experiment {
+        name: "1",
+        title: "TABLE I — results for 8-, 16-node WRONoC routers without PDNs\n\
+                (crossbar rows are analytic models; see DESIGN.md §2)",
+        print: |engine| {
+            print_sections(&table1(engine)?);
+            Ok(())
+        },
+    },
+    Experiment {
+        name: "2",
+        title: "TABLE II — ORNoC vs XRing for 8-, 16-, 32-node networks (with PDNs)",
+        print: |engine| {
+            let sections = table2(engine)?;
+            print_sections(&sections);
+            // The headline claim (E4): >98% of XRing signals suffer no
+            // first-order noise.
+            for (title, rows) in &sections {
+                let xring = rows.iter().filter(|r| r.label.starts_with("XRing"));
+                for f in xring.filter_map(RouterReport::noise_free_fraction) {
+                    println!(
+                        "headline [{title}]: {:.1}% of XRing signals are free of first-order noise",
+                        f * 100.0
+                    );
+                }
+            }
+            Ok(())
+        },
+    },
+    Experiment {
+        name: "3",
+        title: "TABLE III — ORing vs XRing for a 16-node network (with PDNs)",
+        print: |engine| {
+            print_sections(&table3(engine)?);
+            Ok(())
+        },
+    },
+];
+
+/// The design-choice ablations (E5–E7); the ring ablation ends with the
+/// E12 ring-MILP survey.
+pub static ABLATIONS: [Experiment; 3] = [
+    Experiment {
+        name: "shortcuts",
+        title: "ABLATION E5 — Step 2 (shortcut construction)",
+        print: |engine| {
+            print_sections(&ablation_shortcuts(engine)?);
+            Ok(())
+        },
+    },
+    Experiment {
+        name: "pdn",
+        title: "ABLATION E6 — Step 3/4 (openings + crossing-free PDN)",
+        print: |engine| {
+            print_sections(&ablation_pdn(engine)?);
+            Ok(())
+        },
+    },
+    Experiment {
+        name: "ring",
+        title: "ABLATION E7 — Step 1 (ring-construction algorithm)",
+        print: |engine| {
+            print_sections(&ablation_ring(engine)?);
+            print_ring_survey()
+        },
+    },
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;

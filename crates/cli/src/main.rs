@@ -8,18 +8,18 @@
 
 mod args;
 
-use args::{parse, usage, BatchArgs, Command, ServeArgs, SynthArgs};
+use args::{parse, usage, BatchArgs, Command, Outputs, SynthArgs};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
-use xring_bench::tables::{
-    ablation_pdn, ablation_ring, ablation_shortcuts, print_ring_survey, print_sections, table1,
-    table2, table3,
+use xring_bench::tables::Experiment;
+use xring_core::{
+    DegradationLevel, NetworkSpec, PhaseId, SpareConfig, SweepObjective, SynthesisOptions,
+    Synthesizer, Traffic,
 };
-use xring_core::{DegradationLevel, PhaseId, SpareConfig, SynthesisOptions, Synthesizer, Traffic};
 use xring_engine::{CacheCounter, Engine, JsonlSink, SynthesisJob};
 use xring_phot::{CrosstalkParams, LossParams, PowerParams, RouterReport};
-use xring_serve::ServeCounter;
+use xring_serve::{ServeConfig, ServeCounter};
 use xring_viz::{render_design, RenderOptions};
 
 /// The `Ok` value of `$result`; on `Err(e)` prints `error: [context: ]e`
@@ -67,33 +67,13 @@ fn main() -> ExitCode {
     // histograms from every layer (engine jobs, synthesis phases, MILP
     // solves) land in one trace, drained once after the command finishes
     // and rendered to each requested output.
-    let (trace_to, solver_log, metrics_out) = match &cli.command {
-        Command::Synth(a)
-        | Command::Sweep(a, _)
-        | Command::FaultSweep(a, _)
-        | Command::Edit(a, _) => (
-            a.trace.clone().map(|p| (p, a.trace_format)),
-            a.solver_log.clone(),
-            a.metrics_out.clone(),
-        ),
-        Command::Batch(b) => (
-            b.synth.trace.clone().map(|p| (p, b.synth.trace_format)),
-            b.synth.solver_log.clone(),
-            b.synth.metrics_out.clone(),
-        ),
-        Command::Serve(a) => (
-            a.trace.clone().map(|p| (p, a.trace_format)),
-            None,
-            a.metrics_out.clone(),
-        ),
-        _ => (None, None, None),
-    };
-    if trace_to.is_some() || metrics_out.is_some() {
+    let out = &cli.out;
+    if out.trace.is_some() || out.metrics_out.is_some() {
         xring_obs::start();
     }
     // `--solver-log` installs a global convergence sink; every MILP solve
     // during the command streams its events there, tagged by solve id.
-    let solver_sink_installed = match &solver_log {
+    let solver_sink_installed = match &out.solver_log {
         Some(path) => match std::fs::File::create(path) {
             Ok(file) => {
                 xring_milp::progress::install_sink(Arc::new(
@@ -117,115 +97,68 @@ fn main() -> ExitCode {
             print!("{}", usage());
             ExitCode::SUCCESS
         }
-        Command::Table(which) => run_table(which, &engine),
-        Command::Ablation(which) => run_ablation(&which, &engine),
-        Command::Synth(args) => run_synth(&args),
-        Command::Sweep(args, objective) => run_sweep(&args, &objective, &engine),
-        Command::Batch(args) => run_batch_cmd(&args, engine),
+        Command::Table(table) => run_experiments(std::slice::from_ref(table), &engine),
+        Command::Ablation(ablations) => {
+            let code = run_experiments(ablations, &engine);
+            let cache = &engine.cache().counters;
+            let hits = cache.get(CacheCounter::Hits);
+            if code == ExitCode::SUCCESS && hits > 0 {
+                let misses = cache.get(CacheCounter::Misses);
+                println!("engine cache: {hits} hits, {misses} misses");
+            }
+            code
+        }
+        Command::Synth(args) => run_synth(&args, out),
+        Command::Sweep(args, objective) => run_sweep(&args, objective, &engine),
+        Command::Batch(args, batch) => run_batch_cmd(&args, &batch, engine),
         Command::FaultSweep(args, levels) => run_fault_sweep(&args, &levels, &engine),
         Command::Edit(args, drop_pair) => run_edit(&args, drop_pair, &engine),
-        Command::Serve(args) => run_serve(&args),
+        Command::Serve(config) => run_serve(config),
     };
     if solver_sink_installed {
         xring_milp::progress::clear_sink();
-        if let Some(path) = &solver_log {
+        if let Some(path) = &out.solver_log {
             xring_obs::log::info("cli", "solver convergence log written", &[("path", path)]);
         }
     }
-    if trace_to.is_some() || metrics_out.is_some() {
+    if out.trace.is_some() || out.metrics_out.is_some() {
         let trace = xring_obs::finish();
-        if let Some((path, format)) = trace_to {
-            if let Err(e) = write_trace(&trace, &path, format) {
+        if let Some(path) = &out.trace {
+            let file = std::fs::File::create(path);
+            if let Err(e) = file.and_then(|mut file| trace.write(out.trace_format, &mut file)) {
                 xring_obs::log::error(
                     "cli",
                     "cannot write trace",
-                    &[("path", &path), ("error", &e.to_string())],
+                    &[("path", path), ("error", &e.to_string())],
                 );
                 return ExitCode::FAILURE;
             }
             xring_obs::log::info(
                 "cli",
                 "trace written",
-                &[("path", &path), ("format", &format.to_string())],
+                &[("path", path), ("format", &out.trace_format.to_string())],
             );
         }
-        if let Some(path) = metrics_out {
-            if let Err(e) = write_metrics(&trace, &path) {
+        if let Some(path) = &out.metrics_out {
+            let file = std::fs::File::create(path);
+            if let Err(e) = file.and_then(|mut file| trace.write_prometheus(&mut file)) {
                 xring_obs::log::error(
                     "cli",
                     "cannot write metrics",
-                    &[("path", &path), ("error", &e.to_string())],
+                    &[("path", path), ("error", &e.to_string())],
                 );
                 return ExitCode::FAILURE;
             }
-            xring_obs::log::info("cli", "prometheus metrics written", &[("path", &path)]);
+            xring_obs::log::info("cli", "prometheus metrics written", &[("path", path)]);
         }
     }
     code
 }
 
-fn write_trace(
-    trace: &xring_obs::Trace,
-    path: &str,
-    format: xring_obs::TraceFormat,
-) -> std::io::Result<()> {
-    let mut file = std::fs::File::create(path)?;
-    trace.write(format, &mut file)
-}
-
-fn write_metrics(trace: &xring_obs::Trace, path: &str) -> std::io::Result<()> {
-    let mut file = std::fs::File::create(path)?;
-    trace.write_prometheus(&mut file)
-}
-
-fn run_table(which: u8, engine: &Engine) -> ExitCode {
-    let result = match which {
-        1 => table1(engine),
-        2 => table2(engine),
-        _ => table3(engine),
-    };
-    match result {
-        Ok(sections) => {
-            print_sections(&sections);
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run_ablation(which: &str, engine: &Engine) -> ExitCode {
-    type Ablation =
-        fn(&Engine) -> Result<Vec<(String, Vec<RouterReport>)>, xring_core::SynthesisError>;
-    let runs: Vec<Ablation> = match which {
-        "shortcuts" => vec![ablation_shortcuts],
-        "pdn" => vec![ablation_pdn],
-        "ring" => vec![ablation_ring],
-        _ => vec![ablation_shortcuts, ablation_pdn, ablation_ring],
-    };
-    for run in runs {
-        match run(engine) {
-            Ok(sections) => print_sections(&sections),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    // The ring ablation ends with the E12 ring-MILP survey.
-    if !matches!(which, "shortcuts" | "pdn") {
-        if let Err(e) = print_ring_survey() {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let cache = &engine.cache().counters;
-    let hits = cache.get(CacheCounter::Hits);
-    if hits > 0 {
-        let misses = cache.get(CacheCounter::Misses);
-        println!("engine cache: {hits} hits, {misses} misses");
+/// Prints each experiment in turn: its title, then its rows.
+fn run_experiments(experiments: &[Experiment], engine: &Engine) -> ExitCode {
+    for experiment in experiments {
+        or_fail!(experiment.run(engine));
     }
     ExitCode::SUCCESS
 }
@@ -238,20 +171,14 @@ fn wl_ladder(max: usize) -> Vec<usize> {
         .collect()
 }
 
-fn run_sweep(args: &SynthArgs, objective: &str, engine: &Engine) -> ExitCode {
-    use xring_core::SweepObjective;
+fn run_sweep(args: &SynthArgs, objective: SweepObjective, engine: &Engine) -> ExitCode {
     let net = or_fail!(args.network());
-    let obj = match objective {
-        "il" => SweepObjective::MinInsertionLoss,
-        "snr" => SweepObjective::MaxSnr,
-        _ => SweepObjective::MinPower,
-    };
     let candidates = wl_ladder(args.options.max_wavelengths);
     let result = or_fail!(engine.sweep_wavelengths(
         &net,
         args.options.clone(),
         &candidates,
-        obj,
+        objective,
         &LossParams::default(),
         Some(&CrosstalkParams::default()),
         &PowerParams::default(),
@@ -264,9 +191,29 @@ fn run_sweep(args: &SynthArgs, objective: &str, engine: &Engine) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn run_batch_cmd(args: &BatchArgs, mut engine: Engine) -> ExitCode {
-    let net = or_fail!(args.synth.network());
-    if let Some(path) = &args.metrics_jsonl {
+/// The jobs of a batch: each `#wl` candidate, `--repeat` times, with the
+/// base options otherwise (the deadline among them).
+fn batch_jobs(net: &NetworkSpec, args: &SynthArgs, batch: &BatchArgs) -> Vec<SynthesisJob> {
+    let candidates = if batch.wl_list.is_empty() {
+        wl_ladder(args.options.max_wavelengths)
+    } else {
+        batch.wl_list.clone()
+    };
+    let rounds = (0..batch.repeat).flat_map(|round| candidates.iter().map(move |&wl| (round, wl)));
+    rounds
+        .map(|(round, wl)| {
+            let options = SynthesisOptions {
+                max_wavelengths: wl,
+                ..args.options.clone()
+            };
+            SynthesisJob::new(format!("r{round} #wl={wl}"), net.clone(), options)
+        })
+        .collect()
+}
+
+fn run_batch_cmd(args: &SynthArgs, batch: &BatchArgs, mut engine: Engine) -> ExitCode {
+    let net = or_fail!(args.network());
+    if let Some(path) = &batch.metrics_jsonl {
         match std::fs::File::create(path) {
             Ok(file) => engine = engine.with_sink(Arc::new(JsonlSink::new(file))),
             Err(e) => {
@@ -275,31 +222,7 @@ fn run_batch_cmd(args: &BatchArgs, mut engine: Engine) -> ExitCode {
             }
         }
     }
-    let candidates = if args.wl_list.is_empty() {
-        wl_ladder(args.synth.options.max_wavelengths)
-    } else {
-        args.wl_list.clone()
-    };
-    let base = &args.synth.options;
-    let mut jobs = Vec::with_capacity(candidates.len() * args.repeat);
-    for round in 0..args.repeat {
-        for &wl in &candidates {
-            let mut job = SynthesisJob::new(
-                format!("r{round} #wl={wl}"),
-                net.clone(),
-                SynthesisOptions {
-                    max_wavelengths: wl,
-                    ..base.clone()
-                },
-            );
-            if let Some(ms) = args.deadline_ms {
-                job = job.with_deadline(Duration::from_millis(ms));
-            }
-            jobs.push(job);
-        }
-    }
-
-    let batch = engine.run_batch(jobs);
+    let batch = engine.run_batch(batch_jobs(&net, args, batch));
     println!("{}", RouterReport::table_header());
     let mut failed = false;
     for outcome in &batch.outcomes {
@@ -448,32 +371,10 @@ fn run_edit(args: &SynthArgs, drop_pair: usize, engine: &Engine) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn run_serve(args: &ServeArgs) -> ExitCode {
+fn run_serve(config: ServeConfig) -> ExitCode {
     use std::io::{Read, Write};
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    let mut slo = xring_serve::SloConfig::default();
-    if let Some(ppm) = args.slo_target_ppm {
-        slo.target_ppm = ppm;
-    }
-    if let Some(ms) = args.slo_latency_ms {
-        slo.latency_target = Duration::from_millis(ms);
-    }
-    let config = xring_serve::ServeConfig {
-        port: args.port,
-        workers: args.workers,
-        max_inflight: args.max_inflight,
-        queue_depth: args.queue_depth,
-        deadline: args.deadline_ms.map(Duration::from_millis),
-        degradation: args.degradation,
-        cache_bytes: match args.cache_bytes {
-            0 => None,
-            n => Some(n as usize),
-        },
-        slo,
-        postmortem: args.postmortem.clone().map(std::path::PathBuf::from),
-        ..xring_serve::ServeConfig::default()
-    };
     let mut server = match xring_serve::Server::start(config) {
         Ok(s) => s,
         Err(e) => {
@@ -535,7 +436,7 @@ fn run_serve(args: &ServeArgs) -> ExitCode {
     // right after main returns reaps it.
 }
 
-fn run_synth(args: &SynthArgs) -> ExitCode {
+fn run_synth(args: &SynthArgs, out: &Outputs) -> ExitCode {
     let net = or_fail!(args.network());
     let options = args.options.clone();
     let design = or_fail!(Synthesizer::new(options).synthesize(&net));
@@ -579,10 +480,10 @@ fn run_synth(args: &SynthArgs) -> ExitCode {
     println!("{}", RouterReport::table_header());
     println!("{report}");
 
-    if args.describe {
+    if out.describe {
         println!("\n{}", design.describe());
     }
-    if let Some(path) = &args.svg {
+    if let Some(path) = &out.svg {
         let svg = render_design(&design, &RenderOptions::default());
         if let Err(e) = std::fs::write(path, svg) {
             eprintln!("error: cannot write {path}: {e}");
@@ -591,4 +492,33 @@ fn run_synth(args: &SynthArgs) -> ExitCode {
         println!("layout written to {path}");
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_batch_job_carries_the_deadline() {
+        let argv: Vec<String> = [
+            "batch",
+            "--wl-list",
+            "4,8",
+            "--repeat",
+            "2",
+            "--deadline-ms",
+            "250",
+        ]
+        .map(String::from)
+        .to_vec();
+        let Command::Batch(args, batch) = parse(&argv).expect("parses").command else {
+            panic!("not batch")
+        };
+        let jobs = batch_jobs(&args.network().expect("network"), &args, &batch);
+        let wls: Vec<usize> = jobs.iter().map(|j| j.options.max_wavelengths).collect();
+        assert_eq!(wls, [4, 8, 4, 8]);
+        for job in &jobs {
+            assert_eq!(job.options.deadline, Some(Duration::from_millis(250)));
+        }
+    }
 }

@@ -366,11 +366,19 @@ pub(crate) fn flag_help<T: OptionValue>(out: &mut String, flag: Flag, help: &str
             lines.push(format!("(default {default})"));
         }
     }
+    write_help_line(out, &usage, &lines.join("\n"));
+}
+
+/// Appends one help entry to `out`: `usage` in a 26-column gutter (on a
+/// line of its own when wider), beside the lines of `help`. Every help
+/// list of the command line is laid out this way.
+pub fn write_help_line(out: &mut String, usage: &str, help: &str) {
     let gutter = if usage.len() < 24 {
         format!("  {usage:<24}")
     } else {
         format!("  {usage}\n{:26}", "")
     };
+    let lines: Vec<&str> = help.lines().collect();
     let _ = writeln!(out, "{gutter}{}", lines.join(&format!("\n{:26}", "")));
 }
 

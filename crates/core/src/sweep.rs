@@ -17,6 +17,35 @@ pub enum SweepObjective {
     MaxSnr,
 }
 
+impl SweepObjective {
+    /// Every objective, in declaration order.
+    pub const ALL: [SweepObjective; 3] = [
+        SweepObjective::MinInsertionLoss,
+        SweepObjective::MinPower,
+        SweepObjective::MaxSnr,
+    ];
+
+    /// Stable lowercase name, also accepted by [`FromStr`](std::str::FromStr).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            SweepObjective::MinInsertionLoss => "il",
+            SweepObjective::MinPower => "power",
+            SweepObjective::MaxSnr => "snr",
+        }
+    }
+}
+
+impl std::str::FromStr for SweepObjective {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        Self::ALL
+            .into_iter()
+            .find(|o| o.as_str() == s)
+            .ok_or_else(|| format!("unknown objective {s}"))
+    }
+}
+
 /// One evaluated sweep point.
 #[derive(Debug, Clone)]
 pub struct SweepPoint {

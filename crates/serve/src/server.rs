@@ -48,7 +48,7 @@ use crate::protocol::{self, RequestDefaults};
 
 /// Daemon configuration; the CLI's `xring serve` flags map onto this
 /// one-to-one.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Port to bind on 127.0.0.1 (0 = ephemeral, see [`Server::addr`]).
     pub port: u16,
